@@ -72,10 +72,10 @@ def _write_coloring(path: str, coloring: Coloring, comment: str) -> None:
     Path(path).write_text(serialize(coloring, comment))
 
 
-def _search_config(args: argparse.Namespace) -> SearchConfig:
+def _search_config(args: argparse.Namespace, worker_count: int = 1) -> SearchConfig:
     return SearchConfig(
         time_limit=args.time_limit,
-        worker_count=args.threads,
+        worker_count=worker_count,
         node_limit=args.node_limit,
     )
 
@@ -160,7 +160,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     shape = CubeShape(args.k, args.n)
-    outcome = max_rf_colors(shape, _search_config(args))
+    outcome = max_rf_colors(shape, _search_config(args, args.threads))
     _emit("subcommand", "search.max-colors")
     _emit("k", args.k)
     _emit("n", args.n)
@@ -538,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="extend a partial coloring to a color target")
     p.add_argument("file")
     p.add_argument("--total-colors", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--certificate", default=None, help="write the completion here")

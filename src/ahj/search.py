@@ -3,9 +3,9 @@
 The optimization runs over class partitions instead of colorings: a total
 coloring is rainbow-free iff every line carries two same-class points, and
 maximizing colors is minimizing class merges.  Branch and bound explores
-merge decisions over a trailed union-find with exclusion constraints
-("these two points stay in different classes"), unit propagation of forced
-merges, and an admissible disjoint-line lower bound.
+merge decisions over a trailed quick-find union-find with exclusion
+constraints ("these two points stay in different classes"), unit
+propagation of forced merges, and an admissible disjoint-line lower bound.
 """
 
 from __future__ import annotations
@@ -78,41 +78,40 @@ class SearchOutcome:
 
 
 class MergeState:
-    """Union-find over point indices with an undo trail.
+    """Quick-find union-find over point indices with an undo trail.
 
-    No path compression: every structural change is a single reversible
-    record.  `anti` constraints pin two classes apart; they are kept as a
-    root adjacency map so violation checks are O(find).
+    `label[x]` is the root of x's class, so `find` is one list index; each
+    root keeps the list of its class's members in `members`.  A merge
+    relabels the smaller class (union by size) and records one reversible
+    trail entry, which `undo_to` replays backwards to restore the labels.
+    `anti` constraints pin two classes apart; they are kept as a root
+    adjacency map so violation checks are O(1).
     """
 
-    __slots__ = ("shape", "parent", "size", "merge_count", "_incompat", "_trail")
+    __slots__ = ("shape", "label", "members", "merge_count", "_incompat", "_trail")
 
     def __init__(self, shape: CubeShape):
         self.shape = shape
         count = shape.point_count
-        self.parent = list(range(count))
-        self.size = [1] * count
+        self.label = list(range(count))
+        self.members = [[x] for x in range(count)]
         self.merge_count = 0
         self._incompat: dict[int, set[int]] = {}
         self._trail: list[tuple] = []
 
     def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
+        return self.label[x]
 
     def same(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
+        return self.label[a] == self.label[b]
 
     def blocked(self, a: int, b: int) -> bool:
         """True iff an anti constraint keeps a and b in different classes."""
-        ra = self.find(a)
-        return self.find(b) in self._incompat.get(ra, ())
+        return self.label[b] in self._incompat.get(self.label[a], ())
 
     def forbid(self, a: int, b: int) -> None:
         """Pin the classes of a and b apart from here on (undoable)."""
-        ra, rb = self.find(a), self.find(b)
+        ra, rb = self.label[a], self.label[b]
         if ra == rb:
             raise SearchError("cannot forbid a pair already in one class")
         if rb in self._incompat.get(ra, ()):
@@ -124,15 +123,19 @@ class MergeState:
 
     def merge(self, a: int, b: int) -> None:
         """Union the classes of a and b; the pair must be distinct and unblocked."""
-        ra, rb = self.find(a), self.find(b)
+        label = self.label
+        ra, rb = label[a], label[b]
         if ra == rb:
             raise SearchError("merge of an already merged pair")
-        if self.size[ra] < self.size[rb]:
+        members = self.members
+        if len(members[ra]) < len(members[rb]):
             ra, rb = rb, ra
         if rb in self._incompat.get(ra, ()):
             raise SearchError("merge of a forbidden pair")
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+        moving = members[rb]
+        for x in moving:
+            label[x] = ra
+        members[ra].extend(moving)
         self.merge_count += 1
         moved = []
         mine = self._incompat.setdefault(ra, set())
@@ -149,8 +152,9 @@ class MergeState:
         return len(self._trail)
 
     def undo_to(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            entry = self._trail.pop()
+        trail = self._trail
+        while len(trail) > mark:
+            entry = trail.pop()
             tag = entry[0]
             if tag == "union":
                 _, ra, rb, moved = entry
@@ -159,8 +163,13 @@ class MergeState:
                         self._incompat[ra].discard(r)
                         self._incompat[r].discard(ra)
                     self._incompat[r].add(rb)
-                self.parent[rb] = rb
-                self.size[ra] -= self.size[rb]
+                # rb's member list is left intact by merge, so it names
+                # exactly the points to hand back.
+                moving = self.members[rb]
+                del self.members[ra][-len(moving):]
+                label = self.label
+                for x in moving:
+                    label[x] = rb
                 self.merge_count -= 1
             elif tag == "anti":
                 _, ra, rb = entry
@@ -172,14 +181,13 @@ class MergeState:
         return self.shape.point_count - self.merge_count
 
     def line_satisfied(self, idxs: tuple[int, ...]) -> bool:
-        roots = [self.find(i) for i in idxs]
-        return len(set(roots)) < len(roots)
+        label = self.label
+        return len({label[i] for i in idxs}) < len(idxs)
 
     def to_coloring(self) -> Coloring:
         mapping: dict[int, int] = {}
         out = []
-        for i in self.shape.iter_indices():
-            r = self.find(i)
+        for r in self.label:
             if r not in mapping:
                 mapping[r] = len(mapping) + 1
             out.append(mapping[r])
@@ -276,6 +284,12 @@ _PRUNE = -3
 _SOLVED = -1
 
 
+@lru_cache(maxsize=None)
+def _position_pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """Position pairs (i, j) of a k-point line, in `combinations` order."""
+    return tuple(combinations(range(k), 2))
+
+
 def _settle(state: MergeState, lines, start: int, best: int) -> int:
     """Propagate forced merges, then prune-check and locate the branch line.
 
@@ -284,31 +298,38 @@ def _settle(state: MergeState, lines, start: int, best: int) -> int:
     A merge invalidates the pass's bound accumulators, so bound-based
     decisions only fire on quiescent passes; merge-count pruning is
     always sound.
+
+    Class roots are read straight from the quick-find `label` array.  The
+    scan only needs to know whether a line has zero, one or more unblocked
+    pairs, so it counts them over the position-pair table and stops at the
+    second one.
     """
-    parent = state.parent
+    label = state.label
     incompat = state._incompat
+    k = state.shape.k
+    pairs = _position_pairs(k)
     while True:
         changed = False
         first = -1
         used: set[int] = set()
         bound = state.merge_count
         for li in range(start, len(lines)):
-            roots = []
-            for x in lines[li]:
-                while parent[x] != x:
-                    x = parent[x]
-                roots.append(x)
-            if len(set(roots)) < len(roots):
+            idxs = lines[li]
+            roots = [label[x] for x in idxs]
+            root_set = set(roots)
+            if len(root_set) < k:
                 continue
-            pairs = [
-                (a, b)
-                for (a, ra), (b, rb) in combinations(zip(lines[li], roots), 2)
-                if rb not in incompat.get(ra, ())
-            ]
-            if not pairs:
-                return _DEAD
-            if len(pairs) == 1:
-                state.merge(*pairs[0])
+            only = None
+            for i, j in pairs:
+                if roots[j] not in incompat.get(roots[i], ()):
+                    if only is not None:
+                        break
+                    only = (i, j)
+            else:
+                # At most one unblocked pair: the line is dead or forced.
+                if only is None:
+                    return _DEAD
+                state.merge(idxs[only[0]], idxs[only[1]])
                 if state.merge_count >= best:
                     return _PRUNE
                 changed = True
@@ -317,7 +338,6 @@ def _settle(state: MergeState, lines, start: int, best: int) -> int:
                 continue
             if first < 0:
                 first = li
-            root_set = set(roots)
             if not (used & root_set):
                 used |= root_set
                 bound += 1
@@ -430,13 +450,17 @@ class _BudgetOut(Exception):
 
 
 def first_independent_set(
-    shape: CubeShape, size: int, node_budget: int = 2_000_000
+    shape: CubeShape,
+    size: int,
+    node_budget: int = 2_000_000,
+    deadline: float | None = None,
 ) -> tuple[int, ...] | None:
     """Lexicographically first size-`size` line-independent set, or None.
 
-    None means either no such set exists or the node budget ran out, so a
-    None is not a nonexistence proof; use enumerate_independent_sets for
-    exhaustive answers.
+    None means either no such set exists or the node budget ran out, or
+    the `time.monotonic()` deadline passed, so a None is not a
+    nonexistence proof; use enumerate_independent_sets for exhaustive
+    answers.
     """
     if shape.k != 3:
         raise SearchError("independent-set search supports k = 3 only")
@@ -444,12 +468,17 @@ def first_independent_set(
     count = shape.point_count
     chosen: list[int] = []
     nodes = 0
+    # Node count at which the budget and the clock are next checked, so a
+    # search without a deadline pays one comparison per node.
+    checkpoint = node_budget if deadline is None else min(node_budget, 1024)
 
     def extend(start: int, banned: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, checkpoint
         nodes += 1
-        if nodes > node_budget:
-            raise _BudgetOut
+        if nodes > checkpoint:
+            if nodes > node_budget or time.monotonic() >= deadline:
+                raise _BudgetOut
+            checkpoint = min(node_budget, nodes + 1024)
         if len(chosen) == size:
             return True
         need = size - len(chosen)
@@ -481,12 +510,14 @@ def _greedy_independent_set(shape: CubeShape) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _seed_coloring(shape: CubeShape) -> Coloring:
+def _seed_coloring(shape: CubeShape, deadline: float | None = None) -> Coloring:
     """Deterministic warm-start witness: the best cheap construction.
 
     For k = 3 a singleton coloring over a large line-independent set
     usually beats the digit-position count, so sizes are probed downward
-    from the arithmetic ceiling under one shared node budget.
+    from the arithmetic ceiling under one shared node budget.  Once the
+    `time.monotonic()` deadline passes, probing stops and the greedy
+    independent set stands in.
     """
     if shape.k < 3:
         return monochromatic(shape)
@@ -500,9 +531,11 @@ def _seed_coloring(shape: CubeShape) -> Coloring:
     budget = 3_000_000
     best_set = _greedy_independent_set(shape)
     for size in range(cap, floor, -1):
-        found = first_independent_set(shape, size, budget)
+        found = first_independent_set(shape, size, budget, deadline)
         if found is not None:
             best_set = found
+            break
+        if deadline is not None and time.monotonic() >= deadline:
             break
     if len(best_set) + 1 > census(seed).distinct_count:
         return canonical_relabel(singleton_set_coloring(shape, best_set))
@@ -520,7 +553,7 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
     deadline = started + config.time_limit if config.time_limit else None
     lines = line_index_table(shape)
 
-    seed = _seed_coloring(shape)
+    seed = _seed_coloring(shape, deadline)
     budget = _Budget(
         shape.point_count - census(seed).distinct_count,
         seed.colors,

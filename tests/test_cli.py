@@ -262,6 +262,17 @@ class TestComplete:
         assert code == 3
         assert record(out)["status"] == "TIMEOUT"
 
+    def test_threads_flag_rejected(self, capsys, tmp_path):
+        # complete() is single-threaded, so the flag is not offered.
+        blank = tmp_path / "blank.ahj"
+        blank.write_text(serialize(Coloring(CubeShape(3, 2), (0,) * 9)))
+        code, out, err = run(
+            capsys, "complete", str(blank), "--total-colors", "4", "--threads", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
+
 
 class TestBounds:
     def test_table_rows(self, capsys):

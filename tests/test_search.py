@@ -1,5 +1,7 @@
 """Branch-and-bound search, enumeration, and completion endgames."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,61 @@ from ahj.search import (
 S31 = CubeShape(3, 1)
 S32 = CubeShape(3, 2)
 S33 = CubeShape(3, 3)
+
+
+class _PartitionModel:
+    """Naive reference for MergeState: a class id per point, anti pairs of ids."""
+
+    def __init__(self, count):
+        self.cls = list(range(count))
+        self.anti = set()
+
+    def copy(self):
+        twin = _PartitionModel(0)
+        twin.cls, twin.anti = list(self.cls), set(self.anti)
+        return twin
+
+    def same(self, a, b):
+        return self.cls[a] == self.cls[b]
+
+    def blocked(self, a, b):
+        return frozenset((self.cls[a], self.cls[b])) in self.anti
+
+    def merge(self, a, b):
+        keep, gone = self.cls[a], self.cls[b]
+        self.cls = [keep if c == gone else c for c in self.cls]
+        self.anti = {
+            frozenset(keep if c == gone else c for c in pair) for pair in self.anti
+        }
+
+    def forbid(self, a, b):
+        self.anti.add(frozenset((self.cls[a], self.cls[b])))
+
+    @property
+    def class_count(self):
+        return len(set(self.cls))
+
+
+def _assert_agrees(state, model):
+    count = len(model.cls)
+    assert state.class_count == model.class_count
+    for a in range(count):
+        for b in range(count):
+            if a != b:
+                assert state.same(a, b) == model.same(a, b), (a, b)
+                assert state.blocked(a, b) == model.blocked(a, b), (a, b)
+
+
+_STATE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["merge", "forbid"]), st.integers(0, 26), st.integers(0, 26)
+        ),
+        st.tuples(st.just("mark"), st.just(0), st.just(0)),
+        st.tuples(st.just("undo"), st.integers(0, 1000), st.just(0)),
+    ),
+    max_size=40,
+)
 
 
 class TestMergeState:
@@ -76,6 +133,44 @@ class TestMergeState:
         s.undo_to(mark)
         assert s.class_count == 9
         assert s.merge_count == 0
+
+    @pytest.mark.parametrize("shape", [S32, S33])
+    @given(ops=_STATE_OPS)
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_naive_partition_model(self, shape, ops):
+        """Merge, forbid, mark and undo_to track a naive set partition."""
+        count = shape.point_count
+        state = MergeState(shape)
+        model = _PartitionModel(count)
+        marks = [(state.mark(), model.copy())]
+        for tag, a, b in ops:
+            a, b = a % count, b % count
+            if tag == "merge":
+                if model.same(a, b) or model.blocked(a, b):
+                    with pytest.raises(SearchError):
+                        state.merge(a, b)
+                else:
+                    state.merge(a, b)
+                    model.merge(a, b)
+            elif tag == "forbid":
+                if model.same(a, b):
+                    with pytest.raises(SearchError):
+                        state.forbid(a, b)
+                else:
+                    state.forbid(a, b)
+                    model.forbid(a, b)
+            elif tag == "mark":
+                marks.append((state.mark(), model.copy()))
+            else:
+                del marks[a % len(marks) + 1 :]
+                mark, saved = marks[-1]
+                state.undo_to(mark)
+                model = saved.copy()
+            _assert_agrees(state, model)
+        state.undo_to(marks[0][0])
+        _assert_agrees(state, _PartitionModel(count))
+        assert state.merge_count == 0
+        assert state.to_coloring().colors == tuple(range(1, count + 1))
 
 
 class TestLowerBound:
@@ -138,6 +233,23 @@ class TestMaxRfColors:
     def test_matches_naive_oracle(self, k, n):
         shape = CubeShape(k, n)
         assert max_rf_colors(shape).best_value == naive_max_rf_colors(shape)
+
+    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 47), (4, 10, 1006)])
+    def test_single_worker_node_counts_pinned(self, k, value, nodes):
+        """The 1-worker search tree is fixed; a kernel change must not move it."""
+        out = max_rf_colors(CubeShape(k, 2))
+        assert out.status is Status.OPTIMAL
+        assert out.best_value == value
+        assert out.nodes_explored == nodes
+
+    def test_time_limit_bounds_warm_start(self):
+        started = time.monotonic()
+        out = max_rf_colors(CubeShape(3, 4), SearchConfig(time_limit=1.0))
+        elapsed = time.monotonic() - started
+        assert out.status is Status.FEASIBLE_ONLY
+        assert is_rainbow_free(out.witness)
+        assert census(out.witness).distinct_count == out.best_value
+        assert elapsed < 5.0
 
     def test_single_thread_node_counts_reproduce(self):
         a = max_rf_colors(S32)
