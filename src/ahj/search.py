@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .coloring import Coloring, canonical_relabel, census, is_rainbow_free
 from .constructions import digit_position_coloring, monochromatic, singleton_set_coloring
@@ -457,45 +457,32 @@ def first_independent_set(
 ) -> tuple[int, ...] | None:
     """Lexicographically first size-`size` line-independent set, or None.
 
-    None means either no such set exists or the node budget ran out, or
-    the `time.monotonic()` deadline passed, so a None is not a
-    nonexistence proof; use enumerate_independent_sets for exhaustive
-    answers.
+    The line-cover bound of `_independent_sets` cuts only subtrees that
+    hold no solution, so the set found is the one plain backtracking
+    finds, and the node budget goes further.  None means either no such
+    set exists or the node budget ran out, or the `time.monotonic()`
+    deadline passed, so a None is not a nonexistence proof; use
+    enumerate_independent_sets for exhaustive answers.
     """
     if shape.k != 3:
         raise SearchError("independent-set search supports k = 3 only")
-    masks = _collinearity_masks(shape)
-    count = shape.point_count
-    chosen: list[int] = []
     nodes = 0
     # Node count at which the budget and the clock are next checked, so a
     # search without a deadline pays one comparison per node.
     checkpoint = node_budget if deadline is None else min(node_budget, 1024)
 
-    def extend(start: int, banned: int) -> bool:
+    def tick() -> None:
         nonlocal nodes, checkpoint
         nodes += 1
         if nodes > checkpoint:
             if nodes > node_budget or time.monotonic() >= deadline:
                 raise _BudgetOut
             checkpoint = min(node_budget, nodes + 1024)
-        if len(chosen) == size:
-            return True
-        need = size - len(chosen)
-        for p in range(start, count - need + 1):
-            if banned >> p & 1:
-                continue
-            chosen.append(p)
-            if extend(p + 1, banned | masks[p] | (1 << p)):
-                return True
-            chosen.pop()
-        return False
 
     try:
-        found = extend(0, 0)
+        return next(_independent_sets(shape, size, tick), None)
     except _BudgetOut:
         return None
-    return tuple(chosen) if found else None
 
 
 def _greedy_independent_set(shape: CubeShape) -> tuple[int, ...]:
@@ -515,9 +502,10 @@ def _seed_coloring(shape: CubeShape, deadline: float | None = None) -> Coloring:
 
     For k = 3 a singleton coloring over a large line-independent set
     usually beats the digit-position count, so sizes are probed downward
-    from the arithmetic ceiling under one shared node budget.  Once the
-    `time.monotonic()` deadline passes, probing stops and the greedy
-    independent set stands in.
+    from the arithmetic ceiling to just above the greedy set's size, each
+    probe with its own budget of 3,000,000 nodes; the first set found is
+    kept.  If no probe finds one, or once the `time.monotonic()` deadline
+    passes, the greedy independent set stands in.
     """
     if shape.k < 3:
         return monochromatic(shape)
@@ -626,39 +614,81 @@ def _collinearity_masks(shape: CubeShape) -> tuple[int, ...]:
     return tuple(masks)
 
 
+@lru_cache(maxsize=None)
+def _line_cover_masks(shape: CubeShape) -> tuple[tuple[int, int], ...]:
+    """Per coordinate t (k = 3): its weight w and the mask of symbol-1 points.
+
+    The lines varying only coordinate t are {p, p + w, p + 2w} for the
+    points p of the mask, and they partition the cube.
+    """
+    covers = []
+    for w in shape.weights:
+        base = 0
+        for p in shape.iter_indices():
+            if p // w % 3 == 0:
+                base |= 1 << p
+        covers.append((w, base))
+    return tuple(covers)
+
+
+def _independent_sets(
+    shape: CubeShape, size: int, tick: Callable[[], None] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Size-`size` line-independent sets of [3]^n in lexicographic order.
+
+    Backtracking over ascending point indices, with a line-cover bound:
+    for each coordinate t the lines varying only t partition the cube and
+    a set takes at most one point of each, so a node whose free points
+    (not banned, index >= start) meet fewer than `need` of those lines
+    holds no solution and is cut.  `tick` is called once per node.
+    """
+    masks = _collinearity_masks(shape)
+    covers = _line_cover_masks(shape)
+    count = shape.point_count
+    full = (1 << count) - 1
+    chosen: list[int] = []
+
+    def extend(start: int, banned: int) -> Iterator[tuple[int, ...]]:
+        if tick is not None:
+            tick()
+        need = size - len(chosen)
+        if need == 0:
+            yield tuple(chosen)
+            return
+        # With one point left to place the scan below already finds any
+        # free point, so the bound only pays from two on.
+        if need > 1:
+            free = (full & ~banned) >> start << start
+            for w, base in covers:
+                if ((free | free >> w | free >> 2 * w) & base).bit_count() < need:
+                    return
+        for p in range(start, count - need + 1):
+            if banned >> p & 1:
+                continue
+            chosen.append(p)
+            yield from extend(p + 1, banned | masks[p] | (1 << p))
+            chosen.pop()
+
+    return extend(0, 0)
+
+
 def enumerate_independent_sets(
     shape: CubeShape, size: int, up_to_symmetry: bool = False
 ) -> list[tuple[int, ...]]:
     """All size-`size` point sets with no two members collinear (k = 3).
 
-    Lexicographic backtracking over ascending point indices; with
-    up_to_symmetry, keeps each automorphism orbit's lexicographically
-    smallest member.  Pairwise non-collinearity encodes rainbow-freeness
-    of the associated singleton coloring only for 3-point lines, so other
-    alphabet sizes are rejected.
+    Lexicographic backtracking over ascending point indices, cut by the
+    line-cover bound of `_independent_sets` (which removes only subtrees
+    without a solution); with up_to_symmetry, keeps each automorphism
+    orbit's lexicographically smallest member.  Pairwise non-collinearity
+    encodes rainbow-freeness of the associated singleton coloring only for
+    3-point lines, so other alphabet sizes are rejected.
     """
     if shape.k != 3:
         raise SearchError("independent-set enumeration supports k = 3 only")
     if not 0 <= size <= shape.point_count:
         raise SearchError(f"size {size} out of range 0..{shape.point_count}")
-    masks = _collinearity_masks(shape)
-    results: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    count = shape.point_count
-
-    def extend(start: int, banned: int) -> None:
-        if len(chosen) == size:
-            results.append(tuple(chosen))
-            return
-        need = size - len(chosen)
-        for p in range(start, count - need + 1):
-            if banned >> p & 1:
-                continue
-            chosen.append(p)
-            extend(p + 1, banned | masks[p] | (1 << p))
-            chosen.pop()
-
-    extend(0, 0)
+    results = list(_independent_sets(shape, size))
     if not up_to_symmetry:
         return results
     maps = automorphism_index_maps(shape)

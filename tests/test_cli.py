@@ -199,6 +199,14 @@ class TestEnumerate:
         rec = record(out)
         assert rec["count"] == "5"
 
+    def test_largest_hypercube_sets_up_to_symmetry(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--k", "3", "--n", "4", "--independent-size", "22",
+            "--up-to-symmetry",
+        )
+        assert code == 0
+        assert record(out)["count"] == "3"
+
     def test_minimal_colorings_written(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "enumerate", "--k", "3", "--n", "3", "--colors", "10",

@@ -23,10 +23,39 @@ from ahj.search import (
     naive_max_rf_colors,
     two_layer_arrangements,
 )
+from ahj.search import _seed_coloring
 
 S31 = CubeShape(3, 1)
 S32 = CubeShape(3, 2)
 S33 = CubeShape(3, 3)
+S34 = CubeShape(3, 4)
+S35 = CubeShape(3, 5)
+
+# The lexicographically first 22-point line-independent set of [3]^4; no
+# 23-point set exists.
+FIRST_22_OF_S34 = (
+    1, 3, 8, 9, 14, 16, 20, 22, 24, 27, 32, 34, 38, 42, 46, 48, 56, 58, 60, 64, 66, 72,
+)
+
+
+def _reference_independent_sets(shape):
+    """Every line-independent set of `shape`, by size, in lexicographic order.
+
+    Plain backtracking over ascending indices with no bound: each partial
+    set is itself an independent set, and depth-first pre-order visits the
+    sets of one size in lexicographic order.
+    """
+    points = [point_from_index(i, shape) for i in shape.iter_indices()]
+    by_size = {}
+
+    def extend(chosen, start):
+        by_size.setdefault(len(chosen), []).append(tuple(chosen))
+        for p in range(start, len(points)):
+            if not any(collinear(points[p], points[q], shape) for q in chosen):
+                extend(chosen + [p], p + 1)
+
+    extend([], 0)
+    return by_size
 
 
 class _PartitionModel:
@@ -251,6 +280,16 @@ class TestMaxRfColors:
         assert census(out.witness).distinct_count == out.best_value
         assert elapsed < 5.0
 
+    def test_time_limit_bounds_five_cube_warm_start(self):
+        """[3]^4's warm start ends in well under a second; [3]^5's does not."""
+        started = time.monotonic()
+        out = max_rf_colors(S35, SearchConfig(time_limit=1.0))
+        elapsed = time.monotonic() - started
+        assert out.status is Status.FEASIBLE_ONLY
+        assert is_rainbow_free(out.witness)
+        assert census(out.witness).distinct_count == out.best_value
+        assert elapsed < 5.0
+
     def test_single_thread_node_counts_reproduce(self):
         a = max_rf_colors(S32)
         b = max_rf_colors(S32)
@@ -317,6 +356,37 @@ class TestIndependentSets:
 
     def test_first_handles_absence(self):
         assert first_independent_set(S33, 10) is None
+
+    @pytest.mark.parametrize("shape", [S32, S33])
+    def test_bounded_search_matches_plain_backtracking(self, shape):
+        reference = _reference_independent_sets(shape)
+        for size in range(shape.point_count + 1):
+            expected = reference.get(size, [])
+            assert enumerate_independent_sets(shape, size) == expected
+            assert first_independent_set(shape, size) == (
+                expected[0] if expected else None
+            )
+
+    def test_hypercube_largest_sets(self):
+        assert first_independent_set(S34, 22) == FIRST_22_OF_S34
+        assert first_independent_set(S34, 23) is None
+        assert enumerate_independent_sets(S34, 23) == []
+        sets = enumerate_independent_sets(S34, 22)
+        assert len(sets) == 48
+        assert sets[0] == FIRST_22_OF_S34
+        assert len(enumerate_independent_sets(S34, 22, up_to_symmetry=True)) == 3
+
+    def test_hypercube_warm_start_has_23_colors(self):
+        started = time.monotonic()
+        seed = _seed_coloring(S34)
+        assert time.monotonic() - started < 5.0
+        assert is_rainbow_free(seed)
+        assert census(seed).distinct_count == 23
+
+    def test_deadline_stops_first_independent_set(self):
+        started = time.monotonic()
+        assert first_independent_set(S35, 61, deadline=time.monotonic()) is None
+        assert time.monotonic() - started < 1.0
 
 
 class TestMinimalEnumeration:
