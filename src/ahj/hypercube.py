@@ -173,10 +173,23 @@ def expand(template: LineTemplate, shape: CubeShape) -> Line:
 
 @lru_cache(maxsize=None)
 def line_index_table(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
-    """Point-index tuples of every line, in enumeration order.  Cached."""
-    return tuple(
-        tuple(p.index for p in expand(t, shape).points) for t in enumerate_lines(shape)
-    )
+    """Point-index tuples of every line, in enumeration order.  Cached.
+
+    Point i (0-based) of a line is base + i * step, where base sums
+    (c - 1) * w over the fixed cells c and step sums the weights w of the
+    stars; this is the index of expand()'s point i.
+    """
+    weights = shape.weights
+    table = []
+    for t in enumerate_lines(shape):
+        base = step = 0
+        for c, w in zip(t.cells, weights):
+            if c == STAR:
+                step += w
+            else:
+                base += (c - 1) * w
+        table.append(tuple(range(base, base + shape.k * step, step)))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -289,12 +302,33 @@ def automorphisms(shape: CubeShape) -> list[Automorphism]:
 def automorphism_index_maps(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     """For each group element, the induced permutation of point indices.
 
-    maps[g][old_index] = new_index.  Cached; the identity is maps[0].
+    maps[g][old_index] = new_index, in automorphisms() order.  Cached; the
+    identity is maps[0].  Each element relabels symbols and then permutes
+    coordinates, so its map is the composition coord_map[symbol_map[i]] of
+    one map per symbol permutation (k! of them) and one per coordinate
+    permutation (n! of them), both by index arithmetic over the digits of
+    the points; no Point is built.
     """
-    maps = []
-    points = [point_from_index(i, shape) for i in shape.iter_indices()]
-    for g in automorphisms(shape):
-        maps.append(
-            tuple(point_index(g.apply_coords(p.coords), shape) for p in points)
-        )
-    return tuple(maps)
+    # Built first so the group-size guard fires before any table is built.
+    group = automorphisms(shape)
+    k, weights = shape.k, shape.weights
+
+    def index_map(columns: list[list[int]]) -> tuple[int, ...]:
+        # Image of every point, in index order, when digit d of coordinate
+        # s contributes columns[s][d] to the image index.
+        return tuple(map(sum, product(*columns)))
+
+    symbol_maps = {
+        sp: index_map([[(v - 1) * w for v in sp] for w in weights])
+        for sp in permutations(range(1, k + 1))
+    }
+    coord_maps = {}
+    for cp in permutations(range(shape.n)):
+        # Source coordinate cp[t] lands at image coordinate t, weight w_t.
+        placed = dict(zip(cp, weights))
+        columns = [[d * placed[s] for d in range(k)] for s in range(shape.n)]
+        coord_maps[cp] = index_map(columns)
+    return tuple(
+        tuple(map(coord_maps[g.coord_perm].__getitem__, symbol_maps[g.symbol_perm]))
+        for g in group
+    )

@@ -466,6 +466,8 @@ def first_independent_set(
     """
     if shape.k != 3:
         raise SearchError("independent-set search supports k = 3 only")
+    if not 0 <= size <= shape.point_count:
+        raise SearchError(f"size {size} out of range 0..{shape.point_count}")
     nodes = 0
     # Node count at which the budget and the clock are next checked, so a
     # search without a deadline pays one comparison per node.
@@ -683,20 +685,28 @@ def enumerate_independent_sets(
     orbit's lexicographically smallest member.  Pairwise non-collinearity
     encodes rainbow-freeness of the associated singleton coloring only for
     3-point lines, so other alphabet sizes are rejected.
+
+    The symmetry reduction marks orbits instead of minimising over them.
+    The sets arrive in lexicographic order and an automorphism maps
+    independent sets to independent sets, so every member of an orbit is
+    enumerated and the first one met is the orbit's minimum.  That set is
+    kept and all its images are marked seen; a seen set is skipped.  The
+    group is applied to each representative only, not to every set.
     """
     if shape.k != 3:
         raise SearchError("independent-set enumeration supports k = 3 only")
     if not 0 <= size <= shape.point_count:
         raise SearchError(f"size {size} out of range 0..{shape.point_count}")
-    results = list(_independent_sets(shape, size))
     if not up_to_symmetry:
-        return results
+        return list(_independent_sets(shape, size))
     maps = automorphism_index_maps(shape)
     reps = []
-    for s in results:
-        orbit_min = min(tuple(sorted(m[p] for p in s)) for m in maps)
-        if orbit_min == s:
-            reps.append(s)
+    seen = set()
+    for s in _independent_sets(shape, size):
+        if s in seen:
+            continue
+        reps.append(s)
+        seen.update(tuple(sorted(m[p] for p in s)) for m in maps)
     return reps
 
 

@@ -1,5 +1,7 @@
 """Core combinatorics: indexing, line enumeration, symmetries."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -267,3 +269,55 @@ class TestAutomorphisms:
                     for i in idxs
                 }
                 assert {p.index for p in image_line.points} == moved
+
+
+def _reference_index_map(g, shape):
+    """The point permutation of g, through Point objects and point_index."""
+    return tuple(
+        point_index(g.apply_coords(point_from_index(i, shape).coords), shape)
+        for i in shape.iter_indices()
+    )
+
+
+class TestIndexTablesMatchReference:
+    """The arithmetic tables equal their coordinate-level definitions."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [CubeShape(2, 4)] + [CubeShape(3, n) for n in range(1, 5)]
+        + [CubeShape(4, 3), CubeShape(5, 3)],
+        ids=str,
+    )
+    def test_every_index_map(self, shape):
+        maps = automorphism_index_maps(shape)
+        group = automorphisms(shape)
+        assert len(maps) == len(group)
+        assert maps[0] == tuple(shape.iter_indices())
+        for g, m in zip(group, maps):
+            assert m == _reference_index_map(g, shape)
+
+    @pytest.mark.parametrize("shape", [CubeShape(4, 4), CubeShape(5, 4)], ids=str)
+    def test_sampled_index_maps_cover_every_coordinate_permutation(self, shape):
+        maps = automorphism_index_maps(shape)
+        group = automorphisms(shape)
+        assert len(maps) == len(group)
+        # Elements come in blocks of k! per coordinate permutation; a stride
+        # of k! + 1 takes one element from every block, each with a
+        # different symbol permutation.
+        stride = math.factorial(shape.k) + 1
+        sample = range(0, len(group), stride)
+        assert {group[j].coord_perm for j in sample} == {g.coord_perm for g in group}
+        for j in sample:
+            assert maps[j] == _reference_index_map(group[j], shape)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [CubeShape(2, 6)] + [CubeShape(3, n) for n in range(1, 6)]
+        + [CubeShape(4, 3), CubeShape(5, 3)],
+        ids=str,
+    )
+    def test_line_table(self, shape):
+        assert line_index_table(shape) == tuple(
+            tuple(p.index for p in expand(t, shape).points)
+            for t in enumerate_lines(shape)
+        )

@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from ahj.coloring import UNASSIGNED, canonical_relabel, census, is_minimal, is_rainbow_free
 from ahj.constructions import singleton_set_coloring
-from ahj.hypercube import CubeShape, collinear, line_index_table, point_from_index
+from ahj.hypercube import (
+    CubeShape,
+    automorphism_index_maps,
+    collinear,
+    line_index_table,
+    point_from_index,
+)
 from ahj.search import (
     MergeState,
     SearchConfig,
@@ -56,6 +62,16 @@ def _reference_independent_sets(shape):
 
     extend([], 0)
     return by_size
+
+
+def _reference_orbit_minima(shape, size):
+    """The sets that are the lexicographic minimum of their orbit."""
+    maps = automorphism_index_maps(shape)
+    return [
+        s
+        for s in enumerate_independent_sets(shape, size)
+        if min(tuple(sorted(m[p] for p in s)) for m in maps) == s
+    ]
 
 
 class _PartitionModel:
@@ -357,6 +373,13 @@ class TestIndependentSets:
     def test_first_handles_absence(self):
         assert first_independent_set(S33, 10) is None
 
+    @pytest.mark.parametrize("size", [-1, 28])
+    def test_sizes_out_of_range_rejected(self, size):
+        with pytest.raises(SearchError, match="out of range 0..27"):
+            first_independent_set(S33, size)
+        with pytest.raises(SearchError, match="out of range 0..27"):
+            enumerate_independent_sets(S33, size)
+
     @pytest.mark.parametrize("shape", [S32, S33])
     def test_bounded_search_matches_plain_backtracking(self, shape):
         reference = _reference_independent_sets(shape)
@@ -375,6 +398,20 @@ class TestIndependentSets:
         assert len(sets) == 48
         assert sets[0] == FIRST_22_OF_S34
         assert len(enumerate_independent_sets(S34, 22, up_to_symmetry=True)) == 3
+
+    @pytest.mark.parametrize(
+        "shape, sizes",
+        [(S32, range(10)), (S33, range(28)), (S34, [0, 1, 2, 20, 21, 22, 23])],
+        ids=["3^2", "3^3", "3^4"],
+    )
+    def test_orbit_marking_matches_orbit_minimum_filter(self, shape, sizes):
+        for size in sizes:
+            assert enumerate_independent_sets(
+                shape, size, up_to_symmetry=True
+            ) == _reference_orbit_minima(shape, size)
+
+    def test_hypercube_three_sets_up_to_symmetry(self):
+        assert len(enumerate_independent_sets(S34, 3, up_to_symmetry=True)) == 452
 
     def test_hypercube_warm_start_has_23_colors(self):
         started = time.monotonic()
