@@ -53,6 +53,8 @@ EXIT_CLAIM_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+RECOMPUTE_TIME_LIMIT = 60.0  # seconds per bounds entry under --recompute
+
 
 def _emit(key: str, value: object) -> None:
     print(f"{key}={value}")
@@ -252,10 +254,13 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.time_limit is not None and not args.recompute:
+        raise BoundsError("--time-limit applies only with --recompute")
     report = bounds_table(args.k, args.n_max)
     rows = list(report.rows)
     if args.recompute:
-        rows = [_recompute_row(args.k, row, args.time_limit) for row in rows]
+        time_limit = RECOMPUTE_TIME_LIMIT if args.time_limit is None else args.time_limit
+        rows = [_recompute_row(args.k, row, time_limit) for row in rows]
     header = f"{'n':>3} {'lower':>7} {'upper':>7}  {'lower_source':<22} {'upper_source':<22}"
     print(header)
     for row in rows:
@@ -547,8 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--recompute", action="store_true")
-    p.add_argument("--time-limit", type=float, default=60.0,
-                   help="per-entry search budget for --recompute")
+    p.add_argument("--time-limit", type=float, default=None,
+                   help=f"per-entry search budget for --recompute "
+                   f"(default {RECOMPUTE_TIME_LIMIT:g} s)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("repro", help="re-verify the package's headline claims")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .coloring import Coloring, canonical_relabel, census, is_rainbow_free
@@ -809,6 +810,16 @@ def complete(
     Free cells may reuse assigned colors or introduce fresh ones; fresh
     colors are interchangeable, so each cell considers at most one fresh
     representative.  Cells are filled most-constrained-first.
+
+    A line pins its one unassigned cell when its other cells hold pairwise
+    distinct colors: the cell must repeat one of them.  The pins are built
+    once per call and, after each assignment or unassignment of a cell,
+    re-derived for the lines through that cell only.  A cell no line pins
+    has every assigned color plus one fresh color as candidates, and only
+    those cells can still add a color, which is the capacity bound.  A
+    pinned cell intersects the colors of its pinning lines.  The pins only
+    save rescanning every line at every node: the cell order, the
+    candidates and the node counts are those of the full rescan.
     """
     config = config or SearchConfig()
     started = time.monotonic()
@@ -841,55 +852,84 @@ def complete(
         )
 
     fresh_next = max(used, default=0) + 1
+    partial_used = set(used)
     nodes = 0
     out_of_budget = False
     solution: tuple[int, ...] | None = None
 
+    # Line pins, kept up to date as cells change.  open_in[li] counts the
+    # unassigned cells of line li; pinned[li] is its one unassigned cell when
+    # the others hold pairwise distinct colors (that cell must repeat one of
+    # them), else -1.  pins[cell] counts the lines pinning cell, and
+    # pinned_cells the cells with pins > 0, all of which are unassigned.
+    k = shape.k
+    line_colors = [itemgetter(*idxs) for idxs in lines]
+    open_in = [get(colors).count(0) for get in line_colors]
+    pinned = [-1] * len(lines)
+    pins = [0] * len(colors)
+    pinned_cells = 0
+
+    def repin(cell: int, delta: int) -> None:
+        """Re-derive the pins of the lines through `cell`, whose open count
+        moved by `delta`; no other line changes when `cell` does."""
+        nonlocal pinned_cells
+        for li in by_point[cell]:
+            n_open = open_in[li] + delta
+            open_in[li] = n_open
+            open_cell = -1
+            if n_open == 1:
+                cs = line_colors[li](colors)
+                if len(set(cs)) == k:
+                    open_cell = lines[li][cs.index(0)]
+            old = pinned[li]
+            if old != open_cell:
+                if old >= 0:
+                    pins[old] -= 1
+                    if not pins[old]:
+                        pinned_cells -= 1
+                if open_cell >= 0:
+                    if not pins[open_cell]:
+                        pinned_cells += 1
+                    pins[open_cell] += 1
+                pinned[li] = open_cell
+
+    for cell in free:
+        repin(cell, 0)
+
     def choose_cell() -> tuple[int, list[int]] | None:
         """Most-constrained free cell and its candidates; None on a dead cell."""
         best_cell = -1
-        best_cand: list[int] | None = None
+        best_allowance: set[int] | None = None
+        best_count = -1
         fresh_room = len(used) < total_colors
         for cell in free:
             if colors[cell] != 0:
                 continue
-            allowance: frozenset[int] | None = None
-            for li in by_point[cell]:
-                allowed = _line_allowance(colors, lines[li], cell)
-                if allowed is None:
-                    continue
-                allowance = allowed if allowance is None else allowance & allowed
-                if not allowance:
-                    return None
-            if allowance is None:
-                cand = sorted(used)
-                if fresh_room:
-                    cand.append(fresh_next + (len(used) - len(partial_used)))
+            allowance: set[int] | None = None
+            if pins[cell] == 0:
+                count = len(used) + fresh_room
             else:
-                cand = sorted(allowance)
-            if best_cand is None or len(cand) < len(best_cand):
-                best_cell, best_cand = cell, cand
-                if len(cand) <= 1:
+                for li in by_point[cell]:
+                    if pinned[li] != cell:
+                        continue
+                    allowed = {colors[i] for i in lines[li] if i != cell}
+                    allowance = allowed if allowance is None else allowance & allowed
+                    if not allowance:
+                        return None
+                count = len(allowance)
+            if best_count < 0 or count < best_count:
+                best_cell, best_allowance, best_count = cell, allowance, count
+                if count <= 1:
                     break
-        assert best_cand is not None
-        return best_cell, best_cand
+        if best_allowance is not None:
+            return best_cell, sorted(best_allowance)
+        cand = sorted(used)
+        if fresh_room:
+            cand.append(fresh_next + (len(used) - len(partial_used)))
+        return best_cell, cand
 
-    partial_used = set(used)
-
-    def remaining_capacity() -> int:
-        """Free cells that some line does not pin to existing colors."""
-        room = 0
-        for cell in free:
-            if colors[cell] != 0:
-                continue
-            if all(
-                _line_allowance(colors, lines[li], cell) is None
-                for li in by_point[cell]
-            ):
-                room += 1
-        return room
-
-    def dfs() -> bool:
+    def dfs(open_cells: int) -> bool:
+        """Search below a node with `open_cells` free cells still unassigned."""
         nonlocal nodes, out_of_budget, solution
         nodes += 1
         if config.node_limit is not None and nodes >= config.node_limit:
@@ -898,9 +938,10 @@ def complete(
             out_of_budget = True
         if out_of_budget:
             return False
-        if len(used) + remaining_capacity() < total_colors:
+        # Each unassigned cell that no line pins may still add one color.
+        if len(used) + open_cells - pinned_cells < total_colors:
             return False
-        if all(colors[cell] != 0 for cell in free):
+        if not open_cells:
             if len(used) == total_colors:
                 solution = tuple(colors)
                 return True
@@ -911,19 +952,21 @@ def complete(
         cell, candidates = picked
         for value in candidates:
             colors[cell] = value
+            repin(cell, -1)
             added = value not in used
             if added:
                 used.add(value)
-            if dfs():
+            if dfs(open_cells - 1):
                 return True
             if added:
                 used.discard(value)
             colors[cell] = 0
+            repin(cell, 1)
             if out_of_budget:
                 return False
         return False
 
-    found = dfs()
+    found = dfs(len(free))
     wall = time.monotonic() - started
     if found and solution is not None:
         witness = Coloring(shape, solution)

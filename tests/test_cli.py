@@ -317,6 +317,27 @@ class TestBounds:
         assert rows and "recomputed-search" in rows[0]
         assert "lower=5 upper=5" in rows[0]
 
+    def test_time_limit_without_recompute_rejected(self, capsys):
+        code, out, err = run(capsys, "bounds", "--k", "3", "--n-max", "2", "--time-limit", "1")
+        assert code == 2
+        assert out == ""
+        assert "--time-limit" in err
+
+    def test_recompute_default_budget_is_sixty_seconds(self, capsys, monkeypatch):
+        import ahj.cli
+
+        budgets = []
+        real = ahj.cli.max_rf_colors
+
+        def spy(shape, config):
+            budgets.append(config.time_limit)
+            return real(shape, config)
+
+        monkeypatch.setattr(ahj.cli, "max_rf_colors", spy)
+        code, _, _ = run(capsys, "bounds", "--k", "3", "--n-max", "2", "--recompute")
+        assert code == 0
+        assert budgets == [60.0, 60.0]
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

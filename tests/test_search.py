@@ -11,6 +11,8 @@ from ahj.hypercube import (
     CubeShape,
     automorphism_index_maps,
     collinear,
+    enumerate_lines,
+    expand,
     line_index_table,
     point_from_index,
 )
@@ -457,8 +459,6 @@ class TestForcedCell:
     def test_witness_lines_constrain_the_cell(self):
         arrangement = two_layer_arrangements()[0]
         forced = find_forced_cell(arrangement)
-        from ahj.hypercube import expand
-
         for template in forced.witnesses:
             line = expand(template, arrangement.shape)
             assert any(p.index == forced.point.index for p in line.points)
@@ -523,6 +523,145 @@ class TestComplete:
         blank = Coloring(S33, (0,) * 27)
         out = complete(blank, 10, SearchConfig(node_limit=1))
         assert out.status is Status.TIMEOUT
+
+
+def _assert_completes(partial, target, witness):
+    assert is_rainbow_free(witness)
+    assert census(witness).distinct_count == target
+    assert all(p == 0 or p == w for p, w in zip(partial.colors, witness.colors))
+
+
+class TestCompleteNodeCounts:
+    """complete() is deterministic: these counts fix its search tree (cell
+    order, candidate order and pruning), so a faster engine must match them."""
+
+    @pytest.mark.parametrize(
+        "k, n, target, node_limit, status, nodes, witness",
+        [
+            (3, 2, 4, None, Status.OPTIMAL, 70, (1, 1, 2, 1, 1, 2, 3, 3, 4)),
+            (3, 2, 5, None, Status.INFEASIBLE, 134, None),
+            (
+                4, 2, 10, None, Status.OPTIMAL, 71_144,
+                (1, 1, 2, 3, 1, 1, 4, 5, 6, 7, 8, 8, 9, 10, 8, 8),
+            ),
+            (3, 3, 9, 5_000, Status.TIMEOUT, 5_000, None),
+            (3, 3, 10, 5_000, Status.TIMEOUT, 5_000, None),
+            (4, 2, 11, 5_000, Status.TIMEOUT, 5_000, None),
+        ],
+    )
+    def test_blank_cube(self, k, n, target, node_limit, status, nodes, witness):
+        from ahj.coloring import Coloring
+
+        shape = CubeShape(k, n)
+        blank = Coloring(shape, (0,) * shape.point_count)
+        out = complete(blank, target, SearchConfig(node_limit=node_limit))
+        assert (out.status, out.nodes_explored) == (status, nodes)
+        assert (out.witness and out.witness.colors) == witness
+        if witness is not None:
+            _assert_completes(blank, target, out.witness)
+
+    def test_two_layer_endgames(self):
+        counts = []
+        for arrangement in two_layer_arrangements():
+            out = complete(arrangement, 27)
+            assert out.status is Status.INFEASIBLE
+            counts.append(out.nodes_explored)
+        assert counts == [1, 7, 1, 13, 1, 1]
+
+    def test_layer_refills_of_the_23_coloring(self):
+        from ahj.coloring import Coloring
+        from ahj.fixtures import load_fixture
+        from ahj.hypercube import layer
+
+        fixture = load_fixture("hypercube-rf-23.ahj")
+        # By symbol of the blanked layer (the same along every coordinate)
+        # and target: status and nodes at node_limit=1000.
+        expected = {
+            (1, 23): (Status.TIMEOUT, 1_000),
+            (1, 24): (Status.TIMEOUT, 1_000),
+            (2, 23): (Status.OPTIMAL, 161),
+            (2, 24): (Status.INFEASIBLE, 49),
+            (3, 23): (Status.OPTIMAL, 490),
+            (3, 24): (Status.INFEASIBLE, 68),
+        }
+        total = solved = 0
+        for t in range(1, S34.n + 1):
+            for symbol in range(1, S34.k + 1):
+                blank = layer(S34, t, symbol)
+                partial = Coloring(
+                    S34, tuple(0 if i in blank else c for i, c in enumerate(fixture.colors))
+                )
+                for target in (23, 24):
+                    out = complete(partial, target, SearchConfig(node_limit=1_000))
+                    assert (out.status, out.nodes_explored) == expected[symbol, target]
+                    if out.status is Status.OPTIMAL:
+                        _assert_completes(partial, target, out.witness)
+                    total += out.nodes_explored
+                    solved += out.status in (Status.OPTIMAL, Status.INFEASIBLE)
+        assert (total, solved) == (11_072, 16)
+
+
+def _reachable_color_counts(partial):
+    """Color counts of every rainbow-free fill of the free cells.
+
+    Plain backtracking in point-index order over the assigned colors plus
+    one fresh color per free cell, rejecting a value as soon as it completes
+    a rainbow line; no pinning, cell ordering or fresh-color symmetry.
+    """
+    shape = partial.shape
+    colors = list(partial.colors)
+    lines = [[p.index for p in expand(t, shape).points] for t in enumerate_lines(shape)]
+
+    def rainbow_free(cell=None):
+        return all(
+            0 in cs or len(set(cs)) < len(cs)
+            for cs in ([colors[i] for i in line] for line in lines if cell is None or cell in line)
+        )
+
+    if not rainbow_free():
+        return set()
+    free = [i for i, c in enumerate(colors) if c == 0]
+    used = sorted(set(colors) - {0})
+    top = max(used, default=0)
+    alphabet = used + list(range(top + 1, top + 1 + len(free)))
+    reached = set()
+
+    def fill(pos):
+        if pos == len(free):
+            reached.add(len(set(colors)))
+            return
+        cell = free[pos]
+        for value in alphabet:
+            colors[cell] = value
+            if rainbow_free(cell):
+                fill(pos + 1)
+        colors[cell] = 0
+
+    fill(0)
+    return reached
+
+
+class TestCompleteOracle:
+    def test_matches_brute_force_on_small_squares(self):
+        import random
+
+        from ahj.coloring import Coloring
+
+        rng = random.Random(5)
+        for _ in range(120):
+            cells = [rng.randint(1, 3) for _ in range(S32.point_count)]
+            for i in rng.sample(range(S32.point_count), rng.randint(0, 6)):
+                cells[i] = 0
+            partial = Coloring(S32, tuple(cells))
+            reachable = _reachable_color_counts(partial)
+            top = len(set(cells) - {0}) + cells.count(0)
+            for target in range(1, top + 2):
+                out = complete(partial, target)
+                if target in reachable:
+                    assert out.status is Status.OPTIMAL, (cells, target)
+                    _assert_completes(partial, target, out.witness)
+                else:
+                    assert out.status is Status.INFEASIBLE, (cells, target)
 
 
 class TestTwoLayerArrangements:
