@@ -335,7 +335,7 @@ def _check_oracle() -> tuple[bool, str]:
     return True, "search equals all-partitions oracle on 4 shapes"
 
 
-def _check_enumeration(_threads: int = 1) -> tuple[bool, str]:
+def _check_enumeration() -> tuple[bool, str]:
     c1 = len(enumerate_independent_sets(CubeShape(3, 2), 3))
     c2 = len(enumerate_independent_sets(CubeShape(3, 3), 9))
     c3 = len(enumerate_independent_sets(CubeShape(3, 3), 10))

@@ -53,9 +53,6 @@ class Coloring:
     def is_total(self) -> bool:
         return UNASSIGNED not in self.colors
 
-    def color_of(self, index: int) -> int:
-        return self.colors[index]
-
     def assign(self, index: int, color: int) -> "Coloring":
         """A copy with one entry replaced (colorings are immutable)."""
         new = list(self.colors)
@@ -266,10 +263,3 @@ def parse(text: str) -> Coloring:
             len(raw_lines),
         )
     return Coloring(shape, tuple(entries))
-
-
-def relabel_from(coloring: Coloring, mapping: dict[int, int]) -> Coloring:
-    """Apply a color-id mapping (ids absent from the map pass through)."""
-    return Coloring(
-        coloring.shape, tuple(mapping.get(c, c) for c in coloring.colors)
-    )

@@ -248,15 +248,6 @@ def layer(shape: CubeShape, t: int, i: int) -> frozenset[int]:
     return frozenset(members)
 
 
-def sublayer_point(shape: CubeShape, t: int, i: int, rest_index: int) -> int:
-    """Index in [k]^n of the point whose coordinate t is i and whose other
-    coordinates are the digits of `rest_index` in the [k]^(n-1) subcube."""
-    sub = CubeShape(shape.k, shape.n - 1)
-    rest = point_from_index(rest_index, sub).coords
-    coords = rest[: t - 1] + (i,) + rest[t - 1 :]
-    return point_index(coords, shape)
-
-
 @dataclass(frozen=True)
 class Automorphism:
     """A line-preserving symmetry: permute coordinates, then relabel symbols.

@@ -81,8 +81,8 @@ class SearchOutcome:
 class MergeState:
     """Quick-find union-find over point indices with an undo trail.
 
-    `label[x]` is the root of x's class, so `find` is one list index; each
-    root keeps the list of its class's members in `members`.  A merge
+    `label[x]` is the root of x's class, so a lookup is one list index;
+    each root keeps the list of its class's members in `members`.  A merge
     relabels the smaller class (union by size) and records one reversible
     trail entry, which `undo_to` replays backwards to restore the labels.
     `anti` constraints pin two classes apart; they are kept as a root
@@ -99,9 +99,6 @@ class MergeState:
         self.merge_count = 0
         self._incompat: dict[int, set[int]] = {}
         self._trail: list[tuple] = []
-
-    def find(self, x: int) -> int:
-        return self.label[x]
 
     def same(self, a: int, b: int) -> bool:
         return self.label[a] == self.label[b]
@@ -181,10 +178,6 @@ class MergeState:
     def class_count(self) -> int:
         return self.shape.point_count - self.merge_count
 
-    def line_satisfied(self, idxs: tuple[int, ...]) -> bool:
-        label = self.label
-        return len({label[i] for i in idxs}) < len(idxs)
-
     def to_coloring(self) -> Coloring:
         mapping: dict[int, int] = {}
         out = []
@@ -193,28 +186,6 @@ class MergeState:
                 mapping[r] = len(mapping) + 1
             out.append(mapping[r])
         return Coloring(self.shape, tuple(out))
-
-
-def lower_bound_unsatisfied(state: MergeState) -> int:
-    """Greedy count of unsatisfied lines with pairwise disjoint class sets.
-
-    Scanned in enumeration order; deterministic.  Admissible: however the
-    remaining merges play out, each counted line ends with two of its
-    points in one class, and because no class touches two counted lines
-    the merge forest spans two fresh endpoints per line, which by Hall's
-    theorem pins one distinct merge per line.
-    """
-    used: set[int] = set()
-    bound = 0
-    for idxs in line_index_table(state.shape):
-        roots = {state.find(i) for i in idxs}
-        if len(roots) < len(idxs):
-            continue
-        if used & roots:
-            continue
-        used |= roots
-        bound += 1
-    return bound
 
 
 class _Budget:
@@ -252,34 +223,6 @@ def _branch_pairs(state: MergeState, idxs: tuple[int, ...]) -> list[tuple[int, i
     return [(a, b) for a, b in combinations(idxs, 2) if not state.blocked(a, b)]
 
 
-def _propagate(state: MergeState, lines, start: int) -> bool:
-    """Merge every pair that is the only way left to satisfy its line.
-
-    Returns False on a line with no mergeable pair (dead branch).
-    """
-    changed = True
-    while changed:
-        changed = False
-        for li in range(start, len(lines)):
-            idxs = lines[li]
-            if state.line_satisfied(idxs):
-                continue
-            pairs = _branch_pairs(state, idxs)
-            if not pairs:
-                return False
-            if len(pairs) == 1:
-                state.merge(*pairs[0])
-                changed = True
-    return True
-
-
-def _first_unsatisfied(state: MergeState, lines, start: int) -> int | None:
-    for li in range(start, len(lines)):
-        if not state.line_satisfied(lines[li]):
-            return li
-    return None
-
-
 _DEAD = -2
 _PRUNE = -3
 _SOLVED = -1
@@ -299,6 +242,13 @@ def _settle(state: MergeState, lines, start: int, best: int) -> int:
     A merge invalidates the pass's bound accumulators, so bound-based
     decisions only fire on quiescent passes; merge-count pruning is
     always sound.
+
+    The bound adds to the merges made so far a greedy count, in line
+    order, of unsatisfied lines with pairwise disjoint class sets.  It is
+    admissible: however the remaining merges play out, each counted line
+    ends with two of its points in one class, and because no class
+    touches two counted lines the merge forest spans two fresh endpoints
+    per line, which by Hall's theorem pins one distinct merge per line.
 
     Class roots are read straight from the quick-find `label` array.  The
     scan only needs to know whether a line has zero, one or more unblocked
@@ -378,29 +328,23 @@ Op = tuple[str, int, int]
 
 
 def _root_tasks(shape: CubeShape, symmetry_reduction: bool) -> list[list[Op]]:
-    """Decision lists for the top branching level.
+    """Decision lists the search starts from.
 
-    The first line's points split, under the symbol permutations fixing
-    the line's constant cells, into the pair orbit {point 1, other} and
-    the pair orbit within points 2..k, so two branches cover everything:
-    merge the first pair, or keep point 1 apart from all and merge the
-    second-third pair.
+    With symmetry reduction and k >= 3, the first line's points split,
+    under the symbol permutations fixing the line's constant cells, into
+    the pair orbit {point 1, other} and the pair orbit within points
+    2..k, so two branches cover everything: merge the first pair, or keep
+    point 1 apart from all and merge the second-third pair.  Otherwise
+    the search starts from one empty task, whose node branches on the
+    first line like any other.
     """
-    idxs = line_index_table(shape)[0]
-    pairs = list(combinations(idxs, 2))
-    if symmetry_reduction and shape.k >= 3:
-        p = idxs
-        keep_first_apart: list[Op] = [("anti", p[0], q) for q in p[1:]]
-        return [
-            [("merge", p[0], p[1])],
-            keep_first_apart + [("merge", p[1], p[2])],
-        ]
-    tasks: list[list[Op]] = []
-    antis: list[Op] = []
-    for a, b in pairs:
-        tasks.append(antis + [("merge", a, b)])
-        antis = antis + [("anti", a, b)]
-    return tasks
+    if not symmetry_reduction or shape.k < 3:
+        return [[]]
+    p = line_index_table(shape)[0]
+    return [
+        [("merge", p[0], p[1])],
+        [("anti", p[0], q) for q in p[1:]] + [("merge", p[1], p[2])],
+    ]
 
 
 def _replay(shape: CubeShape, ops: Iterable[Op]) -> MergeState:
@@ -418,31 +362,29 @@ def _expand_frontier(
 ) -> list[list[Op]]:
     """Split tasks one branching level at a time until `target` of them exist.
 
-    Terminal tasks (dead or fully satisfied) are resolved on the spot.
+    Each split task is one search node, counted and settled as `_dfs`
+    does it, so the search visits the 1-worker tree's nodes whenever the
+    incumbent does not change.  Terminal tasks are resolved on the spot;
+    once the budget runs out no task is left.
     """
     lines = line_index_table(shape)
-    frontier = list(tasks)
-    while len(frontier) < target:
+    frontier = tasks
+    while 0 < len(frontier) < target:
         grown: list[list[Op]] = []
-        progress = False
         for ops in frontier:
+            if not budget.tick():
+                return []
             state = _replay(shape, ops)
-            if not _propagate(state, lines, 0):
-                continue
-            if state.merge_count + lower_bound_unsatisfied(state) >= budget.best_merges:
-                continue
-            li = _first_unsatisfied(state, lines, 0)
-            if li is None:
+            li = _settle(state, lines, 0, budget.best_merges)
+            if li == _SOLVED:
                 budget.offer(state.merge_count, state.to_coloring().colors)
+            if li < 0:
                 continue
             antis: list[Op] = []
             for a, b in _branch_pairs(state, lines[li]):
                 grown.append(ops + antis + [("merge", a, b)])
                 antis = antis + [("anti", a, b)]
-            progress = True
         frontier = grown
-        if not progress or not frontier:
-            break
     return frontier
 
 

@@ -18,7 +18,6 @@ from ahj.coloring import (
     orbit_canonical_form,
     parse,
     rainbow_lines,
-    relabel_from,
     serialize,
 )
 from ahj.hypercube import (
@@ -38,6 +37,11 @@ def coloring_of(shape, *colors):
 
 def mono(shape, color=1):
     return Coloring(shape, (color,) * shape.point_count)
+
+
+def relabel_from(coloring, mapping):
+    """Apply a color-id mapping (ids absent from the map pass through)."""
+    return Coloring(coloring.shape, tuple(mapping.get(c, c) for c in coloring.colors))
 
 
 def all_distinct(shape):

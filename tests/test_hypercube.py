@@ -20,7 +20,6 @@ from ahj.hypercube import (
     point_from_index,
     point_index,
     point_of,
-    sublayer_point,
     template_from_string,
 )
 
@@ -205,18 +204,6 @@ class TestLayers:
             assert not (seen & part)
             seen |= part
         assert seen == set(shape.iter_indices())
-
-    @given(small_shape, st.data())
-    def test_sublayer_embedding(self, shape, data):
-        if shape.n == 1:
-            return
-        t = data.draw(st.integers(1, shape.n))
-        i = data.draw(st.integers(1, shape.k))
-        sub = CubeShape(shape.k, shape.n - 1)
-        images = {
-            sublayer_point(shape, t, i, r) for r in range(sub.point_count)
-        }
-        assert images == set(layer(shape, t, i))
 
 
 class TestAutomorphisms:

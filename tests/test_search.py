@@ -26,12 +26,11 @@ from ahj.search import (
     enumerate_minimal_rf,
     find_forced_cell,
     first_independent_set,
-    lower_bound_unsatisfied,
     max_rf_colors,
     naive_max_rf_colors,
     two_layer_arrangements,
 )
-from ahj.search import _seed_coloring
+from ahj.search import _DEAD, _PRUNE, _SOLVED, _seed_coloring, _settle
 
 S31 = CubeShape(3, 1)
 S32 = CubeShape(3, 2)
@@ -220,38 +219,88 @@ class TestMergeState:
         assert state.to_coloring().colors == tuple(range(1, count + 1))
 
 
+_S32_LINES = [
+    [p.index for p in expand(t, S32).points] for t in enumerate_lines(S32)
+]
+
+
+def _rainbow_free_partitions_of_s32():
+    """Every set partition of [3]^2 with two same-block points on each line,
+    as restricted-growth block labels, by plain enumeration."""
+    found = []
+    labels = [0] * S32.point_count
+
+    def extend(i, used):
+        if i == len(labels):
+            if all(len({labels[x] for x in line}) < len(line) for line in _S32_LINES):
+                found.append((tuple(labels), used))
+            return
+        for c in range(used + 1):
+            labels[i] = c
+            extend(i + 1, used + (c == used))
+
+    extend(0, 0)
+    return found
+
+
+_S32_RF_PARTITIONS = _rainbow_free_partitions_of_s32()
+
+_SETTLE_OPS = st.lists(
+    st.tuples(st.sampled_from(["merge", "forbid"]), st.integers(0, 8), st.integers(0, 8)),
+    max_size=8,
+)
+
+
 class TestLowerBound:
+    """The disjoint-line bound, as `_settle` applies it."""
+
     def test_all_satisfied_is_zero(self):
         s = MergeState(S31)
         s.merge(0, 1)
-        assert lower_bound_unsatisfied(s) == 0
+        assert _settle(s, line_index_table(S31), 0, s.merge_count + 1) == _SOLVED
 
     def test_fresh_square_counts_disjoint_rows(self):
-        assert lower_bound_unsatisfied(MergeState(S32)) >= 3
+        assert _settle(MergeState(S32), line_index_table(S32), 0, 3) == _PRUNE
 
     def test_never_exceeds_true_minimum(self):
         # minimum merges on [3]^2 is 9 - 4 = 5
-        assert lower_bound_unsatisfied(MergeState(S32)) <= 5
+        assert _settle(MergeState(S32), line_index_table(S32), 0, 6) >= 0
 
-    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=6))
-    @settings(max_examples=40, deadline=None)
-    def test_admissible_at_interior_states(self, pairs):
-        """The bound never exceeds what any completion needs.
+    @given(_SETTLE_OPS)
+    @settings(max_examples=400, deadline=None)
+    def test_admissible_against_partition_oracle(self, ops):
+        """`_settle` keeps every state that can still reach its minimum.
 
-        Collapsing everything into one class satisfies every line, so the
-        remaining minimum is at most class_count - 1; an admissible bound
-        must sit under that, and under the raw unsatisfied-line count.
+        The minimum m* is the fewest merges over all rainbow-free set
+        partitions that coarsen the state's classes and keep its forbidden
+        pairs apart.  With m* + 1 as the prune threshold, neither the
+        forced merges nor the bound may cut the state, and a state that
+        propagation solves outright must land on m* exactly.
         """
         s = MergeState(S32)
-        for a, b in pairs:
-            if not s.same(a, b):
+        merged, forbidden = [], []
+        for tag, a, b in ops:
+            if s.same(a, b):
+                continue
+            if tag == "forbid":
+                s.forbid(a, b)
+                forbidden.append((a, b))
+            elif not s.blocked(a, b):
                 s.merge(a, b)
-        bound = lower_bound_unsatisfied(s)
-        unsatisfied = [
-            idxs for idxs in line_index_table(S32) if not s.line_satisfied(idxs)
+                merged.append((a, b))
+        fits = [
+            S32.point_count - blocks
+            for labels, blocks in _S32_RF_PARTITIONS
+            if all(labels[a] == labels[b] for a, b in merged)
+            and all(labels[a] != labels[b] for a, b in forbidden)
         ]
-        assert bound <= len(unsatisfied)
-        assert bound <= s.class_count - 1 or not unsatisfied
+        if not fits:
+            return
+        least = min(fits)
+        outcome = _settle(s, line_index_table(S32), 0, least + 1)
+        assert outcome not in (_DEAD, _PRUNE), (ops, least)
+        if outcome == _SOLVED:
+            assert s.merge_count == least
 
 
 class TestMaxRfColors:
@@ -285,6 +334,16 @@ class TestMaxRfColors:
     def test_single_worker_node_counts_pinned(self, k, value, nodes):
         """The 1-worker search tree is fixed; a kernel change must not move it."""
         out = max_rf_colors(CubeShape(k, 2))
+        assert out.status is Status.OPTIMAL
+        assert out.best_value == value
+        assert out.nodes_explored == nodes
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 47), (4, 10, 1006)])
+    def test_worker_node_counts_pinned(self, k, value, nodes, workers):
+        """Frontier nodes are counted like any other, and the warm start is
+        already optimal here, so every worker count walks the 1-worker tree."""
+        out = max_rf_colors(CubeShape(k, 2), SearchConfig(worker_count=workers))
         assert out.status is Status.OPTIMAL
         assert out.best_value == value
         assert out.nodes_explored == nodes
