@@ -674,6 +674,16 @@ def enumerate_minimal_rf(shape: CubeShape, num_colors: int) -> list[Coloring]:
 
 
 @lru_cache(maxsize=None)
+def _line_bits(shape: CubeShape) -> tuple[int, ...]:
+    return tuple(sum(1 << i for i in idxs) for idxs in line_index_table(shape))
+
+
+@lru_cache(maxsize=None)
+def _line_masks_by_point(shape: CubeShape) -> tuple[int, ...]:
+    return tuple(sum(1 << li for li in row) for row in _lines_by_point(shape))
+
+
+@lru_cache(maxsize=None)
 def _lines_by_point(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     table: list[list[int]] = [[] for _ in shape.iter_indices()]
     for li, idxs in enumerate(line_index_table(shape)):
@@ -753,15 +763,28 @@ def complete(
     colors are interchangeable, so each cell considers at most one fresh
     representative.  Cells are filled most-constrained-first.
 
-    A line pins its one unassigned cell when its other cells hold pairwise
-    distinct colors: the cell must repeat one of them.  The pins are built
-    once per call and, after each assignment or unassignment of a cell,
-    re-derived for the lines through that cell only.  A cell no line pins
-    has every assigned color plus one fresh color as candidates, and only
-    those cells can still add a color, which is the capacity bound.  A
-    pinned cell intersects the colors of its pinning lines.  The pins only
-    save rescanning every line at every node: the cell order, the
-    candidates and the node counts are those of the full rescan.
+    A line is deficient when it has an unassigned cell and its assigned
+    cells hold pairwise distinct colors.  Its unassigned cells cannot all
+    take distinct colors outside the used set, or the line would be
+    rainbow, so each deficient line costs at least one of the colors its
+    unassigned cells could add.  Deficient lines whose unassigned cells
+    are pairwise disjoint cost one each, so with `p` of them packed no
+    completion has more than `len(used) + open cells - p` colors, and a
+    node is cut when that is below `total_colors`.  A deficient line with
+    one unassigned cell pins it: the cell must repeat one of the line's
+    colors.  The packing starts from the pinned cells and adds the other
+    deficient lines greedily in line order, stopping once it exceeds the
+    room left.  Counting the pinned cells alone is the weaker pin-only
+    bound, so the packing cuts at least where that does.  It cuts only
+    subtrees without a completion, and it leaves the cell and candidate
+    order alone, so every witness, first-found completion and decided
+    status is that of the pin-only bound, reached in at most as many
+    nodes.
+
+    The line state is a few bitmasks.  Assigning a cell updates only the
+    deficient lines through it, and clearing it restores the masks saved
+    before.  A pinned cell's candidates are the colors its pinning lines
+    share; any other cell takes every used color plus one fresh color.
     """
     config = config or SearchConfig()
     started = time.monotonic()
@@ -773,11 +796,23 @@ def complete(
     templates = template_table(shape)
     by_point = _lines_by_point(shape)
 
+    # Bit li of pin_lines marks a deficient line with one unassigned cell,
+    # which it pins, and bit li of wide_lines one with two or more;
+    # pinned_bits holds the pinned cells.
+    k = shape.k
     colors = list(partial.colors)
+    pin_lines = wide_lines = pinned_bits = 0
     for li, idxs in enumerate(lines):
         cs = [colors[i] for i in idxs]
-        if 0 not in cs and len(set(cs)) == len(cs):
-            return _completion_infeasible(started, total_colors, templates[li])
+        n_open = cs.count(0)
+        if len(set(cs)) - (n_open > 0) == k - n_open:
+            if not n_open:
+                return _completion_infeasible(started, total_colors, templates[li])
+            if n_open == 1:
+                pin_lines |= 1 << li
+                pinned_bits |= 1 << idxs[cs.index(0)]
+            else:
+                wide_lines |= 1 << li
 
     free = [i for i in shape.iter_indices() if colors[i] == 0]
     used = {c for c in colors if c != 0}
@@ -798,45 +833,52 @@ def complete(
     nodes = 0
     out_of_budget = False
     solution: tuple[int, ...] | None = None
-
-    # Line pins, kept up to date as cells change.  open_in[li] counts the
-    # unassigned cells of line li; pinned[li] is its one unassigned cell when
-    # the others hold pairwise distinct colors (that cell must repeat one of
-    # them), else -1.  pins[cell] counts the lines pinning cell, and
-    # pinned_cells the cells with pins > 0, all of which are unassigned.
-    k = shape.k
+    # open_bits holds the unassigned cells, line_bits[li] the cells of line
+    # li and through[cell] the lines through cell, as bits li.
+    open_bits = sum(1 << i for i in free)
+    line_bits = _line_bits(shape)
+    through = _line_masks_by_point(shape)
     line_colors = [itemgetter(*idxs) for idxs in lines]
-    open_in = [get(colors).count(0) for get in line_colors]
-    pinned = [-1] * len(lines)
-    pins = [0] * len(colors)
-    pinned_cells = 0
 
-    def repin(cell: int, delta: int) -> None:
-        """Re-derive the pins of the lines through `cell`, whose open count
-        moved by `delta`; no other line changes when `cell` does."""
-        nonlocal pinned_cells
-        for li in by_point[cell]:
-            n_open = open_in[li] + delta
-            open_in[li] = n_open
-            open_cell = -1
-            if n_open == 1:
-                cs = line_colors[li](colors)
-                if len(set(cs)) == k:
-                    open_cell = lines[li][cs.index(0)]
-            old = pinned[li]
-            if old != open_cell:
-                if old >= 0:
-                    pins[old] -= 1
-                    if not pins[old]:
-                        pinned_cells -= 1
-                if open_cell >= 0:
-                    if not pins[open_cell]:
-                        pinned_cells += 1
-                    pins[open_cell] += 1
-                pinned[li] = open_cell
+    def assign(cell: int, value: int) -> None:
+        """Give `cell` the color `value`.  Only lines through `cell` change:
+        those pinning it are done, and a wide one stops being deficient if
+        `value` repeats one of its colors, else pins its last open cell."""
+        nonlocal open_bits, pin_lines, wide_lines, pinned_bits
+        colors[cell] = value
+        open_bits ^= 1 << cell
+        pinned_bits &= ~(1 << cell)
+        pin_lines &= ~through[cell]
+        rest = wide_lines & through[cell]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            li = low.bit_length() - 1
+            if line_colors[li](colors).count(value) > 1:
+                wide_lines ^= low
+                continue
+            cells = line_bits[li] & open_bits
+            if not cells & (cells - 1):
+                wide_lines ^= low
+                pin_lines |= low
+                pinned_bits |= cells
 
-    for cell in free:
-        repin(cell, 0)
+    def packing_exceeds(room: int) -> bool:
+        """Whether more than `room` wide lines have unassigned cells disjoint
+        from each other and from the pinned cells (greedy, in line order)."""
+        covered = pinned_bits
+        packed = 0
+        rest = wide_lines
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cells = line_bits[low.bit_length() - 1] & open_bits
+            if not cells & covered:
+                covered |= cells
+                packed += 1
+                if packed > room:
+                    return True
+        return False
 
     def choose_cell() -> tuple[int, list[int]] | None:
         """Most-constrained free cell and its candidates; None on a dead cell."""
@@ -848,11 +890,11 @@ def complete(
             if colors[cell] != 0:
                 continue
             allowance: set[int] | None = None
-            if pins[cell] == 0:
+            if not pinned_bits >> cell & 1:
                 count = len(used) + fresh_room
             else:
                 for li in by_point[cell]:
-                    if pinned[li] != cell:
+                    if not pin_lines >> li & 1:
                         continue
                     allowed = {colors[i] for i in lines[li] if i != cell}
                     allowance = allowed if allowance is None else allowance & allowed
@@ -873,6 +915,7 @@ def complete(
     def dfs(open_cells: int) -> bool:
         """Search below a node with `open_cells` free cells still unassigned."""
         nonlocal nodes, out_of_budget, solution
+        nonlocal open_bits, pin_lines, wide_lines, pinned_bits
         nodes += 1
         if config.node_limit is not None and nodes >= config.node_limit:
             out_of_budget = True
@@ -880,8 +923,12 @@ def complete(
             out_of_budget = True
         if out_of_budget:
             return False
-        # Each unassigned cell that no line pins may still add one color.
-        if len(used) + open_cells - pinned_cells < total_colors:
+        # Each packed deficient line keeps one unassigned cell from adding
+        # a color; the pinned cells are the packed one-cell lines.
+        room = len(used) + open_cells - pinned_bits.bit_count() - total_colors
+        if room < 0:
+            return False
+        if wide_lines.bit_count() > room and packing_exceeds(room):
             return False
         if not open_cells:
             if len(used) == total_colors:
@@ -892,9 +939,9 @@ def complete(
         if picked is None:
             return False
         cell, candidates = picked
+        saved = open_bits, pin_lines, wide_lines, pinned_bits
         for value in candidates:
-            colors[cell] = value
-            repin(cell, -1)
+            assign(cell, value)
             added = value not in used
             if added:
                 used.add(value)
@@ -903,7 +950,7 @@ def complete(
             if added:
                 used.discard(value)
             colors[cell] = 0
-            repin(cell, 1)
+            open_bits, pin_lines, wide_lines, pinned_bits = saved
             if out_of_budget:
                 return False
         return False

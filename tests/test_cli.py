@@ -4,7 +4,7 @@ import pytest
 
 from ahj.cli import main
 from ahj.coloring import Coloring, parse, serialize
-from ahj.hypercube import CubeShape
+from ahj.hypercube import CubeShape, point_from_index
 from ahj.search import two_layer_arrangements
 
 
@@ -352,3 +352,43 @@ class TestUsage:
         lines = [l for l in out.splitlines() if l.startswith("claim")]
         assert len(lines) == 2
         assert all("PASS" in l for l in lines)
+
+
+class TestInvariantCheck:
+    """Claim 9 checks the line table against generators of the whole group."""
+
+    @pytest.mark.parametrize("k, n", [(2, 4), (3, 3), (4, 3), (5, 4)])
+    def test_line_table_is_invariant(self, k, n):
+        from ahj.cli import _lines_invariant
+        from ahj.hypercube import line_index_table
+
+        shape = CubeShape(k, n)
+        assert _lines_invariant(shape, line_index_table(shape))
+
+    def test_badly_permuted_line_table_fails(self):
+        from ahj.cli import _lines_invariant
+        from ahj.hypercube import line_index_table
+
+        shape = CubeShape(3, 2)
+        swap = {0: 1, 1: 0}
+        lines = [tuple(swap.get(i, i) for i in idxs) for idxs in line_index_table(shape)]
+        assert not _lines_invariant(shape, lines)
+
+    def test_coordinate_permutations_are_checked(self):
+        """Swapping the first two coordinates of the points with three
+        distinct symbols commutes with every symbol permutation, so only a
+        coordinate permutation can expose the mapped table."""
+        from ahj.cli import _lines_invariant
+        from ahj.hypercube import automorphism_index_maps, line_index_table, point_index
+
+        shape = CubeShape(4, 3)
+
+        def bad(i):
+            c = point_from_index(i, shape).coords
+            return point_index((c[1], c[0], c[2]), shape) if len(set(c)) == 3 else i
+
+        lines = [tuple(bad(i) for i in idxs) for idxs in line_index_table(shape)]
+        table = {tuple(sorted(idxs)) for idxs in lines}
+        for mapping in automorphism_index_maps(shape)[:24]:  # the symbol permutations
+            assert {tuple(sorted(mapping[i] for i in idxs)) for idxs in lines} == table
+        assert not _lines_invariant(shape, lines)

@@ -597,15 +597,21 @@ class TestCompleteNodeCounts:
     @pytest.mark.parametrize(
         "k, n, target, node_limit, status, nodes, witness",
         [
-            (3, 2, 4, None, Status.OPTIMAL, 70, (1, 1, 2, 1, 1, 2, 3, 3, 4)),
-            (3, 2, 5, None, Status.INFEASIBLE, 134, None),
+            (3, 2, 4, None, Status.OPTIMAL, 37, (1, 1, 2, 1, 1, 2, 3, 3, 4)),
+            (3, 2, 5, None, Status.INFEASIBLE, 71, None),
             (
-                4, 2, 10, None, Status.OPTIMAL, 71_144,
+                4, 2, 10, None, Status.OPTIMAL, 3_876,
                 (1, 1, 2, 3, 1, 1, 4, 5, 6, 7, 8, 8, 9, 10, 8, 8),
             ),
             (3, 3, 9, 5_000, Status.TIMEOUT, 5_000, None),
             (3, 3, 10, 5_000, Status.TIMEOUT, 5_000, None),
             (4, 2, 11, 5_000, Status.TIMEOUT, 5_000, None),
+            # ah(3, 3) = 11 by a second engine, independent of max_rf_colors.
+            (
+                3, 3, 10, None, Status.OPTIMAL, 437_770,
+                (1, 1, 2, 1, 3, 1, 4, 1, 1, 1, 5, 1, 6, 1, 1, 1, 1, 7, 8, 1, 1, 1, 1, 9, 1, 10, 1),
+            ),
+            (3, 3, 11, None, Status.INFEASIBLE, 840_836, None),
         ],
     )
     def test_blank_cube(self, k, n, target, node_limit, status, nodes, witness):
@@ -637,11 +643,11 @@ class TestCompleteNodeCounts:
         # and target: status and nodes at node_limit=1000.
         expected = {
             (1, 23): (Status.TIMEOUT, 1_000),
-            (1, 24): (Status.TIMEOUT, 1_000),
+            (1, 24): (Status.INFEASIBLE, 114),
             (2, 23): (Status.OPTIMAL, 161),
-            (2, 24): (Status.INFEASIBLE, 49),
-            (3, 23): (Status.OPTIMAL, 490),
-            (3, 24): (Status.INFEASIBLE, 68),
+            (2, 24): (Status.INFEASIBLE, 8),
+            (3, 23): (Status.OPTIMAL, 145),
+            (3, 24): (Status.INFEASIBLE, 21),
         }
         total = solved = 0
         for t in range(1, S34.n + 1):
@@ -657,7 +663,7 @@ class TestCompleteNodeCounts:
                         _assert_completes(partial, target, out.witness)
                     total += out.nodes_explored
                     solved += out.status in (Status.OPTIMAL, Status.INFEASIBLE)
-        assert (total, solved) == (11_072, 16)
+        assert (total, solved) == (5_796, 20)
 
 
 def _reachable_color_counts(partial):
@@ -712,6 +718,34 @@ class TestCompleteOracle:
             for i in rng.sample(range(S32.point_count), rng.randint(0, 6)):
                 cells[i] = 0
             partial = Coloring(S32, tuple(cells))
+            reachable = _reachable_color_counts(partial)
+            top = len(set(cells) - {0}) + cells.count(0)
+            for target in range(1, top + 2):
+                out = complete(partial, target)
+                if target in reachable:
+                    assert out.status is Status.OPTIMAL, (cells, target)
+                    _assert_completes(partial, target, out.witness)
+                else:
+                    assert out.status is Status.INFEASIBLE, (cells, target)
+
+    def test_matches_brute_force_on_four_squares(self):
+        """Partials of [4]^2 have lines with two distinct colors and two free
+        cells, where the packing bound counts lines beyond the pins."""
+        import random
+
+        from ahj.coloring import Coloring
+
+        shape = CubeShape(4, 2)
+        rng = random.Random(11)
+        checked = 0
+        while checked < 60:
+            cells = [rng.randint(1, 6) for _ in range(shape.point_count)]
+            if not is_rainbow_free(Coloring(shape, tuple(cells))):
+                continue
+            checked += 1
+            for i in rng.sample(range(shape.point_count), rng.randint(1, 4)):
+                cells[i] = 0
+            partial = Coloring(shape, tuple(cells))
             reachable = _reachable_color_counts(partial)
             top = len(set(cells) - {0}) + cells.count(0)
             for target in range(1, top + 2):
