@@ -6,6 +6,9 @@ the wall_time field is the only line that varies between identical
 single-threaded invocations.  Exit codes are a stable contract: 0 for
 success or claim-holds, 1 for claim-fails, 2 for usage or input errors,
 3 for an exhausted search budget.
+
+``CLAIMS`` is the numbered table of the ten headline claims that
+``ahj repro`` runs; the acceptance tests run the same table.
 """
 
 from __future__ import annotations
@@ -13,13 +16,22 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
-from .bounds import BoundsError, bounds_table
+from .bounds import (
+    BoundsError,
+    BoundsRow,
+    bounds_table,
+    geometric_upper,
+    iterated_upper,
+    refined_upper_3,
+)
 from .coloring import (
     Coloring,
     ColoringError,
     ParseError,
+    canonical_relabel,
     census,
     is_minimal,
     is_rainbow_free,
@@ -34,18 +46,22 @@ from .constructions import (
     singleton_set_coloring,
     stack_recursive,
 )
+from .fixtures import load_fixture
 from .hypercube import (
     Automorphism,
     CubeShape,
     ShapeError,
     enumerate_lines,
     line_count,
+    line_index_table,
     point_from_index,
     point_index,
+    template_table,
 )
 from .search import (
     SearchConfig,
     SearchError,
+    SearchOutcome,
     Status,
     complete,
     enumerate_independent_sets,
@@ -285,8 +301,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _recompute_row(k, row, time_limit):
-    from .bounds import BoundsRow
-
     shape = CubeShape(k, row.n)
     if shape.point_count > 32:
         return row
@@ -309,31 +323,57 @@ def _require(condition: bool, message: str) -> None:
         raise SearchError(message)
 
 
+def _timed(func, *args):
+    started = time.monotonic()
+    result = func(*args)
+    return result, time.monotonic() - started
+
+
+def _slow(what: str, elapsed: float, limit: float) -> str:
+    return f"{what} took {elapsed:.2f}s (limit {limit:g}s)"
+
+
+def _witness_fault(outcome: SearchOutcome) -> str | None:
+    """Why a search's witness fails to verify, or None if it verifies."""
+    witness = outcome.witness
+    if not is_rainbow_free(witness):
+        return "search witness fails self-verification"
+    if census(witness).distinct_count != outcome.best_value:
+        return f"search witness census differs from the value {outcome.best_value}"
+    relabeled = canonical_relabel(witness)
+    if canonical_relabel(relabeled).colors != relabeled.colors:
+        return "canonical form is not idempotent"
+    return None
+
+
 def _check_exact_values(threads: int) -> tuple[bool, str]:
-    expected = {(3, 1): 2, (3, 2): 4, (3, 3): 10}
+    config = SearchConfig(time_limit=900.0, worker_count=threads)
     parts = []
-    for (k, n), value in sorted(expected.items()):
-        outcome = max_rf_colors(
-            CubeShape(k, n), SearchConfig(time_limit=900.0, worker_count=threads)
-        )
-        ok = outcome.status is Status.OPTIMAL and outcome.best_value == value
-        parts.append(f"[{k}]^{n}:{outcome.best_value}/{outcome.status.name}")
-        if not ok:
+    for n, value, limit in ((1, 2, 1.0), (2, 4, 1.0), (3, 10, 900.0)):
+        outcome, elapsed = _timed(max_rf_colors, CubeShape(3, n), config)
+        parts.append(f"[3]^{n}:{outcome.best_value}/{outcome.status.name}")
+        if outcome.status is not Status.OPTIMAL or outcome.best_value != value:
             return False, " ".join(parts)
-    return True, " ".join(parts)
+        if elapsed >= limit:
+            return False, _slow(f"[3]^{n}", elapsed, limit)
+    fault = _witness_fault(outcome)
+    if fault is not None:
+        return False, f"[3]^3 {fault}"
+    return True, " ".join(parts) + "; [3]^3 witness verified"
 
 
 def _check_two_symbol(threads: int) -> tuple[bool, str]:
+    config = SearchConfig(time_limit=10.0, worker_count=threads)
     for n in range(1, 5):
-        outcome = max_rf_colors(
-            CubeShape(2, n), SearchConfig(time_limit=10.0, worker_count=threads)
-        )
+        outcome, elapsed = _timed(max_rf_colors, CubeShape(2, n), config)
         if outcome.status is not Status.OPTIMAL or outcome.best_value != 1:
             return False, f"[2]^{n} gave {outcome.best_value}/{outcome.status.name}"
+        if elapsed >= 10.0:
+            return False, _slow(f"[2]^{n}", elapsed, 10.0)
     return True, "[2]^1..4 all optimal at 1"
 
 
-def _check_oracle() -> tuple[bool, str]:
+def _check_oracle(threads: int) -> tuple[bool, str]:
     for k, n in ((2, 2), (2, 3), (3, 1), (3, 2)):
         shape = CubeShape(k, n)
         fast = max_rf_colors(shape).best_value
@@ -343,15 +383,25 @@ def _check_oracle() -> tuple[bool, str]:
     return True, "search equals all-partitions oracle on 4 shapes"
 
 
-def _check_enumeration() -> tuple[bool, str]:
-    c1 = len(enumerate_independent_sets(CubeShape(3, 2), 3))
-    c2 = len(enumerate_independent_sets(CubeShape(3, 3), 9))
-    c3 = len(enumerate_independent_sets(CubeShape(3, 3), 10))
+# (n, size, seconds): independent sets of the given size in [3]^n and the
+# time one enumeration may take.
+_ENUMERATIONS = ((2, 3, 1.0), (3, 9, 600.0), (3, 10, 600.0))
+
+
+def _check_enumeration(threads: int) -> tuple[bool, str]:
+    counts = []
+    for n, size, limit in _ENUMERATIONS:
+        sets, elapsed = _timed(enumerate_independent_sets, CubeShape(3, n), size)
+        if elapsed >= limit:
+            return False, _slow(f"size {size}", elapsed, limit)
+        counts.append(len(sets))
+    c1, c2, c3 = counts
     ok = (c1, c2, c3) == (5, 2, 0)
     return ok, f"sizes 3/9/10 -> {c1}/{c2}/{c3} (want 5/2/0)"
 
 
-def _check_constructions() -> tuple[bool, str]:
+def _check_constructions(threads: int) -> tuple[bool, str]:
+    started = time.monotonic()
     for k in (3, 4, 5):
         for n in (2, 3, 4):
             base = digit_position_coloring(CubeShape(k, n))
@@ -365,25 +415,30 @@ def _check_constructions() -> tuple[bool, str]:
                 return False, f"stack over [{k}]^{n} not rainbow-free"
             if census(stacked).distinct_count != (k - 2) * c + 1:
                 return False, f"stack over [{k}]^{n} has wrong census"
+    elapsed = time.monotonic() - started
+    if elapsed >= 60.0:
+        return False, _slow("constructions", elapsed, 60.0)
     return True, "digit-position and stacking verified for k=3..5, n=2..4"
 
 
-def _check_arrangements() -> tuple[bool, str]:
+def _check_arrangements(threads: int) -> tuple[bool, str]:
     arrangements = two_layer_arrangements()
     if len(arrangements) != 6:
         return False, f"{len(arrangements)} arrangements (want 6)"
     for i, arrangement in enumerate(arrangements):
-        if find_forced_cell(arrangement) is None:
+        forced, t_cell = _timed(find_forced_cell, arrangement)
+        if forced is None:
             return False, f"arrangement {i} has no forced cell"
-        outcome = complete(arrangement, 27, SearchConfig(time_limit=60.0))
+        outcome, t_done = _timed(complete, arrangement, 27, SearchConfig(time_limit=60.0))
         if outcome.status is not Status.INFEASIBLE:
             return False, f"arrangement {i} completion gave {outcome.status.name}"
+        for step, elapsed in (("forced cell", t_cell), ("completion", t_done)):
+            if elapsed >= 60.0:
+                return False, _slow(f"arrangement {i} {step}", elapsed, 60.0)
     return True, "all 6 arrangements have forced cells and refuse 27 colors"
 
 
-def _check_bounds() -> tuple[bool, str]:
-    from .bounds import geometric_upper, iterated_upper, refined_upper_3
-
+def _check_bounds(threads: int) -> tuple[bool, str]:
     rows = [(r.lower, r.upper) for r in bounds_table(3, 5).rows]
     if rows != [(3, 3), (5, 5), (11, 11), (24, 27), (33, 77)]:
         return False, f"table rows {rows}"
@@ -397,10 +452,7 @@ def _check_bounds() -> tuple[bool, str]:
     return True, "table [3,3],[5,5],[11,11],[24,27],[33,77]; identities hold"
 
 
-def _check_fixtures() -> tuple[bool, str]:
-    from .coloring import canonical_relabel
-    from .fixtures import load_fixture
-
+def _check_fixtures(threads: int) -> tuple[bool, str]:
     specs = [
         ("square-rf-4.ahj", 4),
         ("cube-rf-10-a.ahj", 10),
@@ -453,10 +505,19 @@ def _lines_invariant(shape: CubeShape, lines) -> bool:
     )
 
 
-def _check_invariants() -> tuple[bool, str]:
-    from .coloring import canonical_relabel
-    from .hypercube import line_index_table
+def _lines_meet_layers(shape: CubeShape, lines) -> bool:
+    """Whether each of the first 40 lines meets every layer of its first star
+    coordinate once, that is, takes each digit of that coordinate once."""
+    digits = list(range(shape.k))
+    for template, idxs in zip(template_table(shape)[:40], lines):
+        weight = shape.weights[min(template.star_set)]
+        if sorted(i // weight % shape.k for i in idxs) != digits:
+            return False
+    return True
 
+
+def _check_invariants(threads: int) -> tuple[bool, str]:
+    started = time.monotonic()
     for k in (2, 3, 4, 5):
         for n in (1, 2, 3, 4):
             shape = CubeShape(k, n)
@@ -464,55 +525,76 @@ def _check_invariants() -> tuple[bool, str]:
                 continue
             if line_count(shape) != ((k + 1) ** n - k**n):
                 return False, f"line count formula fails on [{k}]^{n}"
-            if not _lines_invariant(shape, line_index_table(shape)):
+            lines = line_index_table(shape)
+            if not _lines_invariant(shape, lines):
                 return False, f"automorphism breaks lines on [{k}]^{n}"
-    witness = max_rf_colors(CubeShape(3, 2)).witness
-    relabeled = canonical_relabel(witness)
-    if canonical_relabel(relabeled).colors != relabeled.colors:
-        return False, "canonical form is not idempotent"
-    if not is_rainbow_free(witness):
-        return False, "search witness fails self-verification"
-    return True, "line counts, automorphisms, canonical form, witness checks hold"
+            if not _lines_meet_layers(shape, lines):
+                return False, f"a line misses a layer of its star coordinate on [{k}]^{n}"
+    fault = _witness_fault(max_rf_colors(CubeShape(3, 2)))
+    if fault is not None:
+        return False, f"[3]^2 {fault}"
+    elapsed = time.monotonic() - started
+    if elapsed >= 300.0:
+        return False, _slow("invariants", elapsed, 300.0)
+    return True, "line counts, generator images, star layers, [3]^2 witness checks hold"
 
 
-def _check_determinism() -> tuple[bool, str]:
-    for k, n, value in ((3, 1, 2), (3, 2, 4), (2, 3, 1)):
-        for threads in (1, 4):
-            outcome = max_rf_colors(
-                CubeShape(k, n), SearchConfig(time_limit=60.0, worker_count=threads)
+def _check_determinism(threads: int) -> tuple[bool, str]:
+    small = ((3, 1, 2), (3, 2, 4), (2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 4, 1))
+    searches = [(k, n, value, workers, 60.0) for k, n, value in small for workers in (1, 4)]
+    searches.append((3, 3, 10, 4, 900.0))
+    for k, n, value, workers, time_limit in searches:
+        config = SearchConfig(time_limit=time_limit, worker_count=workers)
+        outcome = max_rf_colors(CubeShape(k, n), config)
+        if outcome.status is not Status.OPTIMAL or outcome.best_value != value:
+            return False, (
+                f"[{k}]^{n} at {workers} workers gave "
+                f"{outcome.best_value}/{outcome.status.name}"
             )
-            if outcome.best_value != value:
-                return False, f"[{k}]^{n} at {threads} threads gave {outcome.best_value}"
-    first = enumerate_independent_sets(CubeShape(3, 3), 9)
-    second = enumerate_independent_sets(CubeShape(3, 3), 9)
+    first, second = (
+        [enumerate_independent_sets(CubeShape(3, n), size) for n, size, _ in _ENUMERATIONS]
+        for _ in range(2)
+    )
     if first != second:
         return False, "independent-set enumeration is not reproducible"
-    return True, "values and enumerations agree across worker counts"
+    return True, "values agree at 1 and 4 workers, [3]^3 optimal at 4; enumerations repeat"
+
+
+# (label, check) in claim order.  A check takes the worker count of
+# `repro --threads`, which only claims 1 and 2 search with, and returns
+# (holds, detail).
+CLAIMS: tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...] = (
+    ("exact values [3]^1..3 by search", _check_exact_values),
+    ("two-symbol cubes force 2 colors", _check_two_symbol),
+    ("search equals naive oracle", _check_oracle),
+    ("independent-set counts 5/2/0", _check_enumeration),
+    ("construction censuses", _check_constructions),
+    ("two-layer arrangements refuse 27", _check_arrangements),
+    ("bounds table and identities", _check_bounds),
+    ("bundled fixtures verify", _check_fixtures),
+    ("structural invariants", _check_invariants),
+    ("determinism across threads", _check_determinism),
+)
+
+
+def _claim_numbers(text: str) -> frozenset[int]:
+    """Parse `repro --only`: comma-separated claim numbers 1..len(CLAIMS)."""
+    tokens = [token.strip() for token in text.split(",")]
+    if not all(token.isdecimal() and 1 <= int(token) <= len(CLAIMS) for token in tokens):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated claim numbers 1..{len(CLAIMS)}, got {text!r}"
+        )
+    return frozenset(map(int, tokens))
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
-    checks: list[tuple[str, object]] = [
-        ("exact values [3]^1..3 by search", lambda: _check_exact_values(args.threads)),
-        ("two-symbol cubes force 2 colors", lambda: _check_two_symbol(args.threads)),
-        ("search equals naive oracle", _check_oracle),
-        ("independent-set counts 5/2/0", _check_enumeration),
-        ("construction censuses", _check_constructions),
-        ("two-layer arrangements refuse 27", _check_arrangements),
-        ("bounds table and identities", _check_bounds),
-        ("bundled fixtures verify", _check_fixtures),
-        ("structural invariants", _check_invariants),
-        ("determinism across threads", _check_determinism),
-    ]
-    selected = None
-    if args.only:
-        selected = {int(tok) for tok in args.only.split(",")}
     failures = 0
-    for i, (label, func) in enumerate(checks, start=1):
-        if selected is not None and i not in selected:
+    for i, (label, check) in enumerate(CLAIMS, start=1):
+        if args.only is not None and i not in args.only:
             continue
         started = time.monotonic()
         try:
-            ok, detail = func()
+            ok, detail = check(args.threads)
         except Exception as exc:  # noqa: BLE001 - report, do not abort the suite
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         elapsed = time.monotonic() - started
@@ -594,7 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="re-verify the package's headline claims")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--only", default=None, help="comma-separated claim numbers")
+    p.add_argument("--only", type=_claim_numbers, default=None,
+                   help="comma-separated claim numbers")
     p.set_defaults(func=cmd_repro)
 
     return parser

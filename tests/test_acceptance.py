@@ -1,267 +1,68 @@
-"""Acceptance gate: the ten headline checks, one test and verdict line each.
+"""Acceptance gate: the ten headline claims, one test and verdict line each.
 
-Heavy searches are computed once per worker count in module fixtures and
-shared between the exact-value and determinism criteria.  Budgets are
-asserted, not assumed.
+Each test runs one entry of ``ahj.cli.CLAIMS`` at one worker, the same
+table that ``ahj repro`` runs, so every claim, its assertions and its time
+bounds have a single definition.  Claim 1 and claim 10 run the two exact
+``[3]^3`` searches, at 1 and at 4 workers.
 """
 
-import time
-
-import pytest
-
 from conftest import ACCEPTANCE_RESULTS
-from ahj.bounds import bounds_table, geometric_upper, iterated_upper, refined_upper_3
-from ahj.coloring import canonical_relabel, census, is_rainbow_free
-from ahj.constructions import digit_position_coloring, stack_recursive
-from ahj.fixtures import load_fixture
-from ahj.hypercube import (
-    CubeShape,
-    automorphism_index_maps,
-    layer,
-    line_count,
-    line_index_table,
-    template_table,
-)
-from ahj.search import (
-    SearchConfig,
-    Status,
-    complete,
-    enumerate_independent_sets,
-    enumerate_minimal_rf,
-    find_forced_cell,
-    max_rf_colors,
-    naive_max_rf_colors,
-    two_layer_arrangements,
-)
+from ahj.cli import CLAIMS
 
 
-def check(number, description, ok, detail=""):
+def check(number, description, ok, detail):
     verdict = "PASS" if ok else "FAIL"
-    text = f"{description}: {detail}" if detail else description
+    text = f"{description}: {detail}"
     ACCEPTANCE_RESULTS[number] = (verdict, text)
     print(f"criterion {number:2d} {verdict}  {text}")
     assert ok, f"criterion {number} failed: {text}"
 
 
-def timed(func, *args):
-    started = time.monotonic()
-    result = func(*args)
-    return result, time.monotonic() - started
+def test_criterion_01_exact_values_by_search():
+    label, claim = CLAIMS[0]
+    check(1, label, *claim(1))
 
 
-@pytest.fixture(scope="module")
-def cube_searches():
-    """max_rf_colors on [3]^3 at 1 and 4 workers, timed."""
-    outcomes = {}
-    for workers in (1, 4):
-        config = SearchConfig(time_limit=900.0, worker_count=workers)
-        outcomes[workers], elapsed = timed(max_rf_colors, CubeShape(3, 3), config)
-        assert elapsed <= 900.0
-    return outcomes
-
-
-@pytest.fixture(scope="module")
-def small_searches():
-    """Values for [3]^1, [3]^2 and [2]^1..4 at 1 and 4 workers."""
-    results = {}
-    for workers in (1, 4):
-        for k, n in ((3, 1), (3, 2), (2, 1), (2, 2), (2, 3), (2, 4)):
-            config = SearchConfig(time_limit=60.0, worker_count=workers)
-            outcome, elapsed = timed(max_rf_colors, CubeShape(k, n), config)
-            results[(k, n, workers)] = (outcome, elapsed)
-    return results
-
-
-@pytest.fixture(scope="module")
-def enumerations():
-    """Independent-set enumerations for criteria 4 and 10, run twice."""
-    runs = []
-    for _ in range(2):
-        sets3, t3 = timed(enumerate_independent_sets, CubeShape(3, 2), 3)
-        sets9, t9 = timed(enumerate_independent_sets, CubeShape(3, 3), 9)
-        sets10, t10 = timed(enumerate_independent_sets, CubeShape(3, 3), 10)
-        runs.append({"sets": (sets3, sets9, sets10), "times": (t3, t9, t10)})
-    return runs
-
-
-def test_criterion_01_exact_values_by_search(cube_searches, small_searches):
-    parts = []
-    ok = True
-    for (k, n), want in (((3, 1), 2), ((3, 2), 4)):
-        outcome, elapsed = small_searches[(k, n, 1)]
-        good = (
-            outcome.status is Status.OPTIMAL
-            and outcome.best_value == want
-            and elapsed < 1.0
-        )
-        ok = ok and good
-        parts.append(f"[{k}]^{n}={outcome.best_value}")
-    for workers, outcome in cube_searches.items():
-        good = outcome.status is Status.OPTIMAL and outcome.best_value == 10
-        ok = ok and good
-        parts.append(f"[3]^3@{workers}w={outcome.best_value}")
-    check(1, "exact values 2/4/10 via optimal search", ok, " ".join(parts))
-
-
-def test_criterion_02_two_symbol_cubes(small_searches):
-    ok = True
-    parts = []
-    for n in (1, 2, 3, 4):
-        outcome, elapsed = small_searches[(2, n, 1)]
-        good = (
-            outcome.status is Status.OPTIMAL
-            and outcome.best_value == 1
-            and elapsed < 10.0
-        )
-        ok = ok and good
-        parts.append(f"[2]^{n}={outcome.best_value}")
-    check(2, "two-symbol cubes allow only one color", ok, " ".join(parts))
+def test_criterion_02_two_symbol_cubes():
+    label, claim = CLAIMS[1]
+    check(2, label, *claim(1))
 
 
 def test_criterion_03_oracle_equivalence():
-    ok = True
-    parts = []
-    for k, n in ((2, 2), (2, 3), (3, 1), (3, 2)):
-        shape = CubeShape(k, n)
-        fast = max_rf_colors(shape).best_value
-        slow = naive_max_rf_colors(shape)
-        ok = ok and fast == slow
-        parts.append(f"[{k}]^{n}:{fast}={slow}")
-    check(3, "search matches the all-partitions oracle", ok, " ".join(parts))
+    label, claim = CLAIMS[2]
+    check(3, label, *claim(1))
 
 
-def test_criterion_04_enumeration_counts(enumerations):
-    sets3, sets9, sets10 = enumerations[0]["sets"]
-    t3, t9, t10 = enumerations[0]["times"]
-    counts = (len(sets3), len(sets9), len(sets10))
-    ok = counts == (5, 2, 0) and t3 < 1.0 and t9 < 600.0 and t10 < 600.0
-    check(4, "independent-set counts 5/2/0", ok, f"got {counts}")
+def test_criterion_04_enumeration_counts():
+    label, claim = CLAIMS[3]
+    check(4, label, *claim(1))
 
 
 def test_criterion_05_construction_properties():
-    started = time.monotonic()
-    ok = True
-    for k in (3, 4, 5):
-        for n in (2, 3, 4):
-            base = digit_position_coloring(CubeShape(k, n))
-            c = census(base).distinct_count
-            if not (is_rainbow_free(base) and c == (k - 1) ** n):
-                ok = False
-            stacked = stack_recursive(base)
-            if not (
-                is_rainbow_free(stacked)
-                and census(stacked).distinct_count == (k - 2) * c + 1
-            ):
-                ok = False
-    elapsed = time.monotonic() - started
-    ok = ok and elapsed < 60.0
-    check(5, "construction censuses and rainbow-freedom", ok, f"{elapsed:.1f}s")
+    label, claim = CLAIMS[4]
+    check(5, label, *claim(1))
 
 
 def test_criterion_06_arrangement_endgames():
-    arrangements = two_layer_arrangements()
-    ok = len(arrangements) == 6
-    worst = 0.0
-    for arrangement in arrangements:
-        forced, t_cell = timed(find_forced_cell, arrangement)
-        outcome, t_done = timed(
-            complete, arrangement, 27, SearchConfig(time_limit=60.0)
-        )
-        worst = max(worst, t_cell, t_done)
-        if forced is None or outcome.status is not Status.INFEASIBLE:
-            ok = False
-        if t_cell >= 60.0 or t_done >= 60.0:
-            ok = False
-    check(
-        6,
-        "all 6 two-layer arrangements refuse 27 colors",
-        ok,
-        f"worst step {worst:.2f}s",
-    )
+    label, claim = CLAIMS[5]
+    check(6, label, *claim(1))
 
 
 def test_criterion_07_bounds_table_and_identities():
-    rows = [(r.lower, r.upper) for r in bounds_table(3, 5).rows]
-    ok = rows == [(3, 3), (5, 5), (11, 11), (24, 27), (33, 77)]
-    for k in range(3, 7):
-        for n in range(1, 11):
-            if geometric_upper(k, n) != iterated_upper(k, 1, k, n):
-                ok = False
-    for n in range(4, 11):
-        if refined_upper_3(n) != iterated_upper(3, 4, 27, n):
-            ok = False
-    check(7, "bounds table rows and recursion identities", ok, f"rows {rows}")
+    label, claim = CLAIMS[6]
+    check(7, label, *claim(1))
 
 
 def test_criterion_08_fixture_verification():
-    expectations = [
-        ("square-rf-4.ahj", 4),
-        ("cube-rf-10-a.ahj", 10),
-        ("cube-rf-10-b.ahj", 10),
-        ("hypercube-rf-23.ahj", 23),
-    ]
-    ok = True
-    for name, colors in expectations:
-        coloring = load_fixture(name)
-        if not is_rainbow_free(coloring):
-            ok = False
-        if census(coloring).distinct_count != colors:
-            ok = False
-    enumerated = {c.colors for c in enumerate_minimal_rf(CubeShape(3, 3), 10)}
-    shipped = {
-        canonical_relabel(load_fixture(name)).colors
-        for name in ("cube-rf-10-a.ahj", "cube-rf-10-b.ahj")
-    }
-    ok = ok and shipped == enumerated
-    check(8, "bundled colorings verify at 4/10/10/23 colors", ok)
+    label, claim = CLAIMS[7]
+    check(8, label, *claim(1))
 
 
-def test_criterion_09_invariant_suites(cube_searches):
-    started = time.monotonic()
-    ok = True
-    shapes = [
-        CubeShape(k, n)
-        for k in (2, 3, 4, 5)
-        for n in (1, 2, 3, 4)
-        if CubeShape(k, n).point_count <= 700
-    ]
-    for shape in shapes:
-        k = shape.k
-        if line_count(shape) != (k + 1) ** shape.n - k**shape.n:
-            ok = False
-        lines = line_index_table(shape)
-        line_set = {tuple(sorted(idxs)) for idxs in lines}
-        for mapping in automorphism_index_maps(shape)[:24]:
-            if {tuple(sorted(mapping[i] for i in idxs)) for idxs in lines} != line_set:
-                ok = False
-        # a starred template meets every layer of a starred coordinate once
-        for template, idxs in list(zip(template_table(shape), lines))[:40]:
-            t = min(template.star_set) + 1
-            for i in range(1, k + 1):
-                if len(layer(shape, t, i) & set(idxs)) != 1:
-                    ok = False
-    witness = cube_searches[1].witness
-    relabeled = canonical_relabel(witness)
-    if canonical_relabel(relabeled).colors != relabeled.colors:
-        ok = False
-    if not is_rainbow_free(witness):
-        ok = False
-    if census(witness).distinct_count != cube_searches[1].best_value:
-        ok = False
-    elapsed = time.monotonic() - started
-    ok = ok and elapsed < 300.0
-    check(9, "structural invariant suites", ok, f"{elapsed:.1f}s")
+def test_criterion_09_invariant_suites():
+    label, claim = CLAIMS[8]
+    check(9, label, *claim(1))
 
 
-def test_criterion_10_determinism_across_workers(
-    cube_searches, small_searches, enumerations
-):
-    ok = cube_searches[1].best_value == cube_searches[4].best_value == 10
-    for k, n in ((3, 1), (3, 2), (2, 1), (2, 2), (2, 3), (2, 4)):
-        one = small_searches[(k, n, 1)][0].best_value
-        four = small_searches[(k, n, 4)][0].best_value
-        if one != four:
-            ok = False
-    if enumerations[0]["sets"] != enumerations[1]["sets"]:
-        ok = False
-    check(10, "values and enumerations identical at 1 and 4 workers", ok)
+def test_criterion_10_determinism_across_workers():
+    label, claim = CLAIMS[9]
+    check(10, label, *claim(1))

@@ -353,6 +353,36 @@ class TestUsage:
         assert len(lines) == 2
         assert all("PASS" in l for l in lines)
 
+    @pytest.mark.parametrize("only", ["x", "4,", "0", "11"])
+    def test_repro_only_rejects_bad_claim_numbers(self, capsys, only):
+        code, out, err = run(capsys, "repro", "--only", only)
+        assert code == 2
+        assert "claim numbers 1..10" in err
+        assert out == ""
+
+    def test_repro_failing_claims_exit_one(self, capsys, monkeypatch):
+        import ahj.cli
+
+        def refuted(threads):
+            return False, "refuted on purpose"
+
+        def broken(threads):
+            raise RuntimeError("broken on purpose")
+
+        claims = list(ahj.cli.CLAIMS)
+        claims[3] = (claims[3][0], refuted)
+        claims[4] = (claims[4][0], broken)
+        monkeypatch.setattr(ahj.cli, "CLAIMS", tuple(claims))
+        code, out, _ = run(capsys, "repro", "--only", "4,5,7")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("claim  4 FAIL")
+        assert lines[0].endswith("counts 5/2/0: refuted on purpose")
+        assert lines[1].startswith("claim  5 FAIL")
+        assert lines[1].endswith("censuses: RuntimeError: broken on purpose")
+        assert lines[2].startswith("claim  7 PASS")
+
 
 class TestInvariantCheck:
     """Claim 9 checks the line table against generators of the whole group."""
