@@ -2,8 +2,8 @@
 bounds, and claim reproduction.
 
 Results print as ``key=value`` lines so runs can be scripted and diffed;
-the wall_time field is the only line that varies between identical
-single-threaded invocations.  Exit codes are a stable contract: 0 for
+the search is serial, so the wall_time field is the only line that varies
+between identical invocations.  Exit codes are a stable contract: 0 for
 success or claim-holds, 1 for claim-fails, 2 for usage or input errors,
 3 for an exhausted search budget.
 
@@ -98,12 +98,8 @@ def _write_coloring(path: str, coloring: Coloring, comment: str) -> None:
     Path(path).write_text(serialize(coloring, comment))
 
 
-def _search_config(args: argparse.Namespace, worker_count: int = 1) -> SearchConfig:
-    return SearchConfig(
-        time_limit=args.time_limit,
-        worker_count=worker_count,
-        node_limit=args.node_limit,
-    )
+def _search_config(args: argparse.Namespace) -> SearchConfig:
+    return SearchConfig(time_limit=args.time_limit, node_limit=args.node_limit)
 
 
 def cmd_lines(args: argparse.Namespace) -> int:
@@ -186,11 +182,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     shape = CubeShape(args.k, args.n)
-    outcome = max_rf_colors(shape, _search_config(args, args.threads))
+    outcome = max_rf_colors(shape, _search_config(args))
     _emit("subcommand", "search.max-colors")
     _emit("k", args.k)
     _emit("n", args.n)
-    _emit("threads", args.threads)
     _emit_flag("time_limit", args.time_limit)
     _emit_flag("node_limit", args.node_limit)
     _emit("status", outcome.status.name)
@@ -346,8 +341,8 @@ def _witness_fault(outcome: SearchOutcome) -> str | None:
     return None
 
 
-def _check_exact_values(threads: int) -> tuple[bool, str]:
-    config = SearchConfig(time_limit=900.0, worker_count=threads)
+def _check_exact_values() -> tuple[bool, str]:
+    config = SearchConfig(time_limit=900.0)
     parts = []
     for n, value, limit in ((1, 2, 1.0), (2, 4, 1.0), (3, 10, 900.0)):
         outcome, elapsed = _timed(max_rf_colors, CubeShape(3, n), config)
@@ -362,8 +357,8 @@ def _check_exact_values(threads: int) -> tuple[bool, str]:
     return True, " ".join(parts) + "; [3]^3 witness verified"
 
 
-def _check_two_symbol(threads: int) -> tuple[bool, str]:
-    config = SearchConfig(time_limit=10.0, worker_count=threads)
+def _check_two_symbol() -> tuple[bool, str]:
+    config = SearchConfig(time_limit=10.0)
     for n in range(1, 5):
         outcome, elapsed = _timed(max_rf_colors, CubeShape(2, n), config)
         if outcome.status is not Status.OPTIMAL or outcome.best_value != 1:
@@ -373,7 +368,7 @@ def _check_two_symbol(threads: int) -> tuple[bool, str]:
     return True, "[2]^1..4 all optimal at 1"
 
 
-def _check_oracle(threads: int) -> tuple[bool, str]:
+def _check_oracle() -> tuple[bool, str]:
     for k, n in ((2, 2), (2, 3), (3, 1), (3, 2)):
         shape = CubeShape(k, n)
         fast = max_rf_colors(shape).best_value
@@ -388,7 +383,7 @@ def _check_oracle(threads: int) -> tuple[bool, str]:
 _ENUMERATIONS = ((2, 3, 1.0), (3, 9, 600.0), (3, 10, 600.0))
 
 
-def _check_enumeration(threads: int) -> tuple[bool, str]:
+def _check_enumeration() -> tuple[bool, str]:
     counts = []
     for n, size, limit in _ENUMERATIONS:
         sets, elapsed = _timed(enumerate_independent_sets, CubeShape(3, n), size)
@@ -400,7 +395,7 @@ def _check_enumeration(threads: int) -> tuple[bool, str]:
     return ok, f"sizes 3/9/10 -> {c1}/{c2}/{c3} (want 5/2/0)"
 
 
-def _check_constructions(threads: int) -> tuple[bool, str]:
+def _check_constructions() -> tuple[bool, str]:
     started = time.monotonic()
     for k in (3, 4, 5):
         for n in (2, 3, 4):
@@ -421,7 +416,7 @@ def _check_constructions(threads: int) -> tuple[bool, str]:
     return True, "digit-position and stacking verified for k=3..5, n=2..4"
 
 
-def _check_arrangements(threads: int) -> tuple[bool, str]:
+def _check_arrangements() -> tuple[bool, str]:
     arrangements = two_layer_arrangements()
     if len(arrangements) != 6:
         return False, f"{len(arrangements)} arrangements (want 6)"
@@ -438,7 +433,7 @@ def _check_arrangements(threads: int) -> tuple[bool, str]:
     return True, "all 6 arrangements have forced cells and refuse 27 colors"
 
 
-def _check_bounds(threads: int) -> tuple[bool, str]:
+def _check_bounds() -> tuple[bool, str]:
     rows = [(r.lower, r.upper) for r in bounds_table(3, 5).rows]
     if rows != [(3, 3), (5, 5), (11, 11), (24, 27), (33, 77)]:
         return False, f"table rows {rows}"
@@ -452,7 +447,7 @@ def _check_bounds(threads: int) -> tuple[bool, str]:
     return True, "table [3,3],[5,5],[11,11],[24,27],[33,77]; identities hold"
 
 
-def _check_fixtures(threads: int) -> tuple[bool, str]:
+def _check_fixtures() -> tuple[bool, str]:
     specs = [
         ("square-rf-4.ahj", 4),
         ("cube-rf-10-a.ahj", 10),
@@ -516,7 +511,7 @@ def _lines_meet_layers(shape: CubeShape, lines) -> bool:
     return True
 
 
-def _check_invariants(threads: int) -> tuple[bool, str]:
+def _check_invariants() -> tuple[bool, str]:
     started = time.monotonic()
     for k in (2, 3, 4, 5):
         for n in (1, 2, 3, 4):
@@ -539,31 +534,32 @@ def _check_invariants(threads: int) -> tuple[bool, str]:
     return True, "line counts, generator images, star layers, [3]^2 witness checks hold"
 
 
-def _check_determinism(threads: int) -> tuple[bool, str]:
+def _check_determinism() -> tuple[bool, str]:
+    """Search each small shape twice and enumerate each size twice; both
+    runs must agree in every field but the wall time."""
     small = ((3, 1, 2), (3, 2, 4), (2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 4, 1))
-    searches = [(k, n, value, workers, 60.0) for k, n, value in small for workers in (1, 4)]
-    searches.append((3, 3, 10, 4, 900.0))
-    for k, n, value, workers, time_limit in searches:
-        config = SearchConfig(time_limit=time_limit, worker_count=workers)
-        outcome = max_rf_colors(CubeShape(k, n), config)
-        if outcome.status is not Status.OPTIMAL or outcome.best_value != value:
-            return False, (
-                f"[{k}]^{n} at {workers} workers gave "
-                f"{outcome.best_value}/{outcome.status.name}"
-            )
+    config = SearchConfig(time_limit=60.0)
+    for k, n, value in small:
+        first, second = (
+            (o.status.name, o.best_value, o.witness.colors, o.nodes_explored)
+            for o in (max_rf_colors(CubeShape(k, n), config) for _ in range(2))
+        )
+        if first[:2] != (Status.OPTIMAL.name, value):
+            return False, f"[{k}]^{n} gave {first[1]}/{first[0]}"
+        if first != second:
+            return False, f"[{k}]^{n} differs between runs: {first} != {second}"
     first, second = (
         [enumerate_independent_sets(CubeShape(3, n), size) for n, size, _ in _ENUMERATIONS]
         for _ in range(2)
     )
     if first != second:
         return False, "independent-set enumeration is not reproducible"
-    return True, "values agree at 1 and 4 workers, [3]^3 optimal at 4; enumerations repeat"
+    return True, "6 shapes repeat status, value, witness and nodes; enumerations repeat"
 
 
-# (label, check) in claim order.  A check takes the worker count of
-# `repro --threads`, which only claims 1 and 2 search with, and returns
+# (label, check) in claim order.  A check takes no argument and returns
 # (holds, detail).
-CLAIMS: tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...] = (
+CLAIMS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("exact values [3]^1..3 by search", _check_exact_values),
     ("two-symbol cubes force 2 colors", _check_two_symbol),
     ("search equals naive oracle", _check_oracle),
@@ -573,7 +569,7 @@ CLAIMS: tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...] = (
     ("bounds table and identities", _check_bounds),
     ("bundled fixtures verify", _check_fixtures),
     ("structural invariants", _check_invariants),
-    ("determinism across threads", _check_determinism),
+    ("determinism across runs", _check_determinism),
 )
 
 
@@ -594,7 +590,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
             continue
         started = time.monotonic()
         try:
-            ok, detail = check(args.threads)
+            ok, detail = check()
         except Exception as exc:  # noqa: BLE001 - report, do not abort the suite
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         elapsed = time.monotonic() - started
@@ -641,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["max-colors"])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--certificate", default=None, help="write the witness coloring here")
@@ -675,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("repro", help="re-verify the package's headline claims")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--only", type=_claim_numbers, default=None,
                    help="comma-separated claim numbers")
     p.set_defaults(func=cmd_repro)

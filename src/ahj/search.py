@@ -6,19 +6,20 @@ maximizing colors is minimizing class merges.  Branch and bound explores
 merge decisions over a trailed quick-find union-find with exclusion
 constraints ("these two points stay in different classes"), unit
 propagation of forced merges, and an admissible disjoint-line lower bound.
+
+The search is serial: one state and one depth-first walk, so a run's node
+count, value and witness are the same every time it is repeated.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .coloring import Coloring, canonical_relabel, census, is_rainbow_free
 from .constructions import digit_position_coloring, monochromatic, singleton_set_coloring
@@ -46,16 +47,22 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Budgets of one search.
+
+    The search runs on one worker.  `worker_count` remains so that callers
+    that pass `worker_count=1`, such as the benchmark workloads, keep
+    working; any other value is rejected rather than ignored.
+    """
+
     time_limit: float | None = None
     worker_count: int = 1
-    symmetry_reduction: bool = True
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
         if self.time_limit is not None and self.time_limit <= 0:
             raise SearchError("time_limit must be positive")
-        if self.worker_count < 1:
-            raise SearchError("worker_count must be >= 1")
+        if self.worker_count != 1:
+            raise SearchError("worker_count must be 1: the search is serial")
         if self.node_limit is not None and self.node_limit <= 0:
             raise SearchError("node_limit must be positive")
 
@@ -189,10 +196,9 @@ class MergeState:
 
 
 class _Budget:
-    """Shared stop conditions and the monotone incumbent."""
+    """Stop conditions and the monotone incumbent of one search."""
 
     def __init__(self, best_merges, witness_colors, node_limit, deadline):
-        self.lock = threading.Lock()
         self.best_merges = best_merges
         self.witness_colors = witness_colors
         self.nodes = 0
@@ -202,21 +208,19 @@ class _Budget:
 
     def tick(self) -> bool:
         """Count one node; False once any budget is exhausted."""
-        with self.lock:
-            if self.exhausted:
-                return False
-            self.nodes += 1
-            if self.node_limit is not None and self.nodes >= self.node_limit:
-                self.exhausted = True
-            elif self.deadline is not None and time.monotonic() >= self.deadline:
-                self.exhausted = True
-            return not self.exhausted
+        if self.exhausted:
+            return False
+        self.nodes += 1
+        if self.node_limit is not None and self.nodes >= self.node_limit:
+            self.exhausted = True
+        elif self.deadline is not None and time.monotonic() >= self.deadline:
+            self.exhausted = True
+        return not self.exhausted
 
     def offer(self, merges: int, colors: tuple[int, ...]) -> None:
-        with self.lock:
-            if merges < self.best_merges:
-                self.best_merges = merges
-                self.witness_colors = colors
+        if merges < self.best_merges:
+            self.best_merges = merges
+            self.witness_colors = colors
 
 
 def _branch_pairs(state: MergeState, idxs: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -324,68 +328,31 @@ def _dfs(state: MergeState, lines, start: int, budget: _Budget) -> None:
     state.undo_to(top)
 
 
-Op = tuple[str, int, int]
+def _search_from_root(shape: CubeShape, lines, budget: _Budget) -> None:
+    """Run the branch and bound over the whole search tree of `shape`.
 
-
-def _root_tasks(shape: CubeShape, symmetry_reduction: bool) -> list[list[Op]]:
-    """Decision lists the search starts from.
-
-    With symmetry reduction and k >= 3, the first line's points split,
-    under the symbol permutations fixing the line's constant cells, into
-    the pair orbit {point 1, other} and the pair orbit within points
-    2..k, so two branches cover everything: merge the first pair, or keep
-    point 1 apart from all and merge the second-third pair.  Otherwise
-    the search starts from one empty task, whose node branches on the
-    first line like any other.
+    For k >= 3 the first line's points split, under the symbol
+    permutations fixing the line's constant cells, into the pair orbit
+    {point 1, other} and the pair orbit within points 2..k, so two
+    branches cover everything.  They run in turn on one state: merge the
+    first pair, then undo it, keep point 1 apart from the line's other
+    points and merge the second-third pair.  For k = 2 the root node
+    branches on the first line like any other.
     """
-    if not symmetry_reduction or shape.k < 3:
-        return [[]]
-    p = line_index_table(shape)[0]
-    return [
-        [("merge", p[0], p[1])],
-        [("anti", p[0], q) for q in p[1:]] + [("merge", p[1], p[2])],
-    ]
-
-
-def _replay(shape: CubeShape, ops: Iterable[Op]) -> MergeState:
     state = MergeState(shape)
-    for tag, a, b in ops:
-        if tag == "merge":
-            state.merge(a, b)
-        else:
-            state.forbid(a, b)
-    return state
-
-
-def _expand_frontier(
-    shape: CubeShape, tasks: list[list[Op]], budget: _Budget, target: int
-) -> list[list[Op]]:
-    """Split tasks one branching level at a time until `target` of them exist.
-
-    Each split task is one search node, counted and settled as `_dfs`
-    does it, so the search visits the 1-worker tree's nodes whenever the
-    incumbent does not change.  Terminal tasks are resolved on the spot;
-    once the budget runs out no task is left.
-    """
-    lines = line_index_table(shape)
-    frontier = tasks
-    while 0 < len(frontier) < target:
-        grown: list[list[Op]] = []
-        for ops in frontier:
-            if not budget.tick():
-                return []
-            state = _replay(shape, ops)
-            li = _settle(state, lines, 0, budget.best_merges)
-            if li == _SOLVED:
-                budget.offer(state.merge_count, state.to_coloring().colors)
-            if li < 0:
-                continue
-            antis: list[Op] = []
-            for a, b in _branch_pairs(state, lines[li]):
-                grown.append(ops + antis + [("merge", a, b)])
-                antis = antis + [("anti", a, b)]
-        frontier = grown
-    return frontier
+    if shape.k < 3:
+        _dfs(state, lines, 0, budget)
+        return
+    p = lines[0]
+    state.merge(p[0], p[1])
+    _dfs(state, lines, 0, budget)
+    state.undo_to(0)
+    if budget.exhausted:
+        return
+    for q in p[1:]:
+        state.forbid(p[0], q)
+    state.merge(p[1], p[2])
+    _dfs(state, lines, 0, budget)
 
 
 class _BudgetOut(Exception):
@@ -493,21 +460,7 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
         config.node_limit,
         deadline,
     )
-    tasks = _root_tasks(shape, config.symmetry_reduction)
-    if config.worker_count == 1:
-        for ops in tasks:
-            state = _replay(shape, ops)
-            _dfs(state, lines, 0, budget)
-            if budget.exhausted:
-                break
-    else:
-        frontier = _expand_frontier(shape, tasks, budget, 4 * config.worker_count)
-        with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-            list(
-                pool.map(
-                    lambda ops: _dfs(_replay(shape, ops), lines, 0, budget), frontier
-                )
-            )
+    _search_from_root(shape, lines, budget)
 
     witness = canonical_relabel(Coloring(shape, budget.witness_colors))
     value = shape.point_count - budget.best_merges

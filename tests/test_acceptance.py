@@ -1,9 +1,8 @@
 """Acceptance gate: the ten headline claims, one test and verdict line each.
 
-Each test runs one entry of ``ahj.cli.CLAIMS`` at one worker, the same
-table that ``ahj repro`` runs, so every claim, its assertions and its time
-bounds have a single definition.  Claim 1 and claim 10 run the two exact
-``[3]^3`` searches, at 1 and at 4 workers.
+Each test runs one entry of ``ahj.cli.CLAIMS``, the same table that
+``ahj repro`` runs, so every claim, its assertions and its time bounds
+have a single definition.  Claim 1 runs the only exact ``[3]^3`` search.
 """
 
 from conftest import ACCEPTANCE_RESULTS
@@ -20,49 +19,49 @@ def check(number, description, ok, detail):
 
 def test_criterion_01_exact_values_by_search():
     label, claim = CLAIMS[0]
-    check(1, label, *claim(1))
+    check(1, label, *claim())
 
 
 def test_criterion_02_two_symbol_cubes():
     label, claim = CLAIMS[1]
-    check(2, label, *claim(1))
+    check(2, label, *claim())
 
 
 def test_criterion_03_oracle_equivalence():
     label, claim = CLAIMS[2]
-    check(3, label, *claim(1))
+    check(3, label, *claim())
 
 
 def test_criterion_04_enumeration_counts():
     label, claim = CLAIMS[3]
-    check(4, label, *claim(1))
+    check(4, label, *claim())
 
 
 def test_criterion_05_construction_properties():
     label, claim = CLAIMS[4]
-    check(5, label, *claim(1))
+    check(5, label, *claim())
 
 
 def test_criterion_06_arrangement_endgames():
     label, claim = CLAIMS[5]
-    check(6, label, *claim(1))
+    check(6, label, *claim())
 
 
 def test_criterion_07_bounds_table_and_identities():
     label, claim = CLAIMS[6]
-    check(7, label, *claim(1))
+    check(7, label, *claim())
 
 
 def test_criterion_08_fixture_verification():
     label, claim = CLAIMS[7]
-    check(8, label, *claim(1))
+    check(8, label, *claim())
 
 
 def test_criterion_09_invariant_suites():
     label, claim = CLAIMS[8]
-    check(9, label, *claim(1))
+    check(9, label, *claim())
 
 
 def test_criterion_10_determinism_across_workers():
     label, claim = CLAIMS[9]
-    check(10, label, *claim(1))
+    check(10, label, *claim())

@@ -180,10 +180,7 @@ class TestSearch:
     def test_records_byte_identical_modulo_wall_time(self, capsys):
         outs = []
         for _ in range(2):
-            _, out, _ = run(
-                capsys, "search", "max-colors", "--k", "3", "--n", "2",
-                "--threads", "1",
-            )
+            _, out, _ = run(capsys, "search", "max-colors", "--k", "3", "--n", "2")
             outs.append(
                 [l for l in out.splitlines() if not l.startswith("wall_time=")]
             )
@@ -270,17 +267,6 @@ class TestComplete:
         assert code == 3
         assert record(out)["status"] == "TIMEOUT"
 
-    def test_threads_flag_rejected(self, capsys, tmp_path):
-        # complete() is single-threaded, so the flag is not offered.
-        blank = tmp_path / "blank.ahj"
-        blank.write_text(serialize(Coloring(CubeShape(3, 2), (0,) * 9)))
-        code, out, err = run(
-            capsys, "complete", str(blank), "--total-colors", "4", "--threads", "2"
-        )
-        assert code == 2
-        assert out == ""
-        assert "--threads" in err
-
 
 class TestBounds:
     def test_table_rows(self, capsys):
@@ -363,10 +349,10 @@ class TestUsage:
     def test_repro_failing_claims_exit_one(self, capsys, monkeypatch):
         import ahj.cli
 
-        def refuted(threads):
+        def refuted():
             return False, "refuted on purpose"
 
-        def broken(threads):
+        def broken():
             raise RuntimeError("broken on purpose")
 
         claims = list(ahj.cli.CLAIMS)
@@ -382,6 +368,25 @@ class TestUsage:
         assert lines[1].startswith("claim  5 FAIL")
         assert lines[1].endswith("censuses: RuntimeError: broken on purpose")
         assert lines[2].startswith("claim  7 PASS")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complete", "BLANK", "--total-colors", "4"],
+            ["search", "max-colors", "--k", "3", "--n", "2"],
+            ["repro", "--only", "7"],
+        ],
+        ids=["complete", "search", "repro"],
+    )
+    def test_threads_flag_rejected(self, capsys, tmp_path, argv):
+        # The search is serial, so no subcommand offers the flag.
+        blank = tmp_path / "blank.ahj"
+        blank.write_text(serialize(Coloring(CubeShape(3, 2), (0,) * 9)))
+        argv = [str(blank) if arg == "BLANK" else arg for arg in argv]
+        code, out, err = run(capsys, *argv, "--threads", "2")
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
 
 
 class TestInvariantCheck:

@@ -30,7 +30,7 @@ from ahj.search import (
     naive_max_rf_colors,
     two_layer_arrangements,
 )
-from ahj.search import _DEAD, _PRUNE, _SOLVED, _seed_coloring, _settle
+from ahj.search import _DEAD, _PRUNE, _SOLVED, _Budget, _dfs, _seed_coloring, _settle
 
 S31 = CubeShape(3, 1)
 S32 = CubeShape(3, 2)
@@ -338,16 +338,6 @@ class TestMaxRfColors:
         assert out.best_value == value
         assert out.nodes_explored == nodes
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 47), (4, 10, 1006)])
-    def test_worker_node_counts_pinned(self, k, value, nodes, workers):
-        """Frontier nodes are counted like any other, and the warm start is
-        already optimal here, so every worker count walks the 1-worker tree."""
-        out = max_rf_colors(CubeShape(k, 2), SearchConfig(worker_count=workers))
-        assert out.status is Status.OPTIMAL
-        assert out.best_value == value
-        assert out.nodes_explored == nodes
-
     def test_time_limit_bounds_warm_start(self):
         started = time.monotonic()
         out = max_rf_colors(CubeShape(3, 4), SearchConfig(time_limit=1.0))
@@ -373,12 +363,6 @@ class TestMaxRfColors:
         assert a.nodes_explored == b.nodes_explored
         assert a.best_value == b.best_value
 
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_value_invariant_under_workers(self, threads):
-        out = max_rf_colors(S32, SearchConfig(worker_count=threads))
-        assert out.status is Status.OPTIMAL
-        assert out.best_value == 4
-
     def test_node_budget_degrades_to_feasible(self):
         out = max_rf_colors(S33, SearchConfig(node_limit=50))
         assert out.status is Status.FEASIBLE_ONLY
@@ -386,13 +370,22 @@ class TestMaxRfColors:
         assert census(out.witness).distinct_count == out.best_value
 
     def test_no_symmetry_reduction_same_value(self):
-        out = max_rf_colors(S32, SearchConfig(symmetry_reduction=False))
-        assert out.status is Status.OPTIMAL
-        assert out.best_value == 4
+        """The unreduced search, one `_dfs` from the empty state with the
+        same warm start, reaches the value of the two-branch root split."""
+        for shape, value in ((S32, 4), (CubeShape(4, 2), 10)):
+            seed = _seed_coloring(shape)
+            budget = _Budget(
+                shape.point_count - census(seed).distinct_count, seed.colors, None, None
+            )
+            _dfs(MergeState(shape), line_index_table(shape), 0, budget)
+            assert not budget.exhausted
+            assert shape.point_count - budget.best_merges == value
+            assert max_rf_colors(shape).best_value == value
 
     def test_config_validation(self):
-        with pytest.raises(SearchError):
-            SearchConfig(worker_count=0)
+        for workers in (0, 2):
+            with pytest.raises(SearchError):
+                SearchConfig(worker_count=workers)
         with pytest.raises(SearchError):
             SearchConfig(time_limit=-1.0)
         with pytest.raises(SearchError):
