@@ -145,17 +145,33 @@ class Line:
     points: tuple[Point, ...]
 
 
+def _lines(shape: CubeShape) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(cells, base, step) of every line in enumeration order, the one
+    definition of that order; point i (0-based) has index base + i * step.
+
+    Each coordinate, of weight w, takes symbol 1..k and then the star, so
+    itertools.product is lexicographic with * after k.  Symbol d + 1 adds
+    d * w to the base and a star adds w to the step; the second product
+    walks the same choices in step with the first and sums them packed as
+    step * k^n + base.  Words without a star (step 0) are points.
+    """
+    k, span = shape.k, shape.point_count
+    symbols = (*range(1, k + 1), STAR)
+    columns = [[d * w for d in range(k)] + [w * span] for w in shape.weights]
+    words = product(symbols, repeat=shape.n)
+    for cells, code in zip(words, map(sum, product(*columns))):
+        if code >= span:
+            step, base = divmod(code, span)
+            yield cells, base, step
+
+
 def enumerate_lines(shape: CubeShape) -> Iterator[LineTemplate]:
     """All line templates of [k]^n, lexicographic with * after symbol k.
 
     Yields (k+1)^n - k^n templates, each exactly once.
     """
-    # symbol k+1 stands for the star so plain lexicographic product order
-    # puts * after k, as documented.
-    star_symbol = shape.k + 1
-    for word in product(range(1, star_symbol + 1), repeat=shape.n):
-        if star_symbol in word:
-            yield LineTemplate(tuple(STAR if c == star_symbol else c for c in word))
+    for cells, _, _ in _lines(shape):
+        yield LineTemplate(cells)
 
 
 def line_count(shape: CubeShape) -> int:
@@ -175,21 +191,12 @@ def expand(template: LineTemplate, shape: CubeShape) -> Line:
 def line_index_table(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     """Point-index tuples of every line, in enumeration order.  Cached.
 
-    Point i (0-based) of a line is base + i * step, where base sums
-    (c - 1) * w over the fixed cells c and step sums the weights w of the
-    stars; this is the index of expand()'s point i.
+    Entry i holds the indices of expand()'s points of template i.
     """
-    weights = shape.weights
-    table = []
-    for t in enumerate_lines(shape):
-        base = step = 0
-        for c, w in zip(t.cells, weights):
-            if c == STAR:
-                step += w
-            else:
-                base += (c - 1) * w
-        table.append(tuple(range(base, base + shape.k * step, step)))
-    return tuple(table)
+    k = shape.k
+    return tuple(
+        tuple(range(base, base + k * step, step)) for _, base, step in _lines(shape)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -378,6 +378,16 @@ def first_independent_set(
         raise SearchError("independent-set search supports k = 3 only")
     if not 0 <= size <= shape.point_count:
         raise SearchError(f"size {size} out of range 0..{shape.point_count}")
+    tick = _node_ticker(node_budget, deadline)
+    try:
+        return next(_independent_sets(shape, size, tick), None)
+    except _BudgetOut:
+        return None
+
+
+def _node_ticker(node_budget: int, deadline: float | None) -> Callable[[], None]:
+    """A `tick` for `_independent_sets` that raises _BudgetOut once more than
+    `node_budget` nodes have been ticked or the deadline has passed."""
     nodes = 0
     # Node count at which the budget and the clock are next checked, so a
     # search without a deadline pays one comparison per node.
@@ -391,10 +401,7 @@ def first_independent_set(
                 raise _BudgetOut
             checkpoint = min(node_budget, nodes + 1024)
 
-    try:
-        return next(_independent_sets(shape, size, tick), None)
-    except _BudgetOut:
-        return None
+    return tick
 
 
 def _greedy_independent_set(shape: CubeShape) -> tuple[int, ...]:
@@ -414,10 +421,11 @@ def _seed_coloring(shape: CubeShape, deadline: float | None = None) -> Coloring:
 
     For k = 3 a singleton coloring over a large line-independent set
     usually beats the digit-position count, so sizes are probed downward
-    from the arithmetic ceiling to just above the greedy set's size, each
-    probe with its own budget of 3,000,000 nodes; the first set found is
-    kept.  If no probe finds one, or once the `time.monotonic()` deadline
-    passes, the greedy independent set stands in.
+    from the arithmetic ceiling to just above the greedy set's size, all
+    probes sharing one budget of 3,000,000 nodes; the first set found is
+    kept.  If no probe finds one, or once the budget is spent or the
+    `time.monotonic()` deadline passes, the greedy independent set stands
+    in.
     """
     if shape.k < 3:
         return monochromatic(shape)
@@ -427,16 +435,16 @@ def _seed_coloring(shape: CubeShape, deadline: float | None = None) -> Coloring:
     from .bounds import bounds_table
 
     cap = min(bounds_table(3, shape.n).rows[-1].upper - 2, shape.point_count - 1)
-    floor = len(_greedy_independent_set(shape))
-    budget = 3_000_000
     best_set = _greedy_independent_set(shape)
-    for size in range(cap, floor, -1):
-        found = first_independent_set(shape, size, budget, deadline)
-        if found is not None:
-            best_set = found
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
+    tick = _node_ticker(3_000_000, deadline)
+    try:
+        for size in range(cap, len(best_set), -1):
+            found = next(_independent_sets(shape, size, tick), None)
+            if found is not None:
+                best_set = found
+                break
+    except _BudgetOut:
+        pass
     if len(best_set) + 1 > census(seed).distinct_count:
         return canonical_relabel(singleton_set_coloring(shape, best_set))
     return seed
@@ -479,24 +487,30 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
 def naive_max_rf_colors(shape: CubeShape) -> int:
     """Reference oracle: filter every set partition of the points.
 
-    Exponential (Bell numbers); only sensible for k^n <= 9 or so.
+    A partition is rainbow-free iff every line of `line_index_table` has
+    two points in one class; the answer is the most classes of such a
+    partition.  The line test is skipped for a partition with no more
+    classes than the best so far.  Exponential (Bell numbers); only
+    sensible for k^n <= 9 or so.
     """
-    count = shape.point_count
+    count, k = shape.point_count, shape.k
+    lines = [itemgetter(*idxs) for idxs in line_index_table(shape)]
     labels = [0] * count
 
-    def partitions(i: int, used: int):
+    def partitions(i: int, used: int) -> Iterator[int]:
+        # Restricted growth strings: point i joins one of the `used`
+        # classes so far or opens the next; yields the class count.
         if i == count:
-            yield labels
+            yield used
             return
         for c in range(used + 1):
             labels[i] = c
             yield from partitions(i + 1, used + (1 if c == used else 0))
 
     best = 0
-    for assignment in partitions(0, 0):
-        coloring = Coloring(shape, tuple(c + 1 for c in assignment))
-        if is_rainbow_free(coloring):
-            best = max(best, census(coloring).distinct_count)
+    for classes in partitions(0, 0):
+        if classes > best and all(len(set(line(labels))) < k for line in lines):
+            best = classes
     return best
 
 

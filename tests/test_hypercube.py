@@ -1,12 +1,15 @@
 """Core combinatorics: indexing, line enumeration, symmetries."""
 
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ahj.hypercube import (
+    STAR,
     CubeShape,
+    LineTemplate,
     ShapeError,
     automorphism_index_maps,
     automorphisms,
@@ -21,6 +24,7 @@ from ahj.hypercube import (
     point_index,
     point_of,
     template_from_string,
+    template_table,
 )
 
 SMALL_SHAPES = [
@@ -258,6 +262,15 @@ class TestAutomorphisms:
                 assert {p.index for p in image_line.points} == moved
 
 
+def _reference_templates(shape):
+    """Line templates as words over 1..k+1, with k+1 standing for the star,
+    so that plain lexicographic product order puts * after k."""
+    star_symbol = shape.k + 1
+    for word in product(range(1, star_symbol + 1), repeat=shape.n):
+        if star_symbol in word:
+            yield LineTemplate(tuple(STAR if c == star_symbol else c for c in word))
+
+
 def _reference_index_map(g, shape):
     """The point permutation of g, through Point objects and point_index."""
     return tuple(
@@ -299,12 +312,17 @@ class TestIndexTablesMatchReference:
 
     @pytest.mark.parametrize(
         "shape",
-        [CubeShape(2, 6)] + [CubeShape(3, n) for n in range(1, 6)]
-        + [CubeShape(4, 3), CubeShape(5, 3)],
+        [CubeShape(2, n) for n in range(1, 9)]
+        + [CubeShape(3, n) for n in range(1, 8)]
+        + [CubeShape(4, n) for n in range(1, 5)]
+        + [CubeShape(5, n) for n in range(1, 4)]
+        + [CubeShape(6, 2), CubeShape(7, 3)],
         ids=str,
     )
     def test_line_table(self, shape):
+        templates = list(_reference_templates(shape))
+        assert list(enumerate_lines(shape)) == templates
+        assert template_table(shape) == tuple(templates)
         assert line_index_table(shape) == tuple(
-            tuple(p.index for p in expand(t, shape).points)
-            for t in enumerate_lines(shape)
+            tuple(p.index for p in expand(t, shape).points) for t in templates
         )

@@ -5,7 +5,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ahj.coloring import UNASSIGNED, canonical_relabel, census, is_minimal, is_rainbow_free
+from ahj.coloring import (
+    UNASSIGNED,
+    Coloring,
+    canonical_relabel,
+    census,
+    is_minimal,
+    is_rainbow_free,
+)
 from ahj.constructions import singleton_set_coloring
 from ahj.hypercube import (
     CubeShape,
@@ -43,6 +50,27 @@ S35 = CubeShape(3, 5)
 FIRST_22_OF_S34 = (
     1, 3, 8, 9, 14, 16, 20, 22, 24, 27, 32, 34, 38, 42, 46, 48, 56, 58, 60, 64, 66, 72,
 )
+
+
+def _reference_naive_max_rf_colors(shape):
+    """The partition oracle through validated Colorings and is_rainbow_free."""
+    count = shape.point_count
+    labels = [0] * count
+
+    def partitions(i, used):
+        if i == count:
+            yield labels
+            return
+        for c in range(used + 1):
+            labels[i] = c
+            yield from partitions(i + 1, used + (1 if c == used else 0))
+
+    best = 0
+    for assignment in partitions(0, 0):
+        coloring = Coloring(shape, tuple(c + 1 for c in assignment))
+        if is_rainbow_free(coloring):
+            best = max(best, census(coloring).distinct_count)
+    return best
 
 
 def _reference_independent_sets(shape):
@@ -330,6 +358,17 @@ class TestMaxRfColors:
         shape = CubeShape(k, n)
         assert max_rf_colors(shape).best_value == naive_max_rf_colors(shape)
 
+    @pytest.mark.parametrize(
+        "k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)]
+    )
+    def test_naive_oracle_matches_coloring_filter(self, k, n):
+        shape = CubeShape(k, n)
+        assert naive_max_rf_colors(shape) == _reference_naive_max_rf_colors(shape)
+
+    def test_naive_oracle_on_claim_shapes(self):
+        shapes = [CubeShape(2, 2), CubeShape(2, 3), S31, S32]
+        assert [naive_max_rf_colors(shape) for shape in shapes] == [1, 1, 2, 4]
+
     @pytest.mark.parametrize("k,value,nodes", [(3, 4, 47), (4, 10, 1006)])
     def test_single_worker_node_counts_pinned(self, k, value, nodes):
         """The 1-worker search tree is fixed; a kernel change must not move it."""
@@ -474,6 +513,14 @@ class TestIndependentSets:
         assert is_rainbow_free(seed)
         assert census(seed).distinct_count == 23
 
+    def test_five_cube_warm_start_ends_without_a_time_limit(self):
+        """The size probes share one node budget, so the [3]^5 seed ends in
+        seconds with no deadline (eleven full probe budgets took about 63 s)."""
+        started = time.monotonic()
+        seed = _seed_coloring(S35)
+        assert time.monotonic() - started < 15.0
+        assert is_rainbow_free(seed)
+
     def test_deadline_stops_first_independent_set(self):
         started = time.monotonic()
         assert first_independent_set(S35, 61, deadline=time.monotonic()) is None
@@ -520,16 +567,12 @@ class TestForcedCell:
         assert find_forced_cell(c) is None
 
     def test_unconstrained_blank_has_no_forced_cell(self):
-        from ahj.coloring import Coloring
-
         blank = Coloring(S32, (0,) * 9)
         assert find_forced_cell(blank) is None
 
 
 class TestComplete:
     def test_blank_square_reaches_four(self):
-        from ahj.coloring import Coloring
-
         blank = Coloring(S32, (0,) * 9)
         out = complete(blank, 4)
         assert out.status is Status.OPTIMAL
@@ -537,8 +580,6 @@ class TestComplete:
         assert census(out.witness).distinct_count == 4
 
     def test_blank_square_refuses_five(self):
-        from ahj.coloring import Coloring
-
         blank = Coloring(S32, (0,) * 9)
         out = complete(blank, 5)
         assert out.status is Status.INFEASIBLE
@@ -558,8 +599,6 @@ class TestComplete:
             assert out.certificate is not None
 
     def test_rainbow_partial_is_infeasible_with_line_certificate(self):
-        from ahj.coloring import Coloring
-
         rainbow = Coloring(S32, tuple(range(1, 10)))
         out = complete(rainbow, 9)
         assert out.status is Status.INFEASIBLE
@@ -570,8 +609,6 @@ class TestComplete:
         assert complete(c, 3).status is Status.INFEASIBLE
 
     def test_node_budget_times_out(self):
-        from ahj.coloring import Coloring
-
         blank = Coloring(S33, (0,) * 27)
         out = complete(blank, 10, SearchConfig(node_limit=1))
         assert out.status is Status.TIMEOUT
@@ -608,8 +645,6 @@ class TestCompleteNodeCounts:
         ],
     )
     def test_blank_cube(self, k, n, target, node_limit, status, nodes, witness):
-        from ahj.coloring import Coloring
-
         shape = CubeShape(k, n)
         blank = Coloring(shape, (0,) * shape.point_count)
         out = complete(blank, target, SearchConfig(node_limit=node_limit))
@@ -627,7 +662,6 @@ class TestCompleteNodeCounts:
         assert counts == [1, 7, 1, 13, 1, 1]
 
     def test_layer_refills_of_the_23_coloring(self):
-        from ahj.coloring import Coloring
         from ahj.fixtures import load_fixture
         from ahj.hypercube import layer
 
@@ -703,8 +737,6 @@ class TestCompleteOracle:
     def test_matches_brute_force_on_small_squares(self):
         import random
 
-        from ahj.coloring import Coloring
-
         rng = random.Random(5)
         for _ in range(120):
             cells = [rng.randint(1, 3) for _ in range(S32.point_count)]
@@ -725,8 +757,6 @@ class TestCompleteOracle:
         """Partials of [4]^2 have lines with two distinct colors and two free
         cells, where the packing bound counts lines beyond the pins."""
         import random
-
-        from ahj.coloring import Coloring
 
         shape = CubeShape(4, 2)
         rng = random.Random(11)
