@@ -14,7 +14,6 @@ from .hypercube import (
     Line,
     LineTemplate,
     automorphism_index_maps,
-    layer,
     line_index_table,
     template_table,
 )
@@ -138,26 +137,6 @@ def is_rainbow_free(coloring: Coloring) -> bool:
         else:
             return False
     return True
-
-
-def first_rainbow_line(coloring: Coloring) -> LineTemplate | None:
-    _require_total(coloring, "first_rainbow_line")
-    colors = coloring.colors
-    templates = template_table(coloring.shape)
-    for tmpl, idxs in zip(templates, line_index_table(coloring.shape)):
-        cs = [colors[i] for i in idxs]
-        if len(set(cs)) == len(cs):
-            return tmpl
-    return None
-
-
-def layer_color_sets(coloring: Coloring, t: int) -> list[set[int]]:
-    """Distinct colors on each layer L_1..L_k along coordinate t (1-based)."""
-    _require_total(coloring, "layer_color_sets")
-    return [
-        {coloring.colors[i] for i in layer(coloring.shape, t, s)}
-        for s in range(1, coloring.shape.k + 1)
-    ]
 
 
 def canonical_relabel(coloring: Coloring) -> Coloring:

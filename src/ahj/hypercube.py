@@ -219,28 +219,6 @@ def collinear(u: Point, v: Point, shape: CubeShape) -> bool:
     return len(u_vals) == 1 and len(v_vals) == 1
 
 
-def lines_through(p: Point, shape: CubeShape) -> list[LineTemplate]:
-    """All templates whose expansion contains p, in enumeration order.
-
-    For each symbol i the candidates are the nonempty subsets of
-    {t : p_t = i} used as the star set; the count is sum(2^m_i - 1).
-    """
-    found = []
-    positions_by_symbol: dict[int, list[int]] = {}
-    for t, c in enumerate(p.coords):
-        positions_by_symbol.setdefault(c, []).append(t)
-    for positions in positions_by_symbol.values():
-        for mask in range(1, 1 << len(positions)):
-            stars = {positions[j] for j in range(len(positions)) if mask >> j & 1}
-            cells = tuple(
-                STAR if t in stars else p.coords[t] for t in range(shape.n)
-            )
-            found.append(LineTemplate(cells))
-    star_symbol = shape.k + 1
-    found.sort(key=lambda t: tuple(star_symbol if c == STAR else c for c in t.cells))
-    return found
-
-
 def layer(shape: CubeShape, t: int, i: int) -> frozenset[int]:
     """Indices of the k^(n-1) points with coordinate t equal to i (1-based)."""
     if not 1 <= t <= shape.n:

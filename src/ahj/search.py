@@ -19,9 +19,9 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .coloring import Coloring, canonical_relabel, census, is_rainbow_free
+from .coloring import Coloring, canonical_relabel, census, dominant_color, is_rainbow_free
 from .constructions import digit_position_coloring, monochromatic, singleton_set_coloring
 from .hypercube import (
     CubeShape,
@@ -48,6 +48,12 @@ class Status(Enum):
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets of one search.
+
+    `node_limit` counts search nodes only: branch-and-bound nodes in
+    `max_rf_colors` and cell-filling nodes in `complete`.  The k = 3 warm
+    start of `max_rf_colors` keeps its own fixed budget of 3,000,000
+    backtracking nodes, which `node_limit` does not shorten.
+    `time_limit` (seconds) bounds the warm start and the search alike.
 
     The search runs on one worker.  `worker_count` remains so that callers
     that pass `worker_count=1`, such as the benchmark workloads, keep
@@ -196,26 +202,47 @@ class MergeState:
 
 
 class _Budget:
-    """Stop conditions and the monotone incumbent of one search."""
+    """Node count and stop conditions of one search.
 
-    def __init__(self, best_merges, witness_colors, node_limit, deadline):
-        self.best_merges = best_merges
-        self.witness_colors = witness_colors
+    Every search loop calls `tick` once per node and stops descending once
+    it returns False: the node that reaches `node_limit` is counted but not
+    expanded, and with a deadline the clock is read at every node.
+    """
+
+    def __init__(self, node_limit: int | None, deadline: float | None):
         self.nodes = 0
         self.node_limit = node_limit
         self.deadline = deadline
         self.exhausted = False
+
+    @classmethod
+    def of(cls, config: SearchConfig, started: float):
+        """The budget `config` sets for a search that started at `started`,
+        a `time.monotonic()` reading."""
+        deadline = started + config.time_limit if config.time_limit else None
+        return cls(config.node_limit, deadline)
 
     def tick(self) -> bool:
         """Count one node; False once any budget is exhausted."""
         if self.exhausted:
             return False
         self.nodes += 1
-        if self.node_limit is not None and self.nodes >= self.node_limit:
+        # The count steps by one from 0, so it meets a node limit by
+        # equality; a None limit never compares equal.
+        if self.nodes == self.node_limit or (
+            self.deadline is not None and time.monotonic() >= self.deadline
+        ):
             self.exhausted = True
-        elif self.deadline is not None and time.monotonic() >= self.deadline:
-            self.exhausted = True
-        return not self.exhausted
+            return False
+        return True
+
+
+class _Incumbent(_Budget):
+    """The budget of `max_rf_colors` with its monotone incumbent: the fewest
+    class merges offered so far and a coloring with that many."""
+
+    best_merges: float = float("inf")
+    witness_colors: tuple[int, ...] = ()
 
     def offer(self, merges: int, colors: tuple[int, ...]) -> None:
         if merges < self.best_merges:
@@ -304,7 +331,7 @@ def _settle(state: MergeState, lines, start: int, best: int) -> int:
             return first if bound < best else _PRUNE
 
 
-def _dfs(state: MergeState, lines, start: int, budget: _Budget) -> None:
+def _dfs(state: MergeState, lines, start: int, budget: _Incumbent) -> None:
     if not budget.tick():
         return
     top = state.mark()
@@ -328,7 +355,7 @@ def _dfs(state: MergeState, lines, start: int, budget: _Budget) -> None:
     state.undo_to(top)
 
 
-def _search_from_root(shape: CubeShape, lines, budget: _Budget) -> None:
+def _search_from_root(shape: CubeShape, lines, budget: _Incumbent) -> None:
     """Run the branch and bound over the whole search tree of `shape`.
 
     For k >= 3 the first line's points split, under the symbol
@@ -353,55 +380,6 @@ def _search_from_root(shape: CubeShape, lines, budget: _Budget) -> None:
         state.forbid(p[0], q)
     state.merge(p[1], p[2])
     _dfs(state, lines, 0, budget)
-
-
-class _BudgetOut(Exception):
-    pass
-
-
-def first_independent_set(
-    shape: CubeShape,
-    size: int,
-    node_budget: int = 2_000_000,
-    deadline: float | None = None,
-) -> tuple[int, ...] | None:
-    """Lexicographically first size-`size` line-independent set, or None.
-
-    The line-cover bound of `_independent_sets` cuts only subtrees that
-    hold no solution, so the set found is the one plain backtracking
-    finds, and the node budget goes further.  None means either no such
-    set exists or the node budget ran out, or the `time.monotonic()`
-    deadline passed, so a None is not a nonexistence proof; use
-    enumerate_independent_sets for exhaustive answers.
-    """
-    if shape.k != 3:
-        raise SearchError("independent-set search supports k = 3 only")
-    if not 0 <= size <= shape.point_count:
-        raise SearchError(f"size {size} out of range 0..{shape.point_count}")
-    tick = _node_ticker(node_budget, deadline)
-    try:
-        return next(_independent_sets(shape, size, tick), None)
-    except _BudgetOut:
-        return None
-
-
-def _node_ticker(node_budget: int, deadline: float | None) -> Callable[[], None]:
-    """A `tick` for `_independent_sets` that raises _BudgetOut once more than
-    `node_budget` nodes have been ticked or the deadline has passed."""
-    nodes = 0
-    # Node count at which the budget and the clock are next checked, so a
-    # search without a deadline pays one comparison per node.
-    checkpoint = node_budget if deadline is None else min(node_budget, 1024)
-
-    def tick() -> None:
-        nonlocal nodes, checkpoint
-        nodes += 1
-        if nodes > checkpoint:
-            if nodes > node_budget or time.monotonic() >= deadline:
-                raise _BudgetOut
-            checkpoint = min(node_budget, nodes + 1024)
-
-    return tick
 
 
 def _greedy_independent_set(shape: CubeShape) -> tuple[int, ...]:
@@ -436,15 +414,14 @@ def _seed_coloring(shape: CubeShape, deadline: float | None = None) -> Coloring:
 
     cap = min(bounds_table(3, shape.n).rows[-1].upper - 2, shape.point_count - 1)
     best_set = _greedy_independent_set(shape)
-    tick = _node_ticker(3_000_000, deadline)
-    try:
-        for size in range(cap, len(best_set), -1):
-            found = next(_independent_sets(shape, size, tick), None)
-            if found is not None:
-                best_set = found
-                break
-    except _BudgetOut:
-        pass
+    budget = _Budget(3_000_000, deadline)
+    for size in range(cap, len(best_set), -1):
+        found = next(_independent_sets(shape, size, budget), None)
+        if found is not None:
+            best_set = found
+            break
+        if budget.exhausted:
+            break
     if len(best_set) + 1 > census(seed).distinct_count:
         return canonical_relabel(singleton_set_coloring(shape, best_set))
     return seed
@@ -458,17 +435,10 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
     """
     config = config or SearchConfig()
     started = time.monotonic()
-    deadline = started + config.time_limit if config.time_limit else None
-    lines = line_index_table(shape)
-
-    seed = _seed_coloring(shape, deadline)
-    budget = _Budget(
-        shape.point_count - census(seed).distinct_count,
-        seed.colors,
-        config.node_limit,
-        deadline,
-    )
-    _search_from_root(shape, lines, budget)
+    budget = _Incumbent.of(config, started)
+    seed = _seed_coloring(shape, budget.deadline)
+    budget.offer(shape.point_count - census(seed).distinct_count, seed.colors)
+    _search_from_root(shape, line_index_table(shape), budget)
 
     witness = canonical_relabel(Coloring(shape, budget.witness_colors))
     value = shape.point_count - budget.best_merges
@@ -544,7 +514,7 @@ def _line_cover_masks(shape: CubeShape) -> tuple[tuple[int, int], ...]:
 
 
 def _independent_sets(
-    shape: CubeShape, size: int, tick: Callable[[], None] | None = None
+    shape: CubeShape, size: int, budget: _Budget | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Size-`size` line-independent sets of [3]^n in lexicographic order.
 
@@ -552,7 +522,9 @@ def _independent_sets(
     for each coordinate t the lines varying only t partition the cube and
     a set takes at most one point of each, so a node whose free points
     (not banned, index >= start) meet fewer than `need` of those lines
-    holds no solution and is cut.  `tick` is called once per node.
+    holds no solution and is cut.  With a `budget`, each node ticks it and
+    the walk ends once it is exhausted, so the sets yielded are then a
+    prefix of the full order.
     """
     masks = _collinearity_masks(shape)
     covers = _line_cover_masks(shape)
@@ -561,8 +533,8 @@ def _independent_sets(
     chosen: list[int] = []
 
     def extend(start: int, banned: int) -> Iterator[tuple[int, ...]]:
-        if tick is not None:
-            tick()
+        if budget is not None and not budget.tick():
+            return
         need = size - len(chosen)
         if need == 0:
             yield tuple(chosen)
@@ -707,19 +679,6 @@ def find_forced_cell(partial: Coloring) -> ForcedCell | None:
     return None
 
 
-def _completion_infeasible(
-    started: float, total: int, certificate=None, nodes: int = 0
-) -> SearchOutcome:
-    return SearchOutcome(
-        status=Status.INFEASIBLE,
-        best_value=total,
-        witness=None,
-        nodes_explored=nodes,
-        wall_time=time.monotonic() - started,
-        certificate=certificate,
-    )
-
-
 def complete(
     partial: Coloring, total_colors: int, config: SearchConfig | None = None
 ) -> SearchOutcome:
@@ -755,10 +714,35 @@ def complete(
     """
     config = config or SearchConfig()
     started = time.monotonic()
-    deadline = started + config.time_limit if config.time_limit else None
-    shape = partial.shape
+    budget = _Budget.of(config, started)
     if total_colors < 1:
         raise SearchError("total_colors must be >= 1")
+    solution, certificate = _fill(partial, total_colors, budget)
+    witness = None
+    if solution is not None:
+        witness = Coloring(partial.shape, solution)
+        if not is_rainbow_free(witness) or census(witness).distinct_count != total_colors:
+            raise SearchError("internal error: completion witness failed re-verification")
+        status = Status.OPTIMAL
+    else:
+        status = Status.TIMEOUT if budget.exhausted else Status.INFEASIBLE
+    return SearchOutcome(
+        status=status,
+        best_value=total_colors,
+        witness=witness,
+        nodes_explored=budget.nodes,
+        wall_time=time.monotonic() - started,
+        certificate=certificate,
+    )
+
+
+def _fill(
+    partial: Coloring, total_colors: int, budget: _Budget
+) -> tuple[tuple[int, ...] | None, ForcedCell | LineTemplate | None]:
+    """The search of `complete`: the completion's colors, or None with the
+    certificate of a refusal (None when the counts alone refuse it or the
+    budget ran out)."""
+    shape = partial.shape
     lines = line_index_table(shape)
     templates = template_table(shape)
     by_point = _lines_by_point(shape)
@@ -774,7 +758,7 @@ def complete(
         n_open = cs.count(0)
         if len(set(cs)) - (n_open > 0) == k - n_open:
             if not n_open:
-                return _completion_infeasible(started, total_colors, templates[li])
+                return None, templates[li]
             if n_open == 1:
                 pin_lines |= 1 << li
                 pinned_bits |= 1 << idxs[cs.index(0)]
@@ -784,21 +768,12 @@ def complete(
     free = [i for i in shape.iter_indices() if colors[i] == 0]
     used = {c for c in colors if c != 0}
     if len(used) > total_colors or len(used) + len(free) < total_colors:
-        return _completion_infeasible(started, total_colors)
+        return None, None
     if not free:
-        witness = Coloring(shape, tuple(colors))
-        return SearchOutcome(
-            status=Status.OPTIMAL,
-            best_value=total_colors,
-            witness=witness,
-            nodes_explored=0,
-            wall_time=time.monotonic() - started,
-        )
+        return tuple(colors), None
 
     fresh_next = max(used, default=0) + 1
     partial_used = set(used)
-    nodes = 0
-    out_of_budget = False
     solution: tuple[int, ...] | None = None
     # open_bits holds the unassigned cells, line_bits[li] the cells of line
     # li and through[cell] the lines through cell, as bits li.
@@ -881,14 +856,8 @@ def complete(
 
     def dfs(open_cells: int) -> bool:
         """Search below a node with `open_cells` free cells still unassigned."""
-        nonlocal nodes, out_of_budget, solution
-        nonlocal open_bits, pin_lines, wide_lines, pinned_bits
-        nodes += 1
-        if config.node_limit is not None and nodes >= config.node_limit:
-            out_of_budget = True
-        if deadline is not None and time.monotonic() >= deadline:
-            out_of_budget = True
-        if out_of_budget:
+        nonlocal solution, open_bits, pin_lines, wide_lines, pinned_bits
+        if not budget.tick():
             return False
         # Each packed deficient line keeps one unassigned cell from adding
         # a color; the pinned cells are the packed one-cell lines.
@@ -918,33 +887,13 @@ def complete(
                 used.discard(value)
             colors[cell] = 0
             open_bits, pin_lines, wide_lines, pinned_bits = saved
-            if out_of_budget:
+            if budget.exhausted:
                 return False
         return False
 
-    found = dfs(len(free))
-    wall = time.monotonic() - started
-    if found and solution is not None:
-        witness = Coloring(shape, solution)
-        if not is_rainbow_free(witness) or census(witness).distinct_count != total_colors:
-            raise SearchError("internal error: completion witness failed re-verification")
-        return SearchOutcome(
-            status=Status.OPTIMAL,
-            best_value=total_colors,
-            witness=witness,
-            nodes_explored=nodes,
-            wall_time=wall,
-        )
-    if out_of_budget:
-        return SearchOutcome(
-            status=Status.TIMEOUT,
-            best_value=total_colors,
-            witness=None,
-            nodes_explored=nodes,
-            wall_time=wall,
-        )
-    certificate = find_forced_cell(partial)
-    return _completion_infeasible(started, total_colors, certificate, nodes)
+    if dfs(len(free)) or budget.exhausted:
+        return solution, None
+    return None, find_forced_cell(partial)
 
 
 def two_layer_arrangements() -> list[Coloring]:
@@ -963,8 +912,7 @@ def two_layer_arrangements() -> list[Coloring]:
         raise SearchError("expected exactly two minimal 10-colorings")
 
     def relabeled(coloring: Coloring, singleton_base: int) -> tuple[int, ...]:
-        sizes = census(coloring).class_sizes
-        dominant = max(sizes, key=lambda c: sizes[c])
+        dominant = dominant_color(coloring)
         mapping = {dominant: 1}
         for c in coloring.colors:
             if c != dominant and c not in mapping:

@@ -1,5 +1,7 @@
 """Command-line surface: records, exit codes, file round trips."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from ahj.cli import main
@@ -310,19 +312,30 @@ class TestBounds:
         assert "--time-limit" in err
 
     def test_recompute_default_budget_is_sixty_seconds(self, capsys, monkeypatch):
+        """One 60 s deadline bounds the whole command: each entry searches
+        with the time left, and an entry reached with none keeps its row."""
         import ahj.cli
 
+        clock = [1000.0]
         budgets = []
         real = ahj.cli.max_rf_colors
 
         def spy(shape, config):
             budgets.append(config.time_limit)
+            clock[0] += 45.0
             return real(shape, config)
 
         monkeypatch.setattr(ahj.cli, "max_rf_colors", spy)
-        code, _, _ = run(capsys, "bounds", "--k", "3", "--n-max", "2", "--recompute")
+        monkeypatch.setattr(ahj.cli, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        code, out, _ = run(capsys, "bounds", "--k", "3", "--n-max", "3", "--recompute")
         assert code == 0
-        assert budgets == [60.0, 60.0]
+        assert budgets == [60.0, 15.0]
+        machine = [l for l in out.splitlines() if l.startswith("n=")]
+        assert [l.split()[3] for l in machine] == [
+            "lower_source=recomputed-search",
+            "lower_source=recomputed-search",
+            "lower_source=known-value",
+        ]
 
 
 class TestUsage:

@@ -10,11 +10,9 @@ from ahj.coloring import (
     canonical_relabel,
     census,
     dominant_color,
-    first_rainbow_line,
     is_minimal,
     is_rainbow,
     is_rainbow_free,
-    layer_color_sets,
     orbit_canonical_form,
     parse,
     rainbow_lines,
@@ -106,7 +104,6 @@ class TestRainbow:
     @given(coloring_strategy)
     def test_rf_iff_no_rainbow_lines(self, c):
         assert is_rainbow_free(c) == (rainbow_lines(c) == [])
-        assert is_rainbow_free(c) == (first_rainbow_line(c) is None)
 
     @given(coloring_strategy)
     def test_rainbow_lines_in_enumeration_order(self, c):
@@ -114,8 +111,6 @@ class TestRainbow:
         assert len(found) <= line_count(c.shape)
         order = {t: i for i, t in enumerate(template_table(c.shape))}
         assert [order[t] for t in found] == sorted(order[t] for t in found)
-        if found:
-            assert first_rainbow_line(c) == found[0]
 
 
 class TestCensusAndMinimality:
@@ -147,16 +142,6 @@ class TestCensusAndMinimality:
         c = mono(S32).assign(0, 0).assign(1, 0)
         assert census(c).unassigned_count == 2
         assert sum(census(c).class_sizes.values()) == 7
-
-
-class TestLayerColorSets:
-    def test_monochromatic(self):
-        sets = layer_color_sets(mono(S32, 7), 1)
-        assert sets == [{7}, {7}, {7}]
-
-    def test_rows_of_the_square(self):
-        c = coloring_of(S32, 1, 1, 2, 3, 3, 3, 4, 5, 4)
-        assert layer_color_sets(c, 1) == [{1, 2}, {3}, {4, 5}]
 
 
 class TestCanonicalForms:

@@ -19,13 +19,13 @@ from ahj.hypercube import (
     layer,
     line_count,
     line_index_table,
-    lines_through,
     point_from_index,
     point_index,
     point_of,
     template_from_string,
     template_table,
 )
+from ahj.search import _lines_by_point
 
 SMALL_SHAPES = [
     CubeShape(k, n) for k in range(2, 6) for n in range(1, 5) if k**n <= 700
@@ -156,6 +156,13 @@ class TestCollinear:
             for b in range(a + 1, shape.point_count):
                 u, v = point_from_index(a, shape), point_from_index(b, shape)
                 assert collinear(u, v, shape) == ((a, b) in on_common_line)
+
+
+def lines_through(p, shape):
+    """The templates of the lines through p, read from the point-to-line
+    incidence table that the completion search uses."""
+    templates = template_table(shape)
+    return [templates[li] for li in _lines_by_point(shape)[p.index]]
 
 
 class TestLinesThrough:

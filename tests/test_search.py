@@ -32,12 +32,21 @@ from ahj.search import (
     enumerate_independent_sets,
     enumerate_minimal_rf,
     find_forced_cell,
-    first_independent_set,
     max_rf_colors,
     naive_max_rf_colors,
     two_layer_arrangements,
 )
-from ahj.search import _DEAD, _PRUNE, _SOLVED, _Budget, _dfs, _seed_coloring, _settle
+from ahj.search import (
+    _DEAD,
+    _PRUNE,
+    _SOLVED,
+    _Budget,
+    _Incumbent,
+    _dfs,
+    _independent_sets,
+    _seed_coloring,
+    _settle,
+)
 
 S31 = CubeShape(3, 1)
 S32 = CubeShape(3, 2)
@@ -405,6 +414,7 @@ class TestMaxRfColors:
     def test_node_budget_degrades_to_feasible(self):
         out = max_rf_colors(S33, SearchConfig(node_limit=50))
         assert out.status is Status.FEASIBLE_ONLY
+        assert out.nodes_explored == 50
         assert is_rainbow_free(out.witness)
         assert census(out.witness).distinct_count == out.best_value
 
@@ -413,9 +423,8 @@ class TestMaxRfColors:
         same warm start, reaches the value of the two-branch root split."""
         for shape, value in ((S32, 4), (CubeShape(4, 2), 10)):
             seed = _seed_coloring(shape)
-            budget = _Budget(
-                shape.point_count - census(seed).distinct_count, seed.colors, None, None
-            )
+            budget = _Incumbent(None, None)
+            budget.offer(shape.point_count - census(seed).distinct_count, seed.colors)
             _dfs(MergeState(shape), line_index_table(shape), 0, budget)
             assert not budget.exhausted
             assert shape.point_count - budget.best_merges == value
@@ -459,17 +468,8 @@ class TestIndependentSets:
                         point_from_index(p, S32), point_from_index(q, S32), S32
                     )
 
-    def test_first_matches_enumeration(self):
-        sets = enumerate_independent_sets(S33, 9)
-        assert first_independent_set(S33, 9) == sets[0]
-
-    def test_first_handles_absence(self):
-        assert first_independent_set(S33, 10) is None
-
     @pytest.mark.parametrize("size", [-1, 28])
     def test_sizes_out_of_range_rejected(self, size):
-        with pytest.raises(SearchError, match="out of range 0..27"):
-            first_independent_set(S33, size)
         with pytest.raises(SearchError, match="out of range 0..27"):
             enumerate_independent_sets(S33, size)
 
@@ -479,13 +479,11 @@ class TestIndependentSets:
         for size in range(shape.point_count + 1):
             expected = reference.get(size, [])
             assert enumerate_independent_sets(shape, size) == expected
-            assert first_independent_set(shape, size) == (
-                expected[0] if expected else None
-            )
+            # The warm-start probes walk the same order under a node budget.
+            first = next(_independent_sets(shape, size, _Budget(3_000_000, None)), None)
+            assert first == (expected[0] if expected else None)
 
     def test_hypercube_largest_sets(self):
-        assert first_independent_set(S34, 22) == FIRST_22_OF_S34
-        assert first_independent_set(S34, 23) is None
         assert enumerate_independent_sets(S34, 23) == []
         sets = enumerate_independent_sets(S34, 22)
         assert len(sets) == 48
@@ -510,6 +508,7 @@ class TestIndependentSets:
         started = time.monotonic()
         seed = _seed_coloring(S34)
         assert time.monotonic() - started < 5.0
+        assert seed == canonical_relabel(singleton_set_coloring(S34, FIRST_22_OF_S34))
         assert is_rainbow_free(seed)
         assert census(seed).distinct_count == 23
 
@@ -520,11 +519,6 @@ class TestIndependentSets:
         seed = _seed_coloring(S35)
         assert time.monotonic() - started < 15.0
         assert is_rainbow_free(seed)
-
-    def test_deadline_stops_first_independent_set(self):
-        started = time.monotonic()
-        assert first_independent_set(S35, 61, deadline=time.monotonic()) is None
-        assert time.monotonic() - started < 1.0
 
 
 class TestMinimalEnumeration:
@@ -612,6 +606,23 @@ class TestComplete:
         blank = Coloring(S33, (0,) * 27)
         out = complete(blank, 10, SearchConfig(node_limit=1))
         assert out.status is Status.TIMEOUT
+
+
+class TestSharedBudget:
+    @pytest.mark.parametrize(
+        "run, status",
+        [
+            (lambda config: max_rf_colors(S33, config), Status.FEASIBLE_ONLY),
+            (lambda config: max_rf_colors(S35, config), Status.FEASIBLE_ONLY),
+            (lambda config: complete(Coloring(S33, (0,) * 27), 11, config), Status.TIMEOUT),
+        ],
+        ids=["max_rf_colors-3^3", "max_rf_colors-3^5", "complete-3^3-to-11"],
+    )
+    def test_passed_deadline_stops_at_the_first_node(self, run, status):
+        """Every search reads the clock at every node, so a deadline that
+        has passed by the first node ends the search there."""
+        out = run(SearchConfig(time_limit=1e-9))
+        assert (out.status, out.nodes_explored) == (status, 1)
 
 
 def _assert_completes(partial, target, witness):
