@@ -35,7 +35,6 @@ from .coloring import (
     census,
     is_minimal,
     is_rainbow_free,
-    orbit_canonical_form,
     parse,
     rainbow_lines,
     serialize,
@@ -125,13 +124,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if coloring.is_total:
         rainbows = rainbow_lines(coloring)
         _emit("rf", "true" if not rainbows else "false")
-        _emit("minimal", "true" if is_minimal(coloring) else "false")
+        minimal = is_minimal(coloring)
+        _emit("minimal", "true" if minimal else "false")
         if rainbows:
             _emit("rainbow_count", len(rainbows))
             _emit("first_rainbow", rainbows[0])
         if args.expect_rf and rainbows:
             failures.append(f"expected rainbow-free, found rainbow line {rainbows[0]}")
-        if args.expect_minimal and not is_minimal(coloring):
+        if args.expect_minimal and not minimal:
             failures.append("expected a minimal coloring")
     else:
         _emit("rf", "unknown")
@@ -217,16 +217,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return EXIT_OK
     _require(args.colors is not None, "one of --colors or --independent-size is required")
     _require(args.minimal_only, "only minimal colorings are enumerable; pass --minimal-only")
-    colorings = enumerate_minimal_rf(shape, args.colors)
-    if args.up_to_symmetry:
-        seen: set[tuple[int, ...]] = set()
-        kept = []
-        for coloring in colorings:
-            orbit = orbit_canonical_form(coloring).colors
-            if orbit not in seen:
-                seen.add(orbit)
-                kept.append(coloring)
-        colorings = kept
+    colorings = enumerate_minimal_rf(shape, args.colors, up_to_symmetry=args.up_to_symmetry)
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,7 @@ Values are immutable, so everything here is pure and safe to share.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .hypercube import (
@@ -106,13 +107,11 @@ def is_rainbow(line: Line, coloring: Coloring) -> bool:
     return len(set(cs)) == len(cs)
 
 
-def rainbow_lines(coloring: Coloring) -> list[LineTemplate]:
-    """Every rainbow line, in template enumeration order."""
-    _require_total(coloring, "rainbow_lines")
+def _rainbow_line_indices(coloring: Coloring, op: str) -> Iterator[int]:
+    """Indices into `line_index_table` of the rainbow lines, in table order."""
+    _require_total(coloring, op)
     colors = coloring.colors
-    out = []
-    templates = template_table(coloring.shape)
-    for tmpl, idxs in zip(templates, line_index_table(coloring.shape)):
+    for li, idxs in enumerate(line_index_table(coloring.shape)):
         seen = set()
         for i in idxs:
             c = colors[i]
@@ -120,23 +119,28 @@ def rainbow_lines(coloring: Coloring) -> list[LineTemplate]:
                 break
             seen.add(c)
         else:
-            out.append(tmpl)
-    return out
+            yield li
+
+
+def rainbow_lines(coloring: Coloring) -> list[LineTemplate]:
+    """Every rainbow line, in template enumeration order."""
+    templates = template_table(coloring.shape)
+    return [templates[li] for li in _rainbow_line_indices(coloring, "rainbow_lines")]
 
 
 def is_rainbow_free(coloring: Coloring) -> bool:
-    _require_total(coloring, "is_rainbow_free")
-    colors = coloring.colors
-    for idxs in line_index_table(coloring.shape):
-        seen = set()
-        for i in idxs:
-            c = colors[i]
-            if c in seen:
-                break
-            seen.add(c)
-        else:
-            return False
-    return True
+    return next(_rainbow_line_indices(coloring, "is_rainbow_free"), None) is None
+
+
+def _first_occurrence(values: Iterable[int]) -> tuple[int, ...]:
+    """`values` renamed to 1, 2, ... in order of first occurrence."""
+    mapping: dict[int, int] = {}
+    out = []
+    for c in values:
+        if c not in mapping:
+            mapping[c] = len(mapping) + 1
+        out.append(mapping[c])
+    return tuple(out)
 
 
 def canonical_relabel(coloring: Coloring) -> Coloring:
@@ -146,13 +150,7 @@ def canonical_relabel(coloring: Coloring) -> Coloring:
     induce the same partition of the points.
     """
     _require_total(coloring, "canonical_relabel")
-    mapping: dict[int, int] = {}
-    out = []
-    for c in coloring.colors:
-        if c not in mapping:
-            mapping[c] = len(mapping) + 1
-        out.append(mapping[c])
-    return Coloring(coloring.shape, tuple(out))
+    return Coloring(coloring.shape, _first_occurrence(coloring.colors))
 
 
 def orbit_canonical_form(coloring: Coloring) -> Coloring:
@@ -169,13 +167,7 @@ def orbit_canonical_form(coloring: Coloring) -> Coloring:
         image = [0] * size
         for old, new in enumerate(index_map):
             image[new] = colors[old]
-        mapping: dict[int, int] = {}
-        relabeled = []
-        for c in image:
-            if c not in mapping:
-                mapping[c] = len(mapping) + 1
-            relabeled.append(mapping[c])
-        candidate = tuple(relabeled)
+        candidate = _first_occurrence(image)
         if best is None or candidate < best:
             best = candidate
     assert best is not None

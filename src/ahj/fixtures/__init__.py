@@ -10,12 +10,6 @@ from importlib import resources
 from ..coloring import Coloring, parse
 
 
-def fixture_names() -> tuple[str, ...]:
-    """Names of the bundled coloring files, sorted."""
-    root = resources.files(__package__)
-    return tuple(sorted(p.name for p in root.iterdir() if p.name.endswith(".ahj")))
-
-
 def load_fixture(name: str) -> Coloring:
     """Parse a bundled coloring by file name."""
     path = resources.files(__package__).joinpath(name)

@@ -98,8 +98,8 @@ class MergeState:
     each root keeps the list of its class's members in `members`.  A merge
     relabels the smaller class (union by size) and records one reversible
     trail entry, which `undo_to` replays backwards to restore the labels.
-    `anti` constraints pin two classes apart; they are kept as a root
-    adjacency map so violation checks are O(1).
+    `anti` constraints pin two classes apart; `_incompat[r]` is the set of
+    roots kept apart from root r, so violation checks are O(1).
     """
 
     __slots__ = ("shape", "label", "members", "merge_count", "_incompat", "_trail")
@@ -110,7 +110,7 @@ class MergeState:
         self.label = list(range(count))
         self.members = [[x] for x in range(count)]
         self.merge_count = 0
-        self._incompat: dict[int, set[int]] = {}
+        self._incompat: list[set[int]] = [set() for _ in range(count)]
         self._trail: list[tuple] = []
 
     def same(self, a: int, b: int) -> bool:
@@ -118,18 +118,18 @@ class MergeState:
 
     def blocked(self, a: int, b: int) -> bool:
         """True iff an anti constraint keeps a and b in different classes."""
-        return self.label[b] in self._incompat.get(self.label[a], ())
+        return self.label[b] in self._incompat[self.label[a]]
 
     def forbid(self, a: int, b: int) -> None:
         """Pin the classes of a and b apart from here on (undoable)."""
         ra, rb = self.label[a], self.label[b]
         if ra == rb:
             raise SearchError("cannot forbid a pair already in one class")
-        if rb in self._incompat.get(ra, ()):
-            self._trail.append(("noop",))
+        incompat = self._incompat
+        if rb in incompat[ra]:
             return
-        self._incompat.setdefault(ra, set()).add(rb)
-        self._incompat.setdefault(rb, set()).add(ra)
+        incompat[ra].add(rb)
+        incompat[rb].add(ra)
         self._trail.append(("anti", ra, rb))
 
     def merge(self, a: int, b: int) -> None:
@@ -141,7 +141,9 @@ class MergeState:
         members = self.members
         if len(members[ra]) < len(members[rb]):
             ra, rb = rb, ra
-        if rb in self._incompat.get(ra, ()):
+        incompat = self._incompat
+        mine = incompat[ra]
+        if rb in mine:
             raise SearchError("merge of a forbidden pair")
         moving = members[rb]
         for x in moving:
@@ -149,13 +151,12 @@ class MergeState:
         members[ra].extend(moving)
         self.merge_count += 1
         moved = []
-        mine = self._incompat.setdefault(ra, set())
-        for r in self._incompat.get(rb, ()):
-            self._incompat[r].discard(rb)
+        for r in incompat[rb]:
+            incompat[r].discard(rb)
             fresh = r not in mine
             if fresh:
                 mine.add(r)
-                self._incompat[r].add(ra)
+                incompat[r].add(ra)
             moved.append((r, fresh))
         self._trail.append(("union", ra, rb, tuple(moved)))
 
@@ -164,16 +165,16 @@ class MergeState:
 
     def undo_to(self, mark: int) -> None:
         trail = self._trail
+        incompat = self._incompat
         while len(trail) > mark:
             entry = trail.pop()
-            tag = entry[0]
-            if tag == "union":
+            if entry[0] == "union":
                 _, ra, rb, moved = entry
                 for r, fresh in reversed(moved):
                     if fresh:
-                        self._incompat[ra].discard(r)
-                        self._incompat[r].discard(ra)
-                    self._incompat[r].add(rb)
+                        incompat[ra].discard(r)
+                        incompat[r].discard(ra)
+                    incompat[r].add(rb)
                 # rb's member list is left intact by merge, so it names
                 # exactly the points to hand back.
                 moving = self.members[rb]
@@ -182,23 +183,18 @@ class MergeState:
                 for x in moving:
                     label[x] = rb
                 self.merge_count -= 1
-            elif tag == "anti":
+            else:
                 _, ra, rb = entry
-                self._incompat[ra].discard(rb)
-                self._incompat[rb].discard(ra)
+                incompat[ra].discard(rb)
+                incompat[rb].discard(ra)
 
     @property
     def class_count(self) -> int:
         return self.shape.point_count - self.merge_count
 
     def to_coloring(self) -> Coloring:
-        mapping: dict[int, int] = {}
-        out = []
-        for r in self.label:
-            if r not in mapping:
-                mapping[r] = len(mapping) + 1
-            out.append(mapping[r])
-        return Coloring(self.shape, tuple(out))
+        """The current partition, colored by class root + 1 (not relabeled)."""
+        return Coloring(self.shape, tuple(r + 1 for r in self.label))
 
 
 class _Budget:
@@ -303,7 +299,7 @@ def _settle(state: MergeState, lines, start: int, best: int) -> int:
                 continue
             only = None
             for i, j in pairs:
-                if roots[j] not in incompat.get(roots[i], ()):
+                if roots[j] not in incompat[roots[i]]:
                     if only is not None:
                         break
                     only = (i, j)
@@ -592,24 +588,32 @@ def enumerate_independent_sets(
     return reps
 
 
-def enumerate_minimal_rf(shape: CubeShape, num_colors: int) -> list[Coloring]:
+def enumerate_minimal_rf(
+    shape: CubeShape, num_colors: int, up_to_symmetry: bool = False
+) -> list[Coloring]:
     """Every minimal rainbow-free coloring with `num_colors` colors (k = 3).
 
     Built from the independent sets of size num_colors - 1: the singleton
     points of a minimal RF coloring are pairwise non-collinear, and every
-    such set yields one.  Canonically relabeled, deduplicated, and
-    returned in enumeration order.
+    such set yields one.  Canonically relabeled and returned in the
+    enumeration order of the sets.
+
+    The sets and the colorings correspond one to one.  An independent set
+    holds at most one point of each 3-point line, so the dominant class,
+    the points outside the set, has at least 2 points, and the set is
+    exactly the points of the singleton classes.  Distinct sets therefore
+    give distinct colorings, and an automorphism maps one coloring onto
+    another (up to palette renaming) exactly when it maps one set onto the
+    other.  So with up_to_symmetry the set-orbit reduction of
+    `enumerate_independent_sets` keeps one coloring per orbit: the one
+    whose set is the lexicographically smallest of its orbit.
     """
     if num_colors < 1:
         raise SearchError("num_colors must be >= 1")
-    out = []
-    seen = set()
-    for s in enumerate_independent_sets(shape, num_colors - 1):
-        coloring = canonical_relabel(singleton_set_coloring(shape, s))
-        if coloring.colors not in seen:
-            seen.add(coloring.colors)
-            out.append(coloring)
-    return out
+    return [
+        canonical_relabel(singleton_set_coloring(shape, s))
+        for s in enumerate_independent_sets(shape, num_colors - 1, up_to_symmetry)
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -230,6 +230,14 @@ class TestEnumerate:
         assert code == 0
         assert record(out)["count"] == "1"
 
+    def test_hypercube_four_colorings_up_to_symmetry(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--k", "3", "--n", "4", "--colors", "4",
+            "--minimal-only", "--up-to-symmetry",
+        )
+        assert code == 0
+        assert record(out)["count"] == "452"
+
     def test_colors_without_minimal_only_rejected(self, capsys):
         code, _, _ = run(capsys, "enumerate", "--k", "3", "--n", "2", "--colors", "4")
         assert code == 2

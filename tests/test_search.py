@@ -12,6 +12,7 @@ from ahj.coloring import (
     census,
     is_minimal,
     is_rainbow_free,
+    orbit_canonical_form,
 )
 from ahj.constructions import singleton_set_coloring
 from ahj.hypercube import (
@@ -202,6 +203,17 @@ class TestMergeState:
         mark = s.mark()
         s.forbid(0, 1)
         s.undo_to(mark)
+        assert not s.blocked(0, 1)
+
+    def test_repeated_forbid_is_undone_by_the_first_mark(self):
+        s = MergeState(S32)
+        first = s.mark()
+        s.forbid(0, 1)
+        second = s.mark()
+        s.forbid(1, 0)
+        s.undo_to(second)
+        assert s.blocked(0, 1)
+        s.undo_to(first)
         assert not s.blocked(0, 1)
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12))
@@ -539,6 +551,28 @@ class TestMinimalEnumeration:
 
     def test_eleven_colorings_do_not_exist(self):
         assert enumerate_minimal_rf(S33, 11) == []
+
+    def test_cube_colorings_pairwise_distinct(self):
+        for colors in range(1, 12):
+            cs = enumerate_minimal_rf(S33, colors)
+            assert len({c.colors for c in cs}) == len(cs)
+
+    @pytest.mark.parametrize(
+        "shape, counts",
+        [(S31, range(1, 4)), (S32, range(1, 6)), (S33, range(1, 12)), (S34, range(1, 3))],
+        ids=["3^1", "3^2", "3^3", "3^4"],
+    )
+    def test_up_to_symmetry_matches_orbit_form_filter(self, shape, counts):
+        """The set-orbit reduction keeps the first coloring of each
+        orbit_canonical_form class, in enumeration order."""
+        for colors in counts:
+            expected, seen = [], set()
+            for c in enumerate_minimal_rf(shape, colors):
+                orbit = orbit_canonical_form(c).colors
+                if orbit not in seen:
+                    seen.add(orbit)
+                    expected.append(c)
+            assert enumerate_minimal_rf(shape, colors, up_to_symmetry=True) == expected
 
 
 class TestForcedCell:
