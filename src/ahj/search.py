@@ -92,25 +92,63 @@ class SearchOutcome:
 
 
 class MergeState:
-    """Quick-find union-find over point indices with an undo trail.
+    """Quick-find union-find over point indices, with line bookkeeping and
+    an undo trail.
 
     `label[x]` is the root of x's class, so a lookup is one list index;
     each root keeps the list of its class's members in `members`.  A merge
-    relabels the smaller class (union by size) and records one reversible
-    trail entry, which `undo_to` replays backwards to restore the labels.
-    `anti` constraints pin two classes apart; `_incompat[r]` is the set of
-    roots kept apart from root r, so violation checks are O(1).
+    relabels the smaller class (union by size).  The rest of the state is
+    Python-int bitmasks, read by `_settle` instead of rescanning the lines:
+
+    - `_incompat[r]` holds the roots kept apart from root r by `forbid`,
+      so a violation check is one bit test;
+    - `class_points[r]` holds class r's points and `class_lines[r]` the
+      lines through them;
+    - `live` holds the unsatisfied lines, those whose k points lie in k
+      distinct classes;
+    - `dirty` holds the live lines whose count of unblocked pairs may have
+      dropped since the last `_settle`.  Every live line outside it has at
+      least two unblocked pairs.  A fresh state marks every line dirty.
+
+    A merge takes the lines through both classes out of `live`.  A root
+    kept apart from one half only is newly kept apart from the other, so
+    the lines through that other half that meet such a root go into
+    `dirty`.  A forbid puts the live lines through both classes there.
+    Each merge or forbid records one trail entry with the values it
+    overwrote.  A mark is the trail length and `dirty`; `undo_to` replays
+    the entries past it backwards and restores `dirty`, so every field is
+    as it was at the mark.
     """
 
-    __slots__ = ("shape", "label", "members", "merge_count", "_incompat", "_trail")
+    __slots__ = (
+        "shape",
+        "lines",
+        "line_bits",
+        "pairs",
+        "label",
+        "members",
+        "merge_count",
+        "class_points",
+        "class_lines",
+        "live",
+        "dirty",
+        "_incompat",
+        "_trail",
+    )
 
     def __init__(self, shape: CubeShape):
         self.shape = shape
+        self.lines = line_index_table(shape)
+        self.line_bits = _line_bits(shape)
+        self.pairs = _position_pairs(shape.k)
         count = shape.point_count
         self.label = list(range(count))
         self.members = [[x] for x in range(count)]
         self.merge_count = 0
-        self._incompat: list[set[int]] = [set() for _ in range(count)]
+        self.class_points = [1 << x for x in range(count)]
+        self.class_lines = list(_line_masks_by_point(shape))
+        self.live = self.dirty = (1 << len(self.lines)) - 1
+        self._incompat = [0] * count
         self._trail: list[tuple] = []
 
     def same(self, a: int, b: int) -> bool:
@@ -118,7 +156,7 @@ class MergeState:
 
     def blocked(self, a: int, b: int) -> bool:
         """True iff an anti constraint keeps a and b in different classes."""
-        return self.label[b] in self._incompat[self.label[a]]
+        return self._incompat[self.label[a]] >> self.label[b] & 1 == 1
 
     def forbid(self, a: int, b: int) -> None:
         """Pin the classes of a and b apart from here on (undoable)."""
@@ -126,11 +164,12 @@ class MergeState:
         if ra == rb:
             raise SearchError("cannot forbid a pair already in one class")
         incompat = self._incompat
-        if rb in incompat[ra]:
+        if incompat[ra] >> rb & 1:
             return
-        incompat[ra].add(rb)
-        incompat[rb].add(ra)
-        self._trail.append(("anti", ra, rb))
+        self._trail.append((ra, rb))
+        incompat[ra] |= 1 << rb
+        incompat[rb] |= 1 << ra
+        self.dirty |= self.class_lines[ra] & self.class_lines[rb] & self.live
 
     def merge(self, a: int, b: int) -> None:
         """Union the classes of a and b; the pair must be distinct and unblocked."""
@@ -142,51 +181,81 @@ class MergeState:
         if len(members[ra]) < len(members[rb]):
             ra, rb = rb, ra
         incompat = self._incompat
-        mine = incompat[ra]
-        if rb in mine:
+        inc_a, inc_b = incompat[ra], incompat[rb]
+        if inc_a >> rb & 1:
             raise SearchError("merge of a forbidden pair")
+        class_lines = self.class_lines
+        lines_a, lines_b = class_lines[ra], class_lines[rb]
+        live = self.live
+        self._trail.append((ra, rb, lines_a, inc_a, live))
         moving = members[rb]
         for x in moving:
             label[x] = ra
         members[ra].extend(moving)
         self.merge_count += 1
-        moved = []
-        for r in incompat[rb]:
-            incompat[r].discard(rb)
-            fresh = r not in mine
-            if fresh:
-                mine.add(r)
-                incompat[r].add(ra)
-            moved.append((r, fresh))
-        self._trail.append(("union", ra, rb, tuple(moved)))
+        self.class_points[ra] |= self.class_points[rb]
+        class_lines[ra] = lines_a | lines_b
+        live &= ~(lines_a & lines_b)
+        self.live = live
+        # Roots apart from rb move over to ra; those not yet apart from ra
+        # block new pairs on ra's lines, and those apart from ra alone on
+        # rb's lines.
+        bit_a, bit_b = 1 << ra, 1 << rb
+        fresh_a = inc_b & ~inc_a
+        near_a = near_b = 0
+        rest = inc_b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = low.bit_length() - 1
+            incompat[r] = incompat[r] ^ bit_b | bit_a
+            if low & fresh_a:
+                near_a |= class_lines[r]
+        rest = inc_a & ~inc_b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near_b |= class_lines[low.bit_length() - 1]
+        incompat[ra] = inc_a | inc_b
+        self.dirty |= (lines_a & near_a | lines_b & near_b) & live
 
-    def mark(self) -> int:
-        return len(self._trail)
+    def mark(self) -> tuple[int, int]:
+        return len(self._trail), self.dirty
 
-    def undo_to(self, mark: int) -> None:
+    def undo_to(self, mark: tuple[int, int]) -> None:
+        size, self.dirty = mark
         trail = self._trail
         incompat = self._incompat
-        while len(trail) > mark:
+        for _ in range(len(trail) - size):
             entry = trail.pop()
-            if entry[0] == "union":
-                _, ra, rb, moved = entry
-                for r, fresh in reversed(moved):
-                    if fresh:
-                        incompat[ra].discard(r)
-                        incompat[r].discard(ra)
-                    incompat[r].add(rb)
-                # rb's member list is left intact by merge, so it names
-                # exactly the points to hand back.
-                moving = self.members[rb]
-                del self.members[ra][-len(moving):]
-                label = self.label
-                for x in moving:
-                    label[x] = rb
-                self.merge_count -= 1
-            else:
-                _, ra, rb = entry
-                incompat[ra].discard(rb)
-                incompat[rb].discard(ra)
+            if len(entry) == 2:
+                ra, rb = entry
+                incompat[ra] ^= 1 << rb
+                incompat[rb] ^= 1 << ra
+                continue
+            ra, rb, lines_a, inc_a, self.live = entry
+            self.class_lines[ra] = lines_a
+            bit_a, bit_b = 1 << ra, 1 << rb
+            # No merge or forbid touches the mask of a root that is not a
+            # root any more, so rb's mask still holds the roots moved to ra.
+            rest = incompat[rb]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                r = low.bit_length() - 1
+                incompat[r] |= bit_b
+                if not low & inc_a:
+                    incompat[r] ^= bit_a
+            incompat[ra] = inc_a
+            self.class_points[ra] ^= self.class_points[rb]
+            # rb's member list is left intact by merge, so it names
+            # exactly the points to hand back.
+            moving = self.members[rb]
+            del self.members[ra][-len(moving):]
+            label = self.label
+            for x in moving:
+                label[x] = rb
+            self.merge_count -= 1
 
     @property
     def class_count(self) -> int:
@@ -247,7 +316,8 @@ class _Incumbent(_Budget):
 
 
 def _branch_pairs(state: MergeState, idxs: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(a, b) for a, b in combinations(idxs, 2) if not state.blocked(a, b)]
+    label, incompat = state.label, state._incompat
+    return [(a, b) for a, b in combinations(idxs, 2) if not incompat[label[a]] >> label[b] & 1]
 
 
 _DEAD = -2
@@ -261,77 +331,132 @@ def _position_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(k), 2))
 
 
-def _settle(state: MergeState, lines, start: int, best: int) -> int:
+def _bound_reaches(state: MergeState, candidates: int, best: int) -> bool:
+    """Whether the merges made so far plus a greedy packing, in line order,
+    of the lines in `candidates` with pairwise disjoint class sets reach
+    `best`.
+
+    `candidates` holds live lines.  Each packed line takes k classes of
+    its own, so at most `min(len(candidates), classes // k)` of them pack;
+    when even that falls short of `best` the packing is skipped.  A line
+    meets a packed class iff one of its points is in `covered`, the union
+    of the packed lines' class points.
+    """
+    label = state.label
+    lines = state.lines
+    merges = state.merge_count
+    if merges + min(candidates.bit_count(), (len(label) - merges) // state.shape.k) < best:
+        return False
+    line_bits = state.line_bits
+    class_points = state.class_points
+    covered = 0
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        li = low.bit_length() - 1
+        if line_bits[li] & covered:
+            continue
+        for x in lines[li]:
+            covered |= class_points[label[x]]
+        merges += 1
+        if merges >= best:
+            return True
+    return False
+
+
+def _settle(state: MergeState, best: int) -> int:
     """Propagate forced merges, then prune-check and locate the branch line.
 
-    One scan does triple duty per pass: forced-merge propagation, the
-    greedy disjoint-class lower bound, and the first-unsatisfied pointer.
-    A merge invalidates the pass's bound accumulators, so bound-based
-    decisions only fire on quiescent passes; merge-count pruning is
-    always sound.
+    Returns `_DEAD` when a line can no longer be satisfied, `_PRUNE` when
+    the state cannot beat `best` merges, `_SOLVED` when every line is
+    satisfied, and otherwise the index of the branch line: the lowest
+    live line.
+
+    Propagation reads only the dirty live lines.  A line with no
+    unblocked pair is dead; one with exactly one is forced, and its pair
+    is merged, which may make more lines dirty.  The scan only needs to
+    know whether a line has zero, one or more unblocked pairs, so it
+    counts them over the position-pair table and stops at the second one.
+    It runs in passes that walk the dirty lines in line order: a line
+    made dirty above the current one joins the pass, one below waits for
+    the next.  Propagation ends after a pass without a merge, when every
+    live line has at least two unblocked pairs.
 
     The bound adds to the merges made so far a greedy count, in line
-    order, of unsatisfied lines with pairwise disjoint class sets.  It is
-    admissible: however the remaining merges play out, each counted line
-    ends with two of its points in one class, and because no class
-    touches two counted lines the merge forest spans two fresh endpoints
-    per line, which by Hall's theorem pins one distinct merge per line.
+    order, of live lines with pairwise disjoint class sets (see
+    `_bound_reaches`).  It is admissible: however the remaining merges
+    play out, each counted line ends with two of its points in one class,
+    and because no class touches two counted lines the merge forest spans
+    two fresh endpoints per line, which by Hall's theorem pins one
+    distinct merge per line.  It is tested on the fixpoint over every
+    live line, and at the first forced or dead line of each pass over the
+    live lines below it, on the state the pass started from.
 
-    Class roots are read straight from the quick-find `label` array.  The
-    scan only needs to know whether a line has zero, one or more unblocked
-    pairs, so it counts them over the position-pair table and stops at the
-    second one.
+    Forced merges are confluent: a blocked pair stays blocked, and a
+    forced line can only be satisfied by its one pair, so propagation in
+    any order reaches the same fixpoint partition, and a dead line or a
+    merge count of `best` met in one order is met in every order.  The
+    bound is not monotone under merges, though: a greedy packing can lose
+    more lines than a pass adds merges, so a bound tested part-way through
+    propagation can cut a state that the fixpoint's bound keeps.  The
+    order is therefore fixed to that of a full scan of the line table in
+    passes, which skips satisfied lines, merges each forced line it meets
+    and tests the bound on the lines before the first.  A live line
+    outside `dirty` has two unblocked pairs, so such a scan does nothing
+    at it either: `_settle` makes the same merges in the same order and
+    returns what the full scan returns, on the same partition.
     """
     label = state.label
     incompat = state._incompat
-    k = state.shape.k
-    pairs = _position_pairs(k)
+    lines = state.lines
+    pairs = state.pairs
     while True:
+        work = state.dirty & state.live
+        state.dirty = 0
+        if not work:
+            break
         changed = False
-        first = -1
-        used: set[int] = set()
-        bound = state.merge_count
-        for li in range(start, len(lines)):
-            idxs = lines[li]
+        while work:
+            low = work & -work
+            work ^= low
+            idxs = lines[low.bit_length() - 1]
             roots = [label[x] for x in idxs]
-            root_set = set(roots)
-            if len(root_set) < k:
-                continue
             only = None
             for i, j in pairs:
-                if roots[j] not in incompat[roots[i]]:
+                if not incompat[roots[i]] >> roots[j] & 1:
                     if only is not None:
                         break
                     only = (i, j)
             else:
                 # At most one unblocked pair: the line is dead or forced.
+                if not changed:
+                    changed = True
+                    if _bound_reaches(state, state.live & (low - 1), best):
+                        state.dirty |= work | low
+                        return _PRUNE
                 if only is None:
+                    state.dirty |= work | low
                     return _DEAD
                 state.merge(idxs[only[0]], idxs[only[1]])
                 if state.merge_count >= best:
+                    state.dirty |= work
                     return _PRUNE
-                changed = True
-                continue
-            if changed:
-                continue
-            if first < 0:
-                first = li
-            if not (used & root_set):
-                used |= root_set
-                bound += 1
-                if bound >= best:
-                    return _PRUNE
-        if not changed:
-            if first < 0:
-                return _SOLVED if state.merge_count < best else _PRUNE
-            return first if bound < best else _PRUNE
+                dirty = state.dirty
+                work = (work | dirty & -(low << 1)) & state.live
+                state.dirty = dirty & (low - 1)
+    live = state.live
+    if not live:
+        return _SOLVED if state.merge_count < best else _PRUNE
+    if _bound_reaches(state, live, best):
+        return _PRUNE
+    return (live & -live).bit_length() - 1
 
 
-def _dfs(state: MergeState, lines, start: int, budget: _Incumbent) -> None:
+def _dfs(state: MergeState, budget: _Incumbent) -> None:
     if not budget.tick():
         return
     top = state.mark()
-    outcome = _settle(state, lines, start, budget.best_merges)
+    outcome = _settle(state, budget.best_merges)
     if outcome == _SOLVED:
         budget.offer(state.merge_count, state.to_coloring().colors)
         state.undo_to(top)
@@ -339,11 +464,10 @@ def _dfs(state: MergeState, lines, start: int, budget: _Incumbent) -> None:
     if outcome < 0:
         state.undo_to(top)
         return
-    li = outcome
-    for a, b in _branch_pairs(state, lines[li]):
+    for a, b in _branch_pairs(state, state.lines[outcome]):
         inner = state.mark()
         state.merge(a, b)
-        _dfs(state, lines, li, budget)
+        _dfs(state, budget)
         state.undo_to(inner)
         if budget.exhausted:
             break
@@ -351,7 +475,7 @@ def _dfs(state: MergeState, lines, start: int, budget: _Incumbent) -> None:
     state.undo_to(top)
 
 
-def _search_from_root(shape: CubeShape, lines, budget: _Incumbent) -> None:
+def _search_from_root(shape: CubeShape, budget: _Incumbent) -> None:
     """Run the branch and bound over the whole search tree of `shape`.
 
     For k >= 3 the first line's points split, under the symbol
@@ -364,18 +488,19 @@ def _search_from_root(shape: CubeShape, lines, budget: _Incumbent) -> None:
     """
     state = MergeState(shape)
     if shape.k < 3:
-        _dfs(state, lines, 0, budget)
+        _dfs(state, budget)
         return
-    p = lines[0]
+    p = state.lines[0]
+    root = state.mark()
     state.merge(p[0], p[1])
-    _dfs(state, lines, 0, budget)
-    state.undo_to(0)
+    _dfs(state, budget)
+    state.undo_to(root)
     if budget.exhausted:
         return
     for q in p[1:]:
         state.forbid(p[0], q)
     state.merge(p[1], p[2])
-    _dfs(state, lines, 0, budget)
+    _dfs(state, budget)
 
 
 def _greedy_independent_set(shape: CubeShape) -> tuple[int, ...]:
@@ -434,7 +559,7 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
     budget = _Incumbent.of(config, started)
     seed = _seed_coloring(shape, budget.deadline)
     budget.offer(shape.point_count - census(seed).distinct_count, seed.colors)
-    _search_from_root(shape, line_index_table(shape), budget)
+    _search_from_root(shape, budget)
 
     witness = canonical_relabel(Coloring(shape, budget.witness_colors))
     value = shape.point_count - budget.best_merges

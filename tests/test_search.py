@@ -1,6 +1,7 @@
 """Branch-and-bound search, enumeration, and completion endgames."""
 
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,12 +157,39 @@ def _assert_agrees(state, model):
                 assert state.blocked(a, b) == model.blocked(a, b), (a, b)
 
 
+def _unblocked_pairs(state, idxs):
+    return [(a, b) for a, b in combinations(idxs, 2) if not state.blocked(a, b)]
+
+
+def _assert_bookkeeping(state, model):
+    """The line and class masks of `state` match a recomputation from its
+    labels, the line table and the model's exclusions, and every live
+    line with fewer than two unblocked pairs is dirty."""
+    shape = state.shape
+    lines = line_index_table(shape)
+    roots = sorted(set(state.label))
+    for r in roots:
+        points = [x for x in shape.iter_indices() if state.label[x] == r]
+        assert state.class_points[r] == sum(1 << x for x in points), r
+        through = [li for li, idxs in enumerate(lines) if set(idxs) & set(points)]
+        assert state.class_lines[r] == sum(1 << li for li in through), r
+        apart = [q for q in roots if q != r and model.blocked(r, q)]
+        assert state._incompat[r] == sum(1 << q for q in apart), r
+    live = [
+        li for li, idxs in enumerate(lines) if len({state.label[x] for x in idxs}) == shape.k
+    ]
+    assert state.live == sum(1 << li for li in live)
+    for li in live:
+        if len(_unblocked_pairs(state, lines[li])) < 2:
+            assert state.dirty >> li & 1, li
+
+
 _STATE_OPS = st.lists(
     st.one_of(
         st.tuples(
             st.sampled_from(["merge", "forbid"]), st.integers(0, 26), st.integers(0, 26)
         ),
-        st.tuples(st.just("mark"), st.just(0), st.just(0)),
+        st.tuples(st.sampled_from(["mark", "settle"]), st.just(0), st.just(0)),
         st.tuples(st.just("undo"), st.integers(0, 1000), st.just(0)),
     ),
     max_size=40,
@@ -233,7 +261,10 @@ class TestMergeState:
     @given(ops=_STATE_OPS)
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_naive_partition_model(self, shape, ops):
-        """Merge, forbid, mark and undo_to track a naive set partition."""
+        """Merge, forbid, mark and undo_to track a naive set partition, and
+        keep the line and class masks equal to a recomputation.  A settle
+        step runs `_settle` with a threshold it cannot reach, and the model
+        takes over the forced merges it made."""
         count = shape.point_count
         state = MergeState(shape)
         model = _PartitionModel(count)
@@ -256,14 +287,21 @@ class TestMergeState:
                     model.forbid(a, b)
             elif tag == "mark":
                 marks.append((state.mark(), model.copy()))
+            elif tag == "settle":
+                _settle(state, count + 1)
+                for x in range(count):
+                    if not model.same(x, state.label[x]):
+                        model.merge(state.label[x], x)
             else:
                 del marks[a % len(marks) + 1 :]
                 mark, saved = marks[-1]
                 state.undo_to(mark)
                 model = saved.copy()
             _assert_agrees(state, model)
+            _assert_bookkeeping(state, model)
         state.undo_to(marks[0][0])
         _assert_agrees(state, _PartitionModel(count))
+        _assert_bookkeeping(state, _PartitionModel(count))
         assert state.merge_count == 0
         assert state.to_coloring().colors == tuple(range(1, count + 1))
 
@@ -306,14 +344,14 @@ class TestLowerBound:
     def test_all_satisfied_is_zero(self):
         s = MergeState(S31)
         s.merge(0, 1)
-        assert _settle(s, line_index_table(S31), 0, s.merge_count + 1) == _SOLVED
+        assert _settle(s, s.merge_count + 1) == _SOLVED
 
     def test_fresh_square_counts_disjoint_rows(self):
-        assert _settle(MergeState(S32), line_index_table(S32), 0, 3) == _PRUNE
+        assert _settle(MergeState(S32), 3) == _PRUNE
 
     def test_never_exceeds_true_minimum(self):
         # minimum merges on [3]^2 is 9 - 4 = 5
-        assert _settle(MergeState(S32), line_index_table(S32), 0, 6) >= 0
+        assert _settle(MergeState(S32), 6) >= 0
 
     @given(_SETTLE_OPS)
     @settings(max_examples=400, deadline=None)
@@ -346,10 +384,151 @@ class TestLowerBound:
         if not fits:
             return
         least = min(fits)
-        outcome = _settle(s, line_index_table(S32), 0, least + 1)
+        outcome = _settle(s, least + 1)
         assert outcome not in (_DEAD, _PRUNE), (ops, least)
         if outcome == _SOLVED:
             assert s.merge_count == least
+
+
+def _reference_settle(state, best):
+    """The full-scan settle: every pass walks the whole line table through
+    `label`, `same`, `blocked` and `merge` only, merging forced pairs,
+    packing unsatisfied lines with disjoint class sets for the bound, and
+    taking the first unsatisfied line to branch on."""
+    lines = line_index_table(state.shape)
+    while True:
+        changed = False
+        first = -1
+        used = set()
+        bound = state.merge_count
+        for li, idxs in enumerate(lines):
+            if any(state.same(a, b) for a, b in combinations(idxs, 2)):
+                continue
+            unblocked = _unblocked_pairs(state, idxs)
+            if len(unblocked) < 2:
+                if not unblocked:
+                    return _DEAD
+                state.merge(*unblocked[0])
+                if state.merge_count >= best:
+                    return _PRUNE
+                changed = True
+                continue
+            if changed:
+                continue
+            if first < 0:
+                first = li
+            roots = {state.label[x] for x in idxs}
+            if not used & roots:
+                used |= roots
+                bound += 1
+                if bound >= best:
+                    return _PRUNE
+        if not changed:
+            if first < 0:
+                return _SOLVED if state.merge_count < best else _PRUNE
+            return first if bound < best else _PRUNE
+
+
+def _blocks(state):
+    """The partition of `state` as first-occurrence block numbers."""
+    first = {}
+    return tuple(first.setdefault(r, len(first)) for r in state.label)
+
+
+@st.composite
+def _settle_runs(draw):
+    """A shape and a list of merge, forbid and settle steps.  A settle step
+    carries the slack of its prune threshold over the merges made; the
+    share of forbids among the pair steps is drawn once per run."""
+    shape = draw(st.sampled_from([S32, CubeShape(4, 2), S33]))
+    count = shape.point_count
+    forbids = draw(st.integers(0, 4))
+    steps = []
+    for kind, a, b, slack in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9),
+                st.integers(0, count - 1),
+                st.integers(0, count - 1),
+                st.integers(1, 8),
+            ),
+            max_size=40,
+        )
+    ):
+        if kind < 2:
+            steps.append(("settle", slack, 0))
+        else:
+            steps.append(("forbid" if kind < 2 + 2 * forbids else "merge", a, b))
+    return shape, steps + [("settle", draw(st.integers(1, 8)), 0)]
+
+
+def _play(shape, steps):
+    """Run `steps` on a `_settle` state and on a full-scan reference state,
+    asserting after each settle that both return the same outcome on the
+    same partition.  Steps after a branch go on from the settled states,
+    so later settles read the bookkeeping left by the merges and forbids
+    made since the last one."""
+    mine, ref = MergeState(shape), MergeState(shape)
+    for tag, a, b in steps:
+        if tag == "settle":
+            best = mine.merge_count + a
+            outcome = _settle(mine, best)
+            assert outcome == _reference_settle(ref, best)
+            assert _blocks(mine) == _blocks(ref)
+            if outcome < 0:
+                return outcome
+            assert mine.dirty == 0
+        elif mine.same(a, b):
+            continue
+        elif tag == "forbid":
+            mine.forbid(a, b)
+            ref.forbid(a, b)
+        elif not mine.blocked(a, b):
+            mine.merge(a, b)
+            ref.merge(a, b)
+    return outcome
+
+
+class TestSettleAgainstFullScan:
+    """`_settle` on its line bookkeeping against the full-scan reference."""
+
+    @given(_settle_runs())
+    @settings(max_examples=1000, deadline=None)
+    def test_same_outcome_as_full_scan(self, run):
+        _play(*run)
+
+    def test_pass_bound_cuts_what_the_fixpoint_bound_keeps(self):
+        """On this [3]^4 state the first pass packs 26 lines ahead of its
+        forced line, so with the 3 merges made the bound reaches 29.  The
+        forced merge makes 4, and the fixpoint's greedy packing holds only
+        24 lines: 28 in all.  A settle that tested the bound on the
+        fixpoint alone would branch here where the full scan cuts."""
+        steps = [
+            ("merge", 39, 73),
+            ("forbid", 67, 40),
+            ("forbid", 13, 67),
+            ("merge", 55, 52),
+            ("merge", 64, 17),
+        ]
+        assert _play(S34, steps + [("settle", 26, 0)]) == _PRUNE
+        assert _play(S34, steps + [("settle", 27, 0)]) == 0
+
+    def test_lines_made_dirty_below_wait_for_the_next_pass(self):
+        """On this [3]^2 state line 2 is forced and line 3 is dead.  The
+        merge on line 2 forces line 1 as well, but the pass goes on to line
+        3 first, as the full scan does, and stops there: line 1's pair is
+        never merged."""
+        steps = [
+            ("merge", 0, 7),
+            ("forbid", 0, 8),
+            ("merge", 4, 6),
+            ("forbid", 8, 5),
+            ("forbid", 3, 7),
+            ("forbid", 6, 3),
+            ("forbid", 6, 0),
+            ("settle", 6, 0),
+        ]
+        assert _play(S32, steps) == _DEAD
 
 
 class TestMaxRfColors:
@@ -390,7 +569,7 @@ class TestMaxRfColors:
         shapes = [CubeShape(2, 2), CubeShape(2, 3), S31, S32]
         assert [naive_max_rf_colors(shape) for shape in shapes] == [1, 1, 2, 4]
 
-    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 47), (4, 10, 1006)])
+    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 47), (4, 10, 1006), (5, 17, 193466)])
     def test_single_worker_node_counts_pinned(self, k, value, nodes):
         """The 1-worker search tree is fixed; a kernel change must not move it."""
         out = max_rf_colors(CubeShape(k, 2))
@@ -437,7 +616,7 @@ class TestMaxRfColors:
             seed = _seed_coloring(shape)
             budget = _Incumbent(None, None)
             budget.offer(shape.point_count - census(seed).distinct_count, seed.colors)
-            _dfs(MergeState(shape), line_index_table(shape), 0, budget)
+            _dfs(MergeState(shape), budget)
             assert not budget.exhausted
             assert shape.point_count - budget.best_merges == value
             assert max_rf_colors(shape).best_value == value
