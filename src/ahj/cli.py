@@ -337,6 +337,11 @@ def _witness_fault(outcome: SearchOutcome) -> str | None:
     return None
 
 
+# The serial search tree of the full [3]^3 proof is fixed, so claim 1 also
+# pins its node count.
+_CUBE_PROOF_NODES = 1_279_607
+
+
 def _check_exact_values() -> tuple[bool, str]:
     config = SearchConfig(time_limit=900.0)
     parts = []
@@ -347,10 +352,13 @@ def _check_exact_values() -> tuple[bool, str]:
             return False, " ".join(parts)
         if elapsed >= limit:
             return False, _slow(f"[3]^{n}", elapsed, limit)
+    detail = " ".join(parts) + f"; [3]^3 nodes={outcome.nodes_explored}"
+    if outcome.nodes_explored != _CUBE_PROOF_NODES:
+        return False, f"{detail} (want {_CUBE_PROOF_NODES})"
     fault = _witness_fault(outcome)
     if fault is not None:
         return False, f"[3]^3 {fault}"
-    return True, " ".join(parts) + "; [3]^3 witness verified"
+    return True, detail + ", witness verified"
 
 
 def _check_two_symbol() -> tuple[bool, str]:

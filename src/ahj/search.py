@@ -3,7 +3,7 @@
 The optimization runs over class partitions instead of colorings: a total
 coloring is rainbow-free iff every line carries two same-class points, and
 maximizing colors is minimizing class merges.  Branch and bound explores
-merge decisions over a trailed quick-find union-find with exclusion
+merge decisions over a snapshotted quick-find union-find with exclusion
 constraints ("these two points stay in different classes"), unit
 propagation of forced merges, and an admissible disjoint-line lower bound.
 
@@ -93,15 +93,17 @@ class SearchOutcome:
 
 class MergeState:
     """Quick-find union-find over point indices, with line bookkeeping and
-    an undo trail.
+    snapshot marks.
 
     `label[x]` is the root of x's class, so a lookup is one list index;
     each root keeps the list of its class's members in `members`.  A merge
     relabels the smaller class (union by size).  The rest of the state is
     Python-int bitmasks, read by `_settle` instead of rescanning the lines:
 
-    - `_incompat[r]` holds the roots kept apart from root r by `forbid`,
-      so a violation check is one bit test;
+    - `_incompat[r]` holds, for each forbid made on class r, the points the
+      other class had then.  Classes only grow, so roots r and q are kept
+      apart iff `_incompat[r] & class_points[q]` is non-zero, and every
+      point in `_incompat[r]` lies in a class kept apart from r;
     - `class_points[r]` holds class r's points and `class_lines[r]` the
       lines through them;
     - `live` holds the unsatisfied lines, those whose k points lie in k
@@ -110,14 +112,21 @@ class MergeState:
       dropped since the last `_settle`.  Every live line outside it has at
       least two unblocked pairs.  A fresh state marks every line dirty.
 
-    A merge takes the lines through both classes out of `live`.  A root
-    kept apart from one half only is newly kept apart from the other, so
-    the lines through that other half that meet such a root go into
-    `dirty`.  A forbid puts the live lines through both classes there.
-    Each merge or forbid records one trail entry with the values it
-    overwrote.  A mark is the trail length and `dirty`; `undo_to` replays
-    the entries past it backwards and restores `dirty`, so every field is
-    as it was at the mark.
+    A merge takes the lines through both classes out of `live` and ORs the
+    two halves' exclusion masks.  A class kept apart from one half only is
+    newly kept apart from the other, so the lines through that other half
+    that meet such a class go into `dirty`.  A forbid puts the live lines
+    through both classes there.
+
+    `mark()` hands the live lists and counters over to the mark and goes
+    on with shallow copies; `undo_to` puts the mark's lists back, with no
+    replay and no copy.  A merge stores a new member list instead of
+    extending one in place, so the copies share no list that changes and
+    a mark's lists stay as they were until it is restored.  Restoring
+    hands them back to the state, which changes them from then on, so a
+    mark is restored at most once: a second `undo_to` raises
+    `SearchError`.  The search restores its marks in stack order, and a
+    restore throws away every mark taken after it.
     """
 
     __slots__ = (
@@ -133,7 +142,6 @@ class MergeState:
         "live",
         "dirty",
         "_incompat",
-        "_trail",
     )
 
     def __init__(self, shape: CubeShape):
@@ -149,26 +157,25 @@ class MergeState:
         self.class_lines = list(_line_masks_by_point(shape))
         self.live = self.dirty = (1 << len(self.lines)) - 1
         self._incompat = [0] * count
-        self._trail: list[tuple] = []
 
     def same(self, a: int, b: int) -> bool:
         return self.label[a] == self.label[b]
 
     def blocked(self, a: int, b: int) -> bool:
         """True iff an anti constraint keeps a and b in different classes."""
-        return self._incompat[self.label[a]] >> self.label[b] & 1 == 1
+        label = self.label
+        return self._incompat[label[a]] & self.class_points[label[b]] != 0
 
     def forbid(self, a: int, b: int) -> None:
         """Pin the classes of a and b apart from here on (undoable)."""
         ra, rb = self.label[a], self.label[b]
         if ra == rb:
             raise SearchError("cannot forbid a pair already in one class")
-        incompat = self._incompat
-        if incompat[ra] >> rb & 1:
+        incompat, class_points = self._incompat, self.class_points
+        if incompat[ra] & class_points[rb]:
             return
-        self._trail.append((ra, rb))
-        incompat[ra] |= 1 << rb
-        incompat[rb] |= 1 << ra
+        incompat[ra] |= class_points[rb]
+        incompat[rb] |= class_points[ra]
         self.dirty |= self.class_lines[ra] & self.class_lines[rb] & self.live
 
     def merge(self, a: int, b: int) -> None:
@@ -180,82 +187,71 @@ class MergeState:
         members = self.members
         if len(members[ra]) < len(members[rb]):
             ra, rb = rb, ra
-        incompat = self._incompat
+        incompat, class_points = self._incompat, self.class_points
         inc_a, inc_b = incompat[ra], incompat[rb]
-        if inc_a >> rb & 1:
+        if inc_a & class_points[rb]:
             raise SearchError("merge of a forbidden pair")
         class_lines = self.class_lines
         lines_a, lines_b = class_lines[ra], class_lines[rb]
-        live = self.live
-        self._trail.append((ra, rb, lines_a, inc_a, live))
+        # A class kept apart from rb only blocks new pairs on ra's lines,
+        # one kept apart from ra only on rb's lines.  Each class is found
+        # through the label of the lowest point of it left in the masks.
+        near_a = near_b = 0
+        rest = inc_a | inc_b
+        while rest:
+            r = label[(rest & -rest).bit_length() - 1]
+            points = class_points[r]
+            rest &= ~points
+            if not inc_a & points:
+                near_a |= class_lines[r]
+            elif not inc_b & points:
+                near_b |= class_lines[r]
         moving = members[rb]
         for x in moving:
             label[x] = ra
-        members[ra].extend(moving)
+        members[ra] = members[ra] + moving
         self.merge_count += 1
-        self.class_points[ra] |= self.class_points[rb]
+        class_points[ra] |= class_points[rb]
         class_lines[ra] = lines_a | lines_b
-        live &= ~(lines_a & lines_b)
-        self.live = live
-        # Roots apart from rb move over to ra; those not yet apart from ra
-        # block new pairs on ra's lines, and those apart from ra alone on
-        # rb's lines.
-        bit_a, bit_b = 1 << ra, 1 << rb
-        fresh_a = inc_b & ~inc_a
-        near_a = near_b = 0
-        rest = inc_b
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            r = low.bit_length() - 1
-            incompat[r] = incompat[r] ^ bit_b | bit_a
-            if low & fresh_a:
-                near_a |= class_lines[r]
-        rest = inc_a & ~inc_b
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            near_b |= class_lines[low.bit_length() - 1]
         incompat[ra] = inc_a | inc_b
+        live = self.live & ~(lines_a & lines_b)
+        self.live = live
         self.dirty |= (lines_a & near_a | lines_b & near_b) & live
 
-    def mark(self) -> tuple[int, int]:
-        return len(self._trail), self.dirty
+    def mark(self) -> list:
+        """Snapshot the state for one later `undo_to`."""
+        mark = [
+            self.label,
+            self.members,
+            self.class_points,
+            self.class_lines,
+            self._incompat,
+            self.merge_count,
+            self.live,
+            self.dirty,
+        ]
+        self.label = self.label[:]
+        self.members = self.members[:]
+        self.class_points = self.class_points[:]
+        self.class_lines = self.class_lines[:]
+        self._incompat = self._incompat[:]
+        return mark
 
-    def undo_to(self, mark: tuple[int, int]) -> None:
-        size, self.dirty = mark
-        trail = self._trail
-        incompat = self._incompat
-        for _ in range(len(trail) - size):
-            entry = trail.pop()
-            if len(entry) == 2:
-                ra, rb = entry
-                incompat[ra] ^= 1 << rb
-                incompat[rb] ^= 1 << ra
-                continue
-            ra, rb, lines_a, inc_a, self.live = entry
-            self.class_lines[ra] = lines_a
-            bit_a, bit_b = 1 << ra, 1 << rb
-            # No merge or forbid touches the mask of a root that is not a
-            # root any more, so rb's mask still holds the roots moved to ra.
-            rest = incompat[rb]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                r = low.bit_length() - 1
-                incompat[r] |= bit_b
-                if not low & inc_a:
-                    incompat[r] ^= bit_a
-            incompat[ra] = inc_a
-            self.class_points[ra] ^= self.class_points[rb]
-            # rb's member list is left intact by merge, so it names
-            # exactly the points to hand back.
-            moving = self.members[rb]
-            del self.members[ra][-len(moving):]
-            label = self.label
-            for x in moving:
-                label[x] = rb
-            self.merge_count -= 1
+    def undo_to(self, mark: list) -> None:
+        """Put back the state `mark` saved; each mark is restored once."""
+        if not mark:
+            raise SearchError("a mark is restored at most once")
+        (
+            self.label,
+            self.members,
+            self.class_points,
+            self.class_lines,
+            self._incompat,
+            self.merge_count,
+            self.live,
+            self.dirty,
+        ) = mark
+        mark.clear()
 
     @property
     def class_count(self) -> int:
@@ -316,8 +312,12 @@ class _Incumbent(_Budget):
 
 
 def _branch_pairs(state: MergeState, idxs: tuple[int, ...]) -> list[tuple[int, int]]:
-    label, incompat = state.label, state._incompat
-    return [(a, b) for a, b in combinations(idxs, 2) if not incompat[label[a]] >> label[b] & 1]
+    label, incompat, class_points = state.label, state._incompat, state.class_points
+    return [
+        (a, b)
+        for a, b in combinations(idxs, 2)
+        if not incompat[label[a]] & class_points[label[b]]
+    ]
 
 
 _DEAD = -2
@@ -408,6 +408,7 @@ def _settle(state: MergeState, best: int) -> int:
     """
     label = state.label
     incompat = state._incompat
+    class_points = state.class_points
     lines = state.lines
     pairs = state.pairs
     while True:
@@ -423,7 +424,7 @@ def _settle(state: MergeState, best: int) -> int:
             roots = [label[x] for x in idxs]
             only = None
             for i, j in pairs:
-                if not incompat[roots[i]] >> roots[j] & 1:
+                if not incompat[roots[i]] & class_points[roots[j]]:
                     if only is not None:
                         break
                     only = (i, j)
@@ -453,26 +454,24 @@ def _settle(state: MergeState, best: int) -> int:
 
 
 def _dfs(state: MergeState, budget: _Incumbent) -> None:
+    """Search below the current state, leaving its forced merges and
+    forbids in place: the caller's `undo_to` throws them away."""
     if not budget.tick():
         return
-    top = state.mark()
     outcome = _settle(state, budget.best_merges)
     if outcome == _SOLVED:
         budget.offer(state.merge_count, state.to_coloring().colors)
-        state.undo_to(top)
         return
     if outcome < 0:
-        state.undo_to(top)
         return
     for a, b in _branch_pairs(state, state.lines[outcome]):
-        inner = state.mark()
+        mark = state.mark()
         state.merge(a, b)
         _dfs(state, budget)
-        state.undo_to(inner)
+        state.undo_to(mark)
         if budget.exhausted:
             break
         state.forbid(a, b)
-    state.undo_to(top)
 
 
 def _search_from_root(shape: CubeShape, budget: _Incumbent) -> None:

@@ -62,6 +62,6 @@ def test_criterion_09_invariant_suites():
     check(9, label, *claim())
 
 
-def test_criterion_10_determinism_across_workers():
+def test_criterion_10_determinism_across_runs():
     label, claim = CLAIMS[9]
     check(10, label, *claim())

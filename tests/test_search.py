@@ -162,19 +162,34 @@ def _unblocked_pairs(state, idxs):
 
 
 def _assert_bookkeeping(state, model):
-    """The line and class masks of `state` match a recomputation from its
-    labels, the line table and the model's exclusions, and every live
-    line with fewer than two unblocked pairs is dirty."""
+    """The member lists and the line and class masks of `state` match a
+    recomputation from its labels, the line table and the model's
+    exclusions, and every live line with fewer than two unblocked pairs
+    is dirty.
+
+    The exclusion masks hold points: `_incompat[r]` meets the points of
+    another root q iff the model keeps r and q apart, and every point in
+    it lies in a class kept apart from r."""
     shape = state.shape
     lines = line_index_table(shape)
     roots = sorted(set(state.label))
+    points = {r: 0 for r in roots}
+    for x, r in enumerate(state.label):
+        points[r] |= 1 << x
     for r in roots:
-        points = [x for x in shape.iter_indices() if state.label[x] == r]
-        assert state.class_points[r] == sum(1 << x for x in points), r
-        through = [li for li, idxs in enumerate(lines) if set(idxs) & set(points)]
+        assert state.class_points[r] == points[r], r
+        assert sum(1 << x for x in state.members[r]) == points[r], r
+        assert len(state.members[r]) == points[r].bit_count(), r
+        through = [li for li, idxs in enumerate(lines) if any(state.label[x] == r for x in idxs)]
         assert state.class_lines[r] == sum(1 << li for li in through), r
-        apart = [q for q in roots if q != r and model.blocked(r, q)]
-        assert state._incompat[r] == sum(1 << q for q in apart), r
+        apart = 0
+        for q in roots:
+            if q != r:
+                kept = model.blocked(r, q)
+                assert bool(state._incompat[r] & points[q]) == kept, (r, q)
+                if kept:
+                    apart |= points[q]
+        assert state._incompat[r] & ~apart == 0, r
     live = [
         li for li, idxs in enumerate(lines) if len({state.label[x] for x in idxs}) == shape.k
     ]
@@ -182,6 +197,14 @@ def _assert_bookkeeping(state, model):
     for li in live:
         if len(_unblocked_pairs(state, lines[li])) < 2:
             assert state.dirty >> li & 1, li
+
+
+def _adopt_merges(state, model):
+    """Merge in `model` the classes that `state` has merged, such as the
+    forced merges of a settle."""
+    for x, r in enumerate(state.label):
+        if not model.same(x, r):
+            model.merge(r, x)
 
 
 _STATE_OPS = st.lists(
@@ -244,6 +267,39 @@ class TestMergeState:
         s.undo_to(first)
         assert not s.blocked(0, 1)
 
+    def test_mark_restores_once(self):
+        s = MergeState(S32)
+        mark = s.mark()
+        s.merge(0, 1)
+        s.undo_to(mark)
+        s.merge(0, 2)
+        with pytest.raises(SearchError):
+            s.undo_to(mark)
+        assert s.same(0, 2)
+
+    def test_nested_marks_restore_in_stack_order(self):
+        s = MergeState(S33)
+        model = _PartitionModel(S33.point_count)
+        outer = s.mark()
+        s.merge(0, 1)
+        model.merge(0, 1)
+        s.forbid(0, 2)
+        model.forbid(0, 2)
+        _settle(s, S33.point_count + 1)
+        _adopt_merges(s, model)
+        settled = model.copy()
+        inner = s.mark()
+        s.merge(3, 4)
+        model.merge(3, 4)
+        _assert_agrees(s, model)
+        _assert_bookkeeping(s, model)
+        s.undo_to(inner)
+        _assert_agrees(s, settled)
+        _assert_bookkeeping(s, settled)
+        s.undo_to(outer)
+        _assert_agrees(s, _PartitionModel(S33.point_count))
+        _assert_bookkeeping(s, _PartitionModel(S33.point_count))
+
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_undo_round_trips(self, pairs):
@@ -289,13 +345,12 @@ class TestMergeState:
                 marks.append((state.mark(), model.copy()))
             elif tag == "settle":
                 _settle(state, count + 1)
-                for x in range(count):
-                    if not model.same(x, state.label[x]):
-                        model.merge(state.label[x], x)
+                _adopt_merges(state, model)
             else:
                 del marks[a % len(marks) + 1 :]
                 mark, saved = marks[-1]
                 state.undo_to(mark)
+                marks[-1] = (state.mark(), saved)
                 model = saved.copy()
             _assert_agrees(state, model)
             _assert_bookkeeping(state, model)
