@@ -266,6 +266,8 @@ def cmd_complete(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.time_limit is not None and not args.recompute:
         raise BoundsError("--time-limit applies only with --recompute")
+    if args.time_limit is not None and not args.time_limit > 0:
+        raise BoundsError("--time-limit must be positive")
     report = bounds_table(args.k, args.n_max)
     rows = list(report.rows)
     if args.recompute:

@@ -65,7 +65,8 @@ class SearchConfig:
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.time_limit is not None and self.time_limit <= 0:
+        # Written so that NaN, which no clock reading ever reaches, fails.
+        if self.time_limit is not None and not self.time_limit > 0:
             raise SearchError("time_limit must be positive")
         if self.worker_count != 1:
             raise SearchError("worker_count must be 1: the search is serial")
@@ -95,10 +96,10 @@ class MergeState:
     """Quick-find union-find over point indices, with line bookkeeping and
     snapshot marks.
 
-    `label[x]` is the root of x's class, so a lookup is one list index;
-    each root keeps the list of its class's members in `members`.  A merge
-    relabels the smaller class (union by size).  The rest of the state is
-    Python-int bitmasks, read by `_settle` instead of rescanning the lines:
+    `label[x]` is the root of x's class, so a lookup is one list index.  A
+    merge relabels the smaller class (union by size), walking the bits of
+    its `class_points` mask.  The rest of the state is Python-int
+    bitmasks, read by `_settle` instead of rescanning the lines:
 
     - `_incompat[r]` holds, for each forbid made on class r, the points the
       other class had then.  Classes only grow, so roots r and q are kept
@@ -118,11 +119,10 @@ class MergeState:
     that meet such a class go into `dirty`.  A forbid puts the live lines
     through both classes there.
 
-    `mark()` hands the live lists and counters over to the mark and goes
-    on with shallow copies; `undo_to` puts the mark's lists back, with no
-    replay and no copy.  A merge stores a new member list instead of
-    extending one in place, so the copies share no list that changes and
-    a mark's lists stay as they were until it is restored.  Restoring
+    `mark()` hands the four live lists and the counters over to the mark
+    and goes on with shallow copies; `undo_to` puts the mark's lists back,
+    with no replay and no copy.  The lists hold only ints, so a mark's
+    lists stay as they were until it is restored.  Restoring
     hands them back to the state, which changes them from then on, so a
     mark is restored at most once: a second `undo_to` raises
     `SearchError`.  The search restores its marks in stack order, and a
@@ -135,7 +135,6 @@ class MergeState:
         "line_bits",
         "pairs",
         "label",
-        "members",
         "merge_count",
         "class_points",
         "class_lines",
@@ -151,7 +150,6 @@ class MergeState:
         self.pairs = _position_pairs(shape.k)
         count = shape.point_count
         self.label = list(range(count))
-        self.members = [[x] for x in range(count)]
         self.merge_count = 0
         self.class_points = [1 << x for x in range(count)]
         self.class_lines = list(_line_masks_by_point(shape))
@@ -184,10 +182,9 @@ class MergeState:
         ra, rb = label[a], label[b]
         if ra == rb:
             raise SearchError("merge of an already merged pair")
-        members = self.members
-        if len(members[ra]) < len(members[rb]):
-            ra, rb = rb, ra
         incompat, class_points = self._incompat, self.class_points
+        if class_points[ra].bit_count() < class_points[rb].bit_count():
+            ra, rb = rb, ra
         inc_a, inc_b = incompat[ra], incompat[rb]
         if inc_a & class_points[rb]:
             raise SearchError("merge of a forbidden pair")
@@ -206,12 +203,13 @@ class MergeState:
                 near_a |= class_lines[r]
             elif not inc_b & points:
                 near_b |= class_lines[r]
-        moving = members[rb]
-        for x in moving:
-            label[x] = ra
-        members[ra] = members[ra] + moving
+        moving = class_points[rb]
+        class_points[ra] |= moving
+        while moving:
+            low = moving & -moving
+            moving ^= low
+            label[low.bit_length() - 1] = ra
         self.merge_count += 1
-        class_points[ra] |= class_points[rb]
         class_lines[ra] = lines_a | lines_b
         incompat[ra] = inc_a | inc_b
         live = self.live & ~(lines_a & lines_b)
@@ -222,7 +220,6 @@ class MergeState:
         """Snapshot the state for one later `undo_to`."""
         mark = [
             self.label,
-            self.members,
             self.class_points,
             self.class_lines,
             self._incompat,
@@ -231,7 +228,6 @@ class MergeState:
             self.dirty,
         ]
         self.label = self.label[:]
-        self.members = self.members[:]
         self.class_points = self.class_points[:]
         self.class_lines = self.class_lines[:]
         self._incompat = self._incompat[:]
@@ -243,7 +239,6 @@ class MergeState:
             raise SearchError("a mark is restored at most once")
         (
             self.label,
-            self.members,
             self.class_points,
             self.class_lines,
             self._incompat,
@@ -747,63 +742,72 @@ def _line_bits(shape: CubeShape) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _line_masks_by_point(shape: CubeShape) -> tuple[int, ...]:
-    return tuple(sum(1 << li for li in row) for row in _lines_by_point(shape))
-
-
-@lru_cache(maxsize=None)
-def _lines_by_point(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
-    table: list[list[int]] = [[] for _ in shape.iter_indices()]
+    """Bitmask per point of the lines through it, as bits li."""
+    masks = [0] * shape.point_count
     for li, idxs in enumerate(line_index_table(shape)):
         for i in idxs:
-            table[i].append(li)
-    return tuple(tuple(row) for row in table)
+            masks[i] |= 1 << li
+    return tuple(masks)
 
 
-def _line_allowance(colors, idxs, cell: int) -> frozenset[int] | None:
-    """Colors the free `cell` may take per this line, or None if unconstrained.
+def _deficient_lines(colors, lines, k: int) -> tuple[int, int, int, int | None]:
+    """Line bitmasks of a partial coloring (0 = unassigned), in one scan.
 
-    A line constrains the cell only when its other points are assigned
-    with pairwise distinct colors: the cell must then repeat one of them.
+    A line is deficient when it has an unassigned cell and its assigned
+    cells hold pairwise distinct colors.  Returns `pin_lines`, the
+    deficient lines with one unassigned cell, which they pin; `wide_lines`,
+    those with two or more; `pinned_bits`, the pinned cells; and the index
+    of the first rainbow line, or None.
     """
-    others = [colors[i] for i in idxs if i != cell]
-    if 0 in others:
-        return None
-    if len(set(others)) != len(others):
-        return None
-    return frozenset(others)
+    pin_lines = wide_lines = pinned_bits = 0
+    rainbow = None
+    for li, idxs in enumerate(lines):
+        cs = [colors[i] for i in idxs]
+        n_open = cs.count(0)
+        if len(set(cs)) - (n_open > 0) == k - n_open:
+            if n_open == 1:
+                pin_lines |= 1 << li
+                pinned_bits |= 1 << idxs[cs.index(0)]
+            elif n_open:
+                wide_lines |= 1 << li
+            elif rainbow is None:
+                rainbow = li
+    return pin_lines, wide_lines, pinned_bits, rainbow
 
 
 def find_forced_cell(partial: Coloring) -> ForcedCell | None:
-    """First free cell (point-index order) that no color can legally fill."""
+    """First free cell (point-index order) that no color can legally fill.
+
+    Read from the pin masks of `_deficient_lines`, as the completion search
+    reads them: a line pinning a cell only allows the cell its other
+    colors.  The pinned cells are walked in index order, and each cell's
+    pinning lines in line order, keeping the running intersection of their
+    colors; a line that shrinks it is a witness.  The first cell whose
+    intersection becomes empty is returned with its witnesses.
+    """
     shape = partial.shape
     colors = partial.colors
     lines = line_index_table(shape)
     templates = template_table(shape)
-    by_point = _lines_by_point(shape)
-    for idx in shape.iter_indices():
-        if colors[idx] != 0:
-            continue
-        allowance: frozenset[int] | None = None
-        constraining: list[tuple[LineTemplate, frozenset[int]]] = []
-        for li in by_point[idx]:
-            allowed = _line_allowance(colors, lines[li], idx)
-            if allowed is None:
-                continue
-            constraining.append((templates[li], allowed))
-            allowance = allowed if allowance is None else allowance & allowed
-        if allowance is not None and not allowance:
-            witnesses = []
-            running: frozenset[int] | None = None
-            for tmpl, allowed in constraining:
-                if running is None:
-                    running = allowed
-                    witnesses.append(tmpl)
-                elif not running <= allowed:
-                    running = running & allowed
-                    witnesses.append(tmpl)
+    through = _line_masks_by_point(shape)
+    pin_lines, _, pinned_bits, _ = _deficient_lines(colors, lines, shape.k)
+    while pinned_bits:
+        low = pinned_bits & -pinned_bits
+        pinned_bits ^= low
+        cell = low.bit_length() - 1
+        rest = pin_lines & through[cell]
+        running: set[int] | None = None
+        witnesses: list[LineTemplate] = []
+        while rest:
+            line = rest & -rest
+            rest ^= line
+            li = line.bit_length() - 1
+            allowed = {colors[i] for i in lines[li] if i != cell}
+            if running is None or not running <= allowed:
+                running = allowed if running is None else running & allowed
+                witnesses.append(templates[li])
                 if not running:
-                    break
-            return ForcedCell(point_from_index(idx, shape), tuple(witnesses))
+                    return ForcedCell(point_from_index(cell, shape), tuple(witnesses))
     return None
 
 
@@ -835,10 +839,13 @@ def complete(
     status is that of the pin-only bound, reached in at most as many
     nodes.
 
-    The line state is a few bitmasks.  Assigning a cell updates only the
-    deficient lines through it, and clearing it restores the masks saved
-    before.  A pinned cell's candidates are the colors its pinning lines
-    share; any other cell takes every used color plus one fresh color.
+    The line state is the bitmasks of `_deficient_lines`.  Assigning a cell
+    updates only the deficient lines through it, and clearing it restores
+    the masks saved before.  A pinned cell's candidates are the colors its
+    pinning lines share; any other cell takes every used color plus one
+    fresh color.  The certificate of an INFEASIBLE result is the partial's
+    first rainbow line, else the cell of `find_forced_cell`, which reads
+    the same pin masks as the search; it is None when neither exists.
     """
     config = config or SearchConfig()
     started = time.monotonic()
@@ -872,26 +879,10 @@ def _fill(
     budget ran out)."""
     shape = partial.shape
     lines = line_index_table(shape)
-    templates = template_table(shape)
-    by_point = _lines_by_point(shape)
-
-    # Bit li of pin_lines marks a deficient line with one unassigned cell,
-    # which it pins, and bit li of wide_lines one with two or more;
-    # pinned_bits holds the pinned cells.
-    k = shape.k
     colors = list(partial.colors)
-    pin_lines = wide_lines = pinned_bits = 0
-    for li, idxs in enumerate(lines):
-        cs = [colors[i] for i in idxs]
-        n_open = cs.count(0)
-        if len(set(cs)) - (n_open > 0) == k - n_open:
-            if not n_open:
-                return None, templates[li]
-            if n_open == 1:
-                pin_lines |= 1 << li
-                pinned_bits |= 1 << idxs[cs.index(0)]
-            else:
-                wide_lines |= 1 << li
+    pin_lines, wide_lines, pinned_bits, rainbow = _deficient_lines(colors, lines, shape.k)
+    if rainbow is not None:
+        return None, template_table(shape)[rainbow]
 
     free = [i for i in shape.iter_indices() if colors[i] == 0]
     used = {c for c in colors if c != 0}
@@ -963,10 +954,11 @@ def _fill(
             if not pinned_bits >> cell & 1:
                 count = len(used) + fresh_room
             else:
-                for li in by_point[cell]:
-                    if not pin_lines >> li & 1:
-                        continue
-                    allowed = {colors[i] for i in lines[li] if i != cell}
+                rest = pin_lines & through[cell]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    allowed = {colors[i] for i in lines[low.bit_length() - 1] if i != cell}
                     allowance = allowed if allowance is None else allowance & allowed
                     if not allowance:
                         return None

@@ -251,7 +251,9 @@ class TestComplete:
         assert code == 0
         rec = record(out)
         assert rec["status"] == "INFEASIBLE"
-        assert "forced_cell" in rec
+        assert rec["forced_cell"] == "3333"
+        witnesses = [l for l in out.splitlines() if l.startswith("witness_line=")]
+        assert witnesses == ["witness_line=*33*", "witness_line=*3*3"]
 
     def test_feasible_completion_writes_certificate(self, capsys, tmp_path):
         blank = tmp_path / "blank.ahj"
@@ -315,6 +317,15 @@ class TestBounds:
 
     def test_time_limit_without_recompute_rejected(self, capsys):
         code, out, err = run(capsys, "bounds", "--k", "3", "--n-max", "2", "--time-limit", "1")
+        assert code == 2
+        assert out == ""
+        assert "--time-limit" in err
+
+    @pytest.mark.parametrize("limit", ["-5", "0", "nan"])
+    def test_recompute_rejects_non_positive_time_limit(self, capsys, limit):
+        code, out, err = run(
+            capsys, "bounds", "--k", "3", "--n-max", "2", "--recompute", "--time-limit", limit
+        )
         assert code == 2
         assert out == ""
         assert "--time-limit" in err
@@ -389,6 +400,25 @@ class TestUsage:
         assert lines[1].startswith("claim  5 FAIL")
         assert lines[1].endswith("censuses: RuntimeError: broken on purpose")
         assert lines[2].startswith("claim  7 PASS")
+
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complete", "BLANK", "--total-colors", "4"],
+            ["search", "max-colors", "--k", "3", "--n", "2"],
+        ],
+        ids=["complete", "search"],
+    )
+    def test_non_positive_time_limit_rejected(self, capsys, tmp_path, argv, limit):
+        # NaN would never be reached by the clock, so it is refused too.
+        blank = tmp_path / "blank.ahj"
+        blank.write_text(serialize(Coloring(CubeShape(3, 2), (0,) * 9)))
+        argv = [str(blank) if arg == "BLANK" else arg for arg in argv]
+        code, out, err = run(capsys, *argv, "--time-limit", limit)
+        assert code == 2
+        assert out == ""
+        assert "time_limit" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -25,7 +25,7 @@ from ahj.hypercube import (
     template_from_string,
     template_table,
 )
-from ahj.search import _lines_by_point
+from ahj.search import _line_masks_by_point
 
 SMALL_SHAPES = [
     CubeShape(k, n) for k in range(2, 6) for n in range(1, 5) if k**n <= 700
@@ -162,7 +162,8 @@ def lines_through(p, shape):
     """The templates of the lines through p, read from the point-to-line
     incidence table that the completion search uses."""
     templates = template_table(shape)
-    return [templates[li] for li in _lines_by_point(shape)[p.index]]
+    mask = _line_masks_by_point(shape)[p.index]
+    return [templates[li] for li in range(mask.bit_length()) if mask >> li & 1]
 
 
 class TestLinesThrough:

@@ -162,7 +162,7 @@ def _unblocked_pairs(state, idxs):
 
 
 def _assert_bookkeeping(state, model):
-    """The member lists and the line and class masks of `state` match a
+    """The class, line and exclusion masks of `state` match a
     recomputation from its labels, the line table and the model's
     exclusions, and every live line with fewer than two unblocked pairs
     is dirty.
@@ -178,8 +178,6 @@ def _assert_bookkeeping(state, model):
         points[r] |= 1 << x
     for r in roots:
         assert state.class_points[r] == points[r], r
-        assert sum(1 << x for x in state.members[r]) == points[r], r
-        assert len(state.members[r]) == points[r].bit_count(), r
         through = [li for li, idxs in enumerate(lines) if any(state.label[x] == r for x in idxs)]
         assert state.class_lines[r] == sum(1 << li for li in through), r
         apart = 0
@@ -680,8 +678,9 @@ class TestMaxRfColors:
         for workers in (0, 2):
             with pytest.raises(SearchError):
                 SearchConfig(worker_count=workers)
-        with pytest.raises(SearchError):
-            SearchConfig(time_limit=-1.0)
+        for limit in (-1.0, 0.0, float("nan")):
+            with pytest.raises(SearchError):
+                SearchConfig(time_limit=limit)
         with pytest.raises(SearchError):
             SearchConfig(node_limit=0)
 
@@ -831,6 +830,86 @@ class TestForcedCell:
     def test_unconstrained_blank_has_no_forced_cell(self):
         blank = Coloring(S32, (0,) * 9)
         assert find_forced_cell(blank) is None
+
+    @pytest.mark.parametrize(
+        "number, cell, witnesses",
+        [
+            (1, "3333", ["*33*", "*3*3"]),
+            (2, "2222", ["*2**", "**2*"]),
+            (3, "1111", ["*11*", "*1*1"]),
+            (4, "3333", ["*3**", "**3*"]),
+            (5, "2222", ["*22*", "*2*2"]),
+            (6, "1111", ["*1**", "**1*"]),
+        ],
+    )
+    def test_arrangement_certificates(self, number, cell, witnesses):
+        forced = find_forced_cell(two_layer_arrangements()[number - 1])
+        assert str(forced.point) == cell
+        assert [str(t) for t in forced.witnesses] == witnesses
+
+    def test_witnesses_skip_lines_that_allow_no_less(self):
+        # Cell 11 is pinned to {1, 2} by 1* and again by *1, then to {3, 4}
+        # by **: the second line shrinks nothing, so it is no witness.
+        partial = Coloring(S32, (0, 1, 2, 2, 3, 3, 1, 3, 4))
+        forced = find_forced_cell(partial)
+        assert str(forced.point) == "11"
+        assert [str(t) for t in forced.witnesses] == ["1*", "**"]
+
+    @pytest.mark.parametrize("k, palette, blanks", [(3, 6, 3), (4, 10, 4)])
+    def test_matches_oracle_on_random_partials(self, k, palette, blanks):
+        """The first forced cell, checked against a scan of the expanded
+        lines: a free cell is forced iff each partial color, and one fresh
+        color, makes some fully assigned line through it rainbow."""
+        import random
+
+        shape = CubeShape(k, 2)
+        lines = [[p.index for p in expand(t, shape).points] for t in enumerate_lines(shape)]
+        rng = random.Random(29 + k)
+        forced_seen = 0
+        for _ in range(300):
+            colors = [rng.randint(1, palette) for _ in range(shape.point_count)]
+            for i in rng.sample(range(shape.point_count), rng.randint(1, blanks)):
+                colors[i] = UNASSIGNED
+            partial = Coloring(shape, tuple(colors))
+            used = set(colors) - {UNASSIGNED}
+            options = used | {max(used, default=0) + 1}
+
+            def rainbow_with(cell, c):
+                return any(
+                    cell in idxs
+                    and all(colors[i] != UNASSIGNED for i in idxs if i != cell)
+                    and len({c if i == cell else colors[i] for i in idxs}) == k
+                    for idxs in lines
+                )
+
+            expected = next(
+                (
+                    cell
+                    for cell in range(shape.point_count)
+                    if colors[cell] == UNASSIGNED
+                    and all(rainbow_with(cell, c) for c in options)
+                ),
+                None,
+            )
+            forced = find_forced_cell(partial)
+            if expected is None:
+                assert forced is None, colors
+                continue
+            forced_seen += 1
+            cell = forced.point.index
+            assert cell == expected, colors
+            running = None
+            for template in forced.witnesses:
+                idxs = [p.index for p in expand(template, shape).points]
+                assert cell in idxs, (colors, template)
+                others = [colors[i] for i in idxs if i != cell]
+                assert UNASSIGNED not in others and len(set(others)) == k - 1, (colors, template)
+                # Each witness shrinks the colors the ones before it allow.
+                assert running is None or not running <= set(others), (colors, template)
+                running = set(others) if running is None else running & set(others)
+            assert running == set(), colors
+        # Both answers occur often enough to test.
+        assert 50 <= forced_seen <= 250
 
 
 class TestComplete:
