@@ -47,7 +47,6 @@ from .constructions import (
 )
 from .fixtures import load_fixture
 from .hypercube import (
-    Automorphism,
     CubeShape,
     ShapeError,
     enumerate_lines,
@@ -147,7 +146,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if not failures else EXIT_CLAIM_FAILS
 
 
+# The construct flags, besides -o, that each kind does not read.
+_UNREAD_BY_KIND = {
+    "digit-position": ("base", "stacking_coord", "points"),
+    "recursive": ("k", "n", "points"),
+    "singleton": ("base", "stacking_coord"),
+}
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
+    _reject_unread(args, _UNREAD_BY_KIND[args.kind], f"construct {args.kind}")
     if args.kind == "digit-position":
         _require(args.k is not None and args.n is not None, "--k and --n are required")
         coloring = digit_position_coloring(CubeShape(args.k, args.n))
@@ -155,7 +163,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "recursive":
         _require(args.base is not None, "--base is required")
         base = parse(Path(args.base).read_text())
-        coloring = stack_recursive(base, args.stacking_coord)
+        coord = 1 if args.stacking_coord is None else args.stacking_coord
+        coloring = stack_recursive(base, coord)
         detail = f"recursive over {args.base}"
     else:
         _require(args.k is not None and args.n is not None, "--k and --n are required")
@@ -203,6 +212,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.independent_size is not None:
+        _reject_unread(args, ("colors", "minimal_only", "out_dir"), "--independent-size")
     shape = CubeShape(args.k, args.n)
     _emit("subcommand", "enumerate")
     _emit("k", args.k)
@@ -314,6 +325,15 @@ def _parse_points(text: str) -> list[int]:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SearchError(message)
+
+
+def _reject_unread(args: argparse.Namespace, names: tuple[str, ...], context: str) -> None:
+    """A usage error for the first of the flags `names` that was passed,
+    since `context` would ignore it."""
+    for name in names:
+        value = getattr(args, name)
+        flag = "--" + name.replace("_", "-")
+        _require(value is None or value is False, f"{flag} does not apply to {context}")
 
 
 def _timed(func, *args):
@@ -476,24 +496,18 @@ def _check_fixtures() -> tuple[bool, str]:
     return True, "4 fixtures verified; cube pair matches enumeration"
 
 
-def _adjacent_swaps(items: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(len(items) - 1):
-        swapped = list(items)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        out.append(tuple(swapped))
-    return out
-
-
 def _generator_index_maps(shape: CubeShape) -> list[tuple[int, ...]]:
     """Index maps of the adjacent coordinate transpositions and the adjacent
-    symbol transpositions, which together generate the n!*k! group."""
-    coords = tuple(range(shape.n))
-    symbols = tuple(range(1, shape.k + 1))
-    generators = [Automorphism(cp, symbols) for cp in _adjacent_swaps(coords)]
-    generators += [Automorphism(coords, sp) for sp in _adjacent_swaps(symbols)]
+    symbol transpositions, which together generate the n!*k! group, built
+    from point coordinates rather than the group's index arithmetic."""
     points = [point_from_index(i, shape).coords for i in shape.iter_indices()]
-    return [tuple(point_index(g.apply_coords(c), shape) for c in points) for g in generators]
+    images = [
+        [c[:t] + (c[t + 1], c[t]) + c[t + 2 :] for c in points] for t in range(shape.n - 1)
+    ]
+    for s in range(1, shape.k):
+        swap = {s: s + 1, s + 1: s}
+        images.append([tuple(swap.get(v, v) for v in c) for c in points])
+    return [tuple(point_index(c, shape) for c in image) for image in images]
 
 
 def _lines_invariant(shape: CubeShape, lines) -> bool:
@@ -634,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--base", default=None, help="base coloring file for kind=recursive")
-    p.add_argument("--stacking-coord", type=int, default=1)
+    p.add_argument("--stacking-coord", type=int, default=None)
     p.add_argument("--points", default=None, help="comma-separated indices for kind=singleton")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_construct)

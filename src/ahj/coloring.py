@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from .hypercube import (
     CubeShape,
-    Line,
     LineTemplate,
     automorphism_index_maps,
     line_index_table,
@@ -97,14 +96,6 @@ def dominant_color(coloring: Coloring) -> int | None:
 def _require_total(coloring: Coloring, op: str) -> None:
     if not coloring.is_total:
         raise ColoringError(f"{op} requires a total coloring")
-
-
-def is_rainbow(line: Line, coloring: Coloring) -> bool:
-    """True iff the k points of the line carry pairwise distinct colors."""
-    cs = [coloring.colors[p.index] for p in line.points]
-    if UNASSIGNED in cs:
-        raise ColoringError("is_rainbow requires every point of the line assigned")
-    return len(set(cs)) == len(cs)
 
 
 def _rainbow_line_indices(coloring: Coloring, op: str) -> Iterator[int]:
@@ -220,7 +211,9 @@ def parse(text: str) -> Coloring:
         col = 1
         for token in body.split():
             col = body.index(token, col - 1) + 1
-            if not token.lstrip("-").isdigit():
+            # An optional minus sign, then ASCII digits only.
+            digits = token.removeprefix("-")
+            if not (digits.isascii() and digits.isdecimal()):
                 raise ParseError(f"bad entry {token!r}", lineno, col)
             value = int(token)
             if value < 0:

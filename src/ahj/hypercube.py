@@ -128,21 +128,13 @@ def template_from_string(text: str, shape: CubeShape) -> LineTemplate:
     for ch in text:
         if ch == "*":
             cells.append(STAR)
-        elif ch.isdigit() and 1 <= int(ch) <= shape.k:
+        elif ch in "123456789" and int(ch) <= shape.k:
             cells.append(int(ch))
         else:
             raise ShapeError(f"bad template cell {ch!r} for k={shape.k}")
     if STAR not in cells:
         raise ShapeError(f"template {text!r} has no star")
     return LineTemplate(tuple(cells))
-
-
-@dataclass(frozen=True)
-class Line:
-    """The k ordered points of a combinatorial line."""
-
-    template: LineTemplate
-    points: tuple[Point, ...]
 
 
 def _lines(shape: CubeShape) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -178,13 +170,12 @@ def line_count(shape: CubeShape) -> int:
     return (shape.k + 1) ** shape.n - shape.k**shape.n
 
 
-def expand(template: LineTemplate, shape: CubeShape) -> Line:
+def expand(template: LineTemplate, shape: CubeShape) -> tuple[Point, ...]:
     """The ordered points of the line: point i has symbol i at every star."""
-    points = []
-    for i in range(1, shape.k + 1):
-        coords = tuple(i if c == STAR else c for c in template.cells)
-        points.append(point_of(coords, shape))
-    return Line(template, tuple(points))
+    return tuple(
+        point_of(tuple(i if c == STAR else c for c in template.cells), shape)
+        for i in range(1, shape.k + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -226,85 +217,36 @@ def layer(shape: CubeShape, t: int, i: int) -> frozenset[int]:
     if not 1 <= i <= shape.k:
         raise ShapeError(f"symbol {i} out of range 1..{shape.k}")
     w = shape.weights[t - 1]
-    members = []
-    for idx in shape.iter_indices():
-        if idx // w % shape.k == i - 1:
-            members.append(idx)
-    return frozenset(members)
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """A line-preserving symmetry: permute coordinates, then relabel symbols.
-
-    coord_perm is 0-based: image coordinate t reads source coordinate
-    coord_perm[t].  symbol_perm is 0-based over symbols: symbol s maps to
-    symbol_perm[s - 1].
-    """
-
-    coord_perm: tuple[int, ...]
-    symbol_perm: tuple[int, ...]
-
-    def apply_coords(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.symbol_perm[coords[s] - 1] for s in self.coord_perm)
-
-    def apply_cells(self, cells: tuple[int, ...]) -> tuple[int, ...]:
-        """Template action: stars stay stars, fixed cells are relabeled."""
-        return tuple(
-            STAR if cells[s] == STAR else self.symbol_perm[cells[s] - 1]
-            for s in self.coord_perm
-        )
-
-    @property
-    def is_identity(self) -> bool:
-        return all(s == t for t, s in enumerate(self.coord_perm)) and all(
-            v == t + 1 for t, v in enumerate(self.symbol_perm)
-        )
-
-
-def automorphisms(shape: CubeShape) -> list[Automorphism]:
-    """The full n!*k! coordinate x uniform-symbol group, identity first."""
-    size = math.factorial(shape.k) * math.factorial(shape.n)
-    if size > _MAX_GROUP:
-        raise ShapeError(f"symmetry group of size {size} exceeds the {_MAX_GROUP} guard")
-    out = []
-    for cp in permutations(range(shape.n)):
-        for sp in permutations(range(1, shape.k + 1)):
-            out.append(Automorphism(cp, sp))
-    return out
+    return frozenset(idx for idx in shape.iter_indices() if idx // w % shape.k == i - 1)
 
 
 @lru_cache(maxsize=None)
 def automorphism_index_maps(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
-    """For each group element, the induced permutation of point indices.
+    """The symmetry group as permutations of the point indices.  Cached.
 
-    maps[g][old_index] = new_index, in automorphisms() order.  Cached; the
-    identity is maps[0].  Each element relabels symbols and then permutes
-    coordinates, so its map is the composition coord_map[symbol_map[i]] of
-    one map per symbol permutation (k! of them) and one per coordinate
-    permutation (n! of them), both by index arithmetic over the digits of
-    the points; no Point is built.
+    maps[g][old_index] = new_index.  Element g pairs a coordinate
+    permutation cp (outer loop) with a symbol permutation sp of 1..k
+    (inner loop), both in itertools.permutations order, so the identity is
+    maps[0] and the first k! maps permute symbols only.  It relabels symbol
+    s as sp[s - 1], then moves source coordinate cp[t] to image coordinate
+    t.  Each map is index arithmetic over the digits of the points; no
+    Point is built.
     """
-    # Built first so the group-size guard fires before any table is built.
-    group = automorphisms(shape)
-    k, weights = shape.k, shape.weights
+    k, n, weights = shape.k, shape.n, shape.weights
+    size = math.factorial(k) * math.factorial(n)
+    if size > _MAX_GROUP:
+        raise ShapeError(f"symmetry group of size {size} exceeds the {_MAX_GROUP} guard")
 
-    def index_map(columns: list[list[int]]) -> tuple[int, ...]:
+    def index_map(symbols, placed) -> tuple[int, ...]:
         # Image of every point, in index order, when digit d of coordinate
-        # s contributes columns[s][d] to the image index.
-        return tuple(map(sum, product(*columns)))
+        # s becomes digit symbols[d] at weight placed[s].
+        return tuple(map(sum, product(*[[v * w for v in symbols] for w in placed])))
 
-    symbol_maps = {
-        sp: index_map([[(v - 1) * w for v in sp] for w in weights])
-        for sp in permutations(range(1, k + 1))
-    }
-    coord_maps = {}
-    for cp in permutations(range(shape.n)):
+    # An element's map is its coordinate map applied after its symbol map.
+    symbol_maps = [index_map(sp, weights) for sp in permutations(range(k))]
+    maps = []
+    for cp in permutations(range(n)):
         # Source coordinate cp[t] lands at image coordinate t, weight w_t.
-        placed = dict(zip(cp, weights))
-        columns = [[d * placed[s] for d in range(k)] for s in range(shape.n)]
-        coord_maps[cp] = index_map(columns)
-    return tuple(
-        tuple(map(coord_maps[g.coord_perm].__getitem__, symbol_maps[g.symbol_perm]))
-        for g in group
-    )
+        coord_map = index_map(range(k), [w for _, w in sorted(zip(cp, weights))])
+        maps += (tuple(map(coord_map.__getitem__, m)) for m in symbol_maps)
+    return tuple(maps)

@@ -28,6 +28,7 @@ from .hypercube import (
     LineTemplate,
     Point,
     automorphism_index_maps,
+    layer,
     line_index_table,
     point_from_index,
     template_table,
@@ -618,14 +619,10 @@ def _line_cover_masks(shape: CubeShape) -> tuple[tuple[int, int], ...]:
     The lines varying only coordinate t are {p, p + w, p + 2w} for the
     points p of the mask, and they partition the cube.
     """
-    covers = []
-    for w in shape.weights:
-        base = 0
-        for p in shape.iter_indices():
-            if p // w % 3 == 0:
-                base |= 1 << p
-        covers.append((w, base))
-    return tuple(covers)
+    return tuple(
+        (w, sum(1 << p for p in layer(shape, t, 1)))
+        for t, w in enumerate(shape.weights, start=1)
+    )
 
 
 def _independent_sets(
@@ -785,12 +782,17 @@ def find_forced_cell(partial: Coloring) -> ForcedCell | None:
     colors; a line that shrinks it is a witness.  The first cell whose
     intersection becomes empty is returned with its witnesses.
     """
-    shape = partial.shape
-    colors = partial.colors
+    shape, colors = partial.shape, partial.colors
+    pin_lines, _, pinned_bits, _ = _deficient_lines(colors, line_index_table(shape), shape.k)
+    return _forced_cell(shape, colors, pin_lines, pinned_bits)
+
+
+def _forced_cell(shape: CubeShape, colors, pin_lines, pinned_bits) -> ForcedCell | None:
+    """`find_forced_cell` read from the pin masks `_deficient_lines` gives
+    for `colors`."""
     lines = line_index_table(shape)
     templates = template_table(shape)
     through = _line_masks_by_point(shape)
-    pin_lines, _, pinned_bits, _ = _deficient_lines(colors, lines, shape.k)
     while pinned_bits:
         low = pinned_bits & -pinned_bits
         pinned_bits ^= low
@@ -844,8 +846,8 @@ def complete(
     the masks saved before.  A pinned cell's candidates are the colors its
     pinning lines share; any other cell takes every used color plus one
     fresh color.  The certificate of an INFEASIBLE result is the partial's
-    first rainbow line, else the cell of `find_forced_cell`, which reads
-    the same pin masks as the search; it is None when neither exists.
+    first rainbow line, else the cell of `find_forced_cell`, read from the
+    pin masks the search starts from; it is None when neither exists.
     """
     config = config or SearchConfig()
     started = time.monotonic()
@@ -900,6 +902,7 @@ def _fill(
     line_bits = _line_bits(shape)
     through = _line_masks_by_point(shape)
     line_colors = [itemgetter(*idxs) for idxs in lines]
+    root_pins = pin_lines, pinned_bits
 
     def assign(cell: int, value: int) -> None:
         """Give `cell` the color `value`.  Only lines through `cell` change:
@@ -1013,7 +1016,7 @@ def _fill(
 
     if dfs(len(free)) or budget.exhausted:
         return solution, None
-    return None, find_forced_cell(partial)
+    return None, _forced_cell(shape, partial.colors, *root_pins)
 
 
 def two_layer_arrangements() -> list[Coloring]:

@@ -440,6 +440,45 @@ class TestUsage:
         assert "--threads" in err
 
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["construct", "digit-position", "--k", "3", "--n", "2",
+              "--stacking-coord", "7", "-o", "OUT"], "stacking-coord"),
+            (["construct", "digit-position", "--k", "3", "--n", "2",
+              "--points", "0,1", "-o", "OUT"], "points"),
+            (["construct", "digit-position", "--k", "3", "--n", "2",
+              "--base", "BASE", "-o", "OUT"], "base"),
+            (["construct", "recursive", "--base", "BASE", "--k", "3", "-o", "OUT"], "k"),
+            (["construct", "recursive", "--base", "BASE", "--points", "0", "-o", "OUT"],
+             "points"),
+            (["construct", "singleton", "--k", "3", "--n", "2", "--points", "0",
+              "--stacking-coord", "1", "-o", "OUT"], "stacking-coord"),
+            (["construct", "singleton", "--k", "3", "--n", "2", "--points", "0",
+              "--base", "BASE", "-o", "OUT"], "base"),
+            (["enumerate", "--k", "3", "--n", "2", "--independent-size", "3",
+              "--colors", "9"], "colors"),
+            (["enumerate", "--k", "3", "--n", "2", "--independent-size", "3",
+              "--out-dir", "OUT"], "out-dir"),
+            (["enumerate", "--k", "3", "--n", "2", "--independent-size", "3",
+              "--minimal-only"], "minimal-only"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[1] if v[0] == "construct" else v[0],
+    )
+    def test_flag_the_mode_ignores_rejected(self, capsys, tmp_path, argv, flag):
+        # A flag the chosen kind or mode would not read is a usage error, and
+        # nothing is printed or written.
+        base = tmp_path / "base.ahj"
+        base.write_text(serialize(Coloring(CubeShape(3, 2), (1,) * 9)))
+        out = tmp_path / "out"
+        argv = [{"BASE": str(base), "OUT": str(out)}.get(arg, arg) for arg in argv]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert f"--{flag} does not apply" in err
+        assert not out.exists()
+
+
 class TestInvariantCheck:
     """Claim 9 checks the line table against generators of the whole group."""
 

@@ -11,7 +11,6 @@ from ahj.coloring import (
     census,
     dominant_color,
     is_minimal,
-    is_rainbow,
     is_rainbow_free,
     orbit_canonical_form,
     parse,
@@ -20,9 +19,7 @@ from ahj.coloring import (
 )
 from ahj.hypercube import (
     CubeShape,
-    expand,
     line_count,
-    template_from_string,
     template_table,
 )
 
@@ -71,22 +68,6 @@ class TestColoringValue:
 
 
 class TestRainbow:
-    def test_distinct_colors_make_a_rainbow(self):
-        line = expand(template_from_string("*1", S32), S32)
-        c = coloring_of(S32, 1, 9, 9, 2, 9, 9, 3, 9, 9)
-        assert is_rainbow(line, c)
-
-    def test_repeat_blocks_a_rainbow(self):
-        line = expand(template_from_string("*1", S32), S32)
-        c = coloring_of(S32, 1, 9, 9, 2, 9, 9, 1, 9, 9)
-        assert not is_rainbow(line, c)
-
-    def test_unassigned_point_rejected(self):
-        line = expand(template_from_string("*1", S32), S32)
-        c = mono(S32).assign(0, 0)
-        with pytest.raises(ColoringError):
-            is_rainbow(line, c)
-
     def test_monochromatic_is_rainbow_free(self):
         for shape in (CubeShape(2, 3), S32, CubeShape(4, 2)):
             assert is_rainbow_free(mono(shape))
@@ -211,10 +192,13 @@ class TestFileFormat:
             parse("ahj-coloring v1\nk=3 m=2\n" + "1 " * 9)
 
     def test_bad_entry_position_reported(self):
-        text = "ahj-coloring v1\nk=3 n=2\n1 2 3\n4 x 6\n7 8 9\n"
-        with pytest.raises(ParseError) as err:
-            parse(text)
-        assert err.value.line == 4
+        # Only an optional minus sign and ASCII digits make an entry; int()
+        # would fail on "--2" and "-", and str.isdigit() accepts "²".
+        for token in ("x", "--2", "²", "-"):
+            text = f"ahj-coloring v1\nk=3 n=2\n1 2 3\n4 {token} 6\n7 8 9\n"
+            with pytest.raises(ParseError, match="bad entry") as err:
+                parse(text)
+            assert (err.value.line, err.value.column) == (4, 3)
 
     def test_serialize_groups_by_last_coordinate(self):
         c = all_distinct(S32)

@@ -1,7 +1,7 @@
 """Core combinatorics: indexing, line enumeration, symmetries."""
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,6 @@ from ahj.hypercube import (
     LineTemplate,
     ShapeError,
     automorphism_index_maps,
-    automorphisms,
     collinear,
     enumerate_lines,
     expand,
@@ -102,21 +101,28 @@ class TestLineEnumeration:
             assert t.star_set
 
 
+class TestTemplateParsing:
+    @pytest.mark.parametrize("text", ["4*", "0*", "x*", "²*", "12", "1**"])
+    def test_bad_templates_rejected(self, text):
+        with pytest.raises(ShapeError):
+            template_from_string(text, CubeShape(3, 2))
+
+
 class TestExpand:
     def test_column(self):
         s = CubeShape(3, 2)
         line = expand(template_from_string("*2", s), s)
-        assert [p.coords for p in line.points] == [(1, 2), (2, 2), (3, 2)]
+        assert [p.coords for p in line] == [(1, 2), (2, 2), (3, 2)]
 
     def test_diagonal(self):
         s = CubeShape(3, 2)
         line = expand(template_from_string("**", s), s)
-        assert [p.coords for p in line.points] == [(1, 1), (2, 2), (3, 3)]
+        assert [p.coords for p in line] == [(1, 1), (2, 2), (3, 3)]
 
     def test_two_stars_in_three_dims(self):
         s = CubeShape(3, 3)
         line = expand(template_from_string("1**", s), s)
-        assert [p.coords for p in line.points] == [(1, 1, 1), (1, 2, 2), (1, 3, 3)]
+        assert [p.coords for p in line] == [(1, 1, 1), (1, 2, 2), (1, 3, 3)]
 
     @given(small_shape, st.data())
     def test_layer_crossing(self, shape, data):
@@ -125,7 +131,7 @@ class TestExpand:
         t = data.draw(st.sampled_from(templates))
         line = expand(t, shape)
         for c in range(shape.n):
-            values = [p.coords[c] for p in line.points]
+            values = [p.coords[c] for p in line]
             assert len(set(values)) in (1, shape.k)
             if len(set(values)) == shape.k:
                 assert values == list(range(1, shape.k + 1))
@@ -220,28 +226,26 @@ class TestLayers:
 
 class TestAutomorphisms:
     def test_group_sizes(self):
-        assert len(automorphisms(CubeShape(3, 3))) == 36
-        assert len(automorphisms(CubeShape(2, 1))) == 2
+        assert len(automorphism_index_maps(CubeShape(3, 3))) == 36
+        assert len(automorphism_index_maps(CubeShape(2, 1))) == 2
 
     def test_identity_first(self):
         for shape in (CubeShape(2, 1), CubeShape(3, 3), CubeShape(4, 2)):
-            elements = automorphisms(shape)
-            assert elements[0].is_identity
-            assert not any(g.is_identity for g in elements[1:])
+            maps = automorphism_index_maps(shape)
+            identity = tuple(shape.iter_indices())
+            assert maps[0] == identity
+            assert identity not in maps[1:]
 
     def test_group_too_large_rejected(self):
         with pytest.raises(ShapeError):
-            automorphisms(CubeShape(7, 7))
+            automorphism_index_maps(CubeShape(7, 7))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lines_map_onto_lines(self, n):
         shape = CubeShape(3, n)
         line_sets = {frozenset(idxs) for idxs in line_index_table(shape)}
-        for g in automorphisms(shape):
-            image = {
-                frozenset(point_index(g.apply_coords(point_from_index(i, shape).coords), shape) for i in idxs)
-                for idxs in line_index_table(shape)
-            }
+        for m in automorphism_index_maps(shape):
+            image = {frozenset(m[i] for i in idxs) for idxs in line_index_table(shape)}
             assert image == line_sets
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -249,25 +253,6 @@ class TestAutomorphisms:
         shape = CubeShape(3, n)
         for m in automorphism_index_maps(shape):
             assert sorted(m) == list(shape.iter_indices())
-
-    def test_template_action_matches_point_action(self):
-        shape = CubeShape(3, 2)
-        for g in automorphisms(shape):
-            for tmpl, idxs in zip(enumerate_lines(shape), line_index_table(shape)):
-                image_cells = g.apply_cells(tmpl.cells)
-                image_line = expand(
-                    template_from_string(
-                        "".join("*" if c == 0 else str(c) for c in image_cells), shape
-                    ),
-                    shape,
-                )
-                moved = {
-                    point_index(
-                        g.apply_coords(point_from_index(i, shape).coords), shape
-                    )
-                    for i in idxs
-                }
-                assert {p.index for p in image_line.points} == moved
 
 
 def _reference_templates(shape):
@@ -279,11 +264,19 @@ def _reference_templates(shape):
             yield LineTemplate(tuple(STAR if c == star_symbol else c for c in word))
 
 
-def _reference_index_map(g, shape):
-    """The point permutation of g, through Point objects and point_index."""
+def _reference_group(shape):
+    """(cp, sp) pairs in the order of automorphism_index_maps: coordinate
+    permutations outer, symbol permutations of 1..k inner."""
+    return list(product(permutations(range(shape.n)), permutations(range(1, shape.k + 1))))
+
+
+def _reference_index_map(cp, sp, shape):
+    """The point permutation of (cp, sp), through Point objects and
+    point_index: image coordinate t holds symbol sp[s - 1] for the symbol s
+    at source coordinate cp[t]."""
     return tuple(
-        point_index(g.apply_coords(point_from_index(i, shape).coords), shape)
-        for i in shape.iter_indices()
+        point_index(tuple(sp[coords[s] - 1] for s in cp), shape)
+        for coords in (point_from_index(i, shape).coords for i in shape.iter_indices())
     )
 
 
@@ -298,25 +291,25 @@ class TestIndexTablesMatchReference:
     )
     def test_every_index_map(self, shape):
         maps = automorphism_index_maps(shape)
-        group = automorphisms(shape)
+        group = _reference_group(shape)
         assert len(maps) == len(group)
         assert maps[0] == tuple(shape.iter_indices())
-        for g, m in zip(group, maps):
-            assert m == _reference_index_map(g, shape)
+        for (cp, sp), m in zip(group, maps):
+            assert m == _reference_index_map(cp, sp, shape)
 
     @pytest.mark.parametrize("shape", [CubeShape(4, 4), CubeShape(5, 4)], ids=str)
     def test_sampled_index_maps_cover_every_coordinate_permutation(self, shape):
         maps = automorphism_index_maps(shape)
-        group = automorphisms(shape)
+        group = _reference_group(shape)
         assert len(maps) == len(group)
         # Elements come in blocks of k! per coordinate permutation; a stride
         # of k! + 1 takes one element from every block, each with a
         # different symbol permutation.
         stride = math.factorial(shape.k) + 1
         sample = range(0, len(group), stride)
-        assert {group[j].coord_perm for j in sample} == {g.coord_perm for g in group}
+        assert {group[j][0] for j in sample} == {cp for cp, _ in group}
         for j in sample:
-            assert maps[j] == _reference_index_map(group[j], shape)
+            assert maps[j] == _reference_index_map(*group[j], shape)
 
     @pytest.mark.parametrize(
         "shape",
@@ -332,5 +325,5 @@ class TestIndexTablesMatchReference:
         assert list(enumerate_lines(shape)) == templates
         assert template_table(shape) == tuple(templates)
         assert line_index_table(shape) == tuple(
-            tuple(p.index for p in expand(t, shape).points) for t in templates
+            tuple(p.index for p in expand(t, shape)) for t in templates
         )

@@ -360,7 +360,7 @@ class TestMergeState:
 
 
 _S32_LINES = [
-    [p.index for p in expand(t, S32).points] for t in enumerate_lines(S32)
+    [p.index for p in expand(t, S32)] for t in enumerate_lines(S32)
 ]
 
 
@@ -821,7 +821,7 @@ class TestForcedCell:
         forced = find_forced_cell(arrangement)
         for template in forced.witnesses:
             line = expand(template, arrangement.shape)
-            assert any(p.index == forced.point.index for p in line.points)
+            assert any(p.index == forced.point.index for p in line)
 
     def test_total_coloring_has_no_forced_cell(self):
         c = singleton_set_coloring(S32, [0, 5, 7])
@@ -863,7 +863,7 @@ class TestForcedCell:
         import random
 
         shape = CubeShape(k, 2)
-        lines = [[p.index for p in expand(t, shape).points] for t in enumerate_lines(shape)]
+        lines = [[p.index for p in expand(t, shape)] for t in enumerate_lines(shape)]
         rng = random.Random(29 + k)
         forced_seen = 0
         for _ in range(300):
@@ -900,7 +900,7 @@ class TestForcedCell:
             assert cell == expected, colors
             running = None
             for template in forced.witnesses:
-                idxs = [p.index for p in expand(template, shape).points]
+                idxs = [p.index for p in expand(template, shape)]
                 assert cell in idxs, (colors, template)
                 others = [colors[i] for i in idxs if i != cell]
                 assert UNASSIGNED not in others and len(set(others)) == k - 1, (colors, template)
@@ -1060,7 +1060,7 @@ def _reachable_color_counts(partial):
     """
     shape = partial.shape
     colors = list(partial.colors)
-    lines = [[p.index for p in expand(t, shape).points] for t in enumerate_lines(shape)]
+    lines = [[p.index for p in expand(t, shape)] for t in enumerate_lines(shape)]
 
     def rainbow_free(cell=None):
         return all(
