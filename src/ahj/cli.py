@@ -361,7 +361,7 @@ def _witness_fault(outcome: SearchOutcome) -> str | None:
 
 # The serial search tree of the full [3]^3 proof is fixed, so claim 1 also
 # pins its node count.
-_CUBE_PROOF_NODES = 1_279_607
+_CUBE_PROOF_NODES = 625_462
 
 
 def _check_exact_values() -> tuple[bool, str]:

@@ -66,15 +66,23 @@ def _weights(k: int, n: int) -> tuple[int, ...]:
     return tuple(k ** (n - 1 - t) for t in range(n))
 
 
+def _name(cells: tuple[int, ...], k: int) -> str:
+    """Cells written as symbols, * for a star: run together for k <= 9,
+    and joined by ":" from k = 10 on, where a symbol can take two digits."""
+    return (":" if k >= 10 else "").join("*" if c == STAR else str(c) for c in cells)
+
+
 @dataclass(frozen=True)
 class Point:
-    """A vertex of [k]^n with its canonical linear index."""
+    """A vertex of [k]^n with its canonical linear index; k sets how its
+    name is written."""
 
     coords: tuple[int, ...]
     index: int
+    k: int
 
     def __str__(self) -> str:
-        return "".join(str(c) for c in self.coords)
+        return _name(self.coords, self.k)
 
 
 def point_index(coords: tuple[int, ...], shape: CubeShape) -> int:
@@ -98,18 +106,20 @@ def point_from_index(index: int, shape: CubeShape) -> Point:
     for w in shape.weights:
         c, rem = divmod(rem, w)
         coords.append(c + 1)
-    return Point(tuple(coords), index)
+    return Point(tuple(coords), index, shape.k)
 
 
 def point_of(coords: tuple[int, ...], shape: CubeShape) -> Point:
-    return Point(tuple(coords), point_index(tuple(coords), shape))
+    return Point(tuple(coords), point_index(tuple(coords), shape), shape.k)
 
 
 @dataclass(frozen=True)
 class LineTemplate:
-    """A word over {1..k} union {*}; cells use STAR (= 0) for stars."""
+    """A word over {1..k} union {*} for [k]^n; cells use STAR (= 0) for
+    stars."""
 
     cells: tuple[int, ...]
+    k: int
 
     @property
     def star_set(self) -> frozenset[int]:
@@ -117,24 +127,25 @@ class LineTemplate:
         return frozenset(t for t, c in enumerate(self.cells) if c == STAR)
 
     def __str__(self) -> str:
-        return "".join("*" if c == STAR else str(c) for c in self.cells)
+        return _name(self.cells, self.k)
 
 
 def template_from_string(text: str, shape: CubeShape) -> LineTemplate:
-    """Parse a template like "1*2"; the inverse of str()."""
-    if len(text) != shape.n:
-        raise ShapeError(f"template {text!r} has length {len(text)}, expected {shape.n}")
+    """Parse a template like "1*2", or "1:*:12" from k = 10 on; the
+    inverse of str()."""
+    parts = text.split(":") if shape.k >= 10 else list(text)
+    if len(parts) != shape.n:
+        raise ShapeError(f"template {text!r} has {len(parts)} cells, expected {shape.n}")
+    symbols = {str(s): s for s in range(1, shape.k + 1)}
+    symbols["*"] = STAR
     cells = []
-    for ch in text:
-        if ch == "*":
-            cells.append(STAR)
-        elif ch in "123456789" and int(ch) <= shape.k:
-            cells.append(int(ch))
-        else:
-            raise ShapeError(f"bad template cell {ch!r} for k={shape.k}")
+    for part in parts:
+        if part not in symbols:
+            raise ShapeError(f"bad template cell {part!r} for k={shape.k}")
+        cells.append(symbols[part])
     if STAR not in cells:
         raise ShapeError(f"template {text!r} has no star")
-    return LineTemplate(tuple(cells))
+    return LineTemplate(tuple(cells), shape.k)
 
 
 def _lines(shape: CubeShape) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -163,7 +174,7 @@ def enumerate_lines(shape: CubeShape) -> Iterator[LineTemplate]:
     Yields (k+1)^n - k^n templates, each exactly once.
     """
     for cells, _, _ in _lines(shape):
-        yield LineTemplate(cells)
+        yield LineTemplate(cells, shape.k)
 
 
 def line_count(shape: CubeShape) -> int:

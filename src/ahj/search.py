@@ -5,7 +5,8 @@ coloring is rainbow-free iff every line carries two same-class points, and
 maximizing colors is minimizing class merges.  Branch and bound explores
 merge decisions over a snapshotted quick-find union-find with exclusion
 constraints ("these two points stay in different classes"), unit
-propagation of forced merges, and an admissible disjoint-line lower bound.
+propagation of forced merges, and an admissible lower bound from a
+packing of disjoint lines that the state keeps and repairs.
 
 The search is serial: one state and one depth-first walk, so a run's node
 count, value and witness are the same every time it is repeated.
@@ -112,7 +113,12 @@ class MergeState:
       distinct classes;
     - `dirty` holds the live lines whose count of unblocked pairs may have
       dropped since the last `_settle`.  Every live line outside it has at
-      least two unblocked pairs.  A fresh state marks every line dirty.
+      least two unblocked pairs.  A fresh state marks every line dirty;
+    - `packed` holds live lines with pairwise disjoint class sets, the
+      packing that the bound of `_settle` counts, and `plines` the lines
+      through their classes: the OR of `class_lines` over those classes.
+      `_bound_reaches` adds lines to it; a fresh state packs none.
+      `_swapless` is the `packed` mask on which it last found no swap.
 
     A merge takes the lines through both classes out of `live` and ORs the
     two halves' exclusion masks.  A class kept apart from one half only is
@@ -120,10 +126,19 @@ class MergeState:
     that meet such a class go into `dirty`.  A forbid puts the live lines
     through both classes there.
 
-    `mark()` hands the four live lists and the counters over to the mark
-    and goes on with shallow copies; `undo_to` puts the mark's lists back,
-    with no replay and no copy.  The lists hold only ints, so a mark's
-    lists stay as they were until it is restored.  Restoring
+    A merge also repairs the packing.  A class lies on at most one packed
+    line.  If one packed line holds both halves, the merge satisfies it;
+    if two packed lines hold one half each, they now share a class.  Either
+    way the packed line through the relabeled half goes, and `plines` is
+    rebuilt from the lines left.  If only one half is on a packed line,
+    the other half's lines join `plines`.  So a merge drops at most one
+    packed line, and `merge_count` plus the number of packed lines never
+    falls along a path.  A forbid leaves the packing as it is.
+
+    `mark()` hands the four live lists, the counter and the masks over to
+    the mark and goes on with shallow copies; `undo_to` puts the mark's
+    lists back, with no replay and no copy.  The lists hold only ints, so
+    a mark's lists stay as they were until it is restored.  Restoring
     hands them back to the state, which changes them from then on, so a
     mark is restored at most once: a second `undo_to` raises
     `SearchError`.  The search restores its marks in stack order, and a
@@ -133,7 +148,6 @@ class MergeState:
     __slots__ = (
         "shape",
         "lines",
-        "line_bits",
         "pairs",
         "label",
         "merge_count",
@@ -141,13 +155,15 @@ class MergeState:
         "class_lines",
         "live",
         "dirty",
+        "packed",
+        "plines",
         "_incompat",
+        "_swapless",
     )
 
     def __init__(self, shape: CubeShape):
         self.shape = shape
         self.lines = line_index_table(shape)
-        self.line_bits = _line_bits(shape)
         self.pairs = _position_pairs(shape.k)
         count = shape.point_count
         self.label = list(range(count))
@@ -155,7 +171,9 @@ class MergeState:
         self.class_points = [1 << x for x in range(count)]
         self.class_lines = list(_line_masks_by_point(shape))
         self.live = self.dirty = (1 << len(self.lines)) - 1
+        self.packed = self.plines = 0
         self._incompat = [0] * count
+        self._swapless = -1
 
     def same(self, a: int, b: int) -> bool:
         return self.label[a] == self.label[b]
@@ -216,6 +234,28 @@ class MergeState:
         live = self.live & ~(lines_a & lines_b)
         self.live = live
         self.dirty |= (lines_a & near_a | lines_b & near_b) & live
+        packed = self.packed
+        held_a, held_b = lines_a & packed, lines_b & packed
+        if held_a and held_b:
+            # One packed line holding both halves is satisfied; two now
+            # share the merged class.  Either way one line goes.
+            packed ^= held_b
+            self.packed = packed
+            self.plines = self._reach(packed)
+        elif held_a or held_b:
+            self.plines |= lines_a | lines_b
+
+    def _reach(self, packed: int) -> int:
+        """The lines through the classes of the lines in `packed`: `plines`
+        recomputed in full."""
+        label, class_lines, lines = self.label, self.class_lines, self.lines
+        reach = 0
+        while packed:
+            low = packed & -packed
+            packed ^= low
+            for x in lines[low.bit_length() - 1]:
+                reach |= class_lines[label[x]]
+        return reach
 
     def mark(self) -> list:
         """Snapshot the state for one later `undo_to`."""
@@ -227,6 +267,9 @@ class MergeState:
             self.merge_count,
             self.live,
             self.dirty,
+            self.packed,
+            self.plines,
+            self._swapless,
         ]
         self.label = self.label[:]
         self.class_points = self.class_points[:]
@@ -246,6 +289,9 @@ class MergeState:
             self.merge_count,
             self.live,
             self.dirty,
+            self.packed,
+            self.plines,
+            self._swapless,
         ) = mark
         mark.clear()
 
@@ -327,36 +373,80 @@ def _position_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(k), 2))
 
 
-def _bound_reaches(state: MergeState, candidates: int, best: int) -> bool:
-    """Whether the merges made so far plus a greedy packing, in line order,
-    of the lines in `candidates` with pairwise disjoint class sets reach
-    `best`.
+def _bound_reaches(state: MergeState, best: int) -> bool:
+    """Whether the merges made so far plus the lines of the state's packing
+    reach `best`.
 
-    `candidates` holds live lines.  Each packed line takes k classes of
-    its own, so at most `min(len(candidates), classes // k)` of them pack;
-    when even that falls short of `best` the packing is skipped.  A line
-    meets a packed class iff one of its points is in `covered`, the union
-    of the packed lines' class points.
+    The packing is first refilled greedily, in line order, from the live
+    lines outside `plines`, the ones that meet no packed class.  When the
+    count is then exactly one short of `best`, one 1-for-2 swap is tried
+    (`_swap`).  The refill and a swap found stay in the state, so the
+    children of a node start from its packing.
+
+    A swap that fails is remembered by the `packed` mask it failed on, and
+    not tried again while `packed` is unchanged.  Merges only coarsen the
+    classes and shrink `live`, so below a state with no such swap there
+    is none either until a line is dropped or added.  The memo is part of
+    the snapshot marks, so a backtrack takes back what a subtree learnt.
     """
-    label = state.label
-    lines = state.lines
-    merges = state.merge_count
-    if merges + min(candidates.bit_count(), (len(label) - merges) // state.shape.k) < best:
+    packed, plines = state.packed, state.plines
+    free = state.live & ~plines
+    while free:
+        low = free & -free
+        packed |= low
+        plines |= state._reach(low)
+        free &= ~plines
+    state.packed, state.plines = packed, plines
+    short = best - state.merge_count - packed.bit_count()
+    if short <= 0:
+        return True
+    if short > 1 or packed == state._swapless:
         return False
-    line_bits = state.line_bits
-    class_points = state.class_points
-    covered = 0
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        li = low.bit_length() - 1
-        if line_bits[li] & covered:
-            continue
-        for x in lines[li]:
-            covered |= class_points[label[x]]
-        merges += 1
-        if merges >= best:
-            return True
+    if _swap(state):
+        return True
+    state._swapless = packed
+    return False
+
+
+def _swap(state: MergeState) -> bool:
+    """Trade one packed line p for two live lines that meet no packed line
+    but p and share no class with each other; the first such p and pair,
+    in line order, is kept.  The refill has left no live line outside
+    `plines`, so the lines that meet p alone are those through p's
+    classes and through no other packed line's."""
+    label, lines, class_lines = state.label, state.lines, state.class_lines
+    packed = state.packed
+    # `seen` holds the lines through a packed class, `twice` those through
+    # the classes of two packed lines or more.
+    reaches = []
+    seen = twice = 0
+    rest = packed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        reach = 0
+        for x in lines[low.bit_length() - 1]:
+            reach |= class_lines[label[x]]
+        twice |= seen & reach
+        seen |= reach
+        reaches.append((low, reach))
+    single = state.live & ~twice & ~packed
+    if single & (single - 1) == 0:
+        return False
+    for low, reach in reaches:
+        alone = single & reach
+        while alone & (alone - 1):
+            first = alone & -alone
+            alone ^= first
+            apart = 0
+            for x in lines[first.bit_length() - 1]:
+                apart |= class_lines[label[x]]
+            second = alone & ~apart
+            if second:
+                packed ^= low | first | second & -second
+                state.packed = packed
+                state.plines = state._reach(packed)
+                return True
     return False
 
 
@@ -378,29 +468,27 @@ def _settle(state: MergeState, best: int) -> int:
     the next.  Propagation ends after a pass without a merge, when every
     live line has at least two unblocked pairs.
 
-    The bound adds to the merges made so far a greedy count, in line
-    order, of live lines with pairwise disjoint class sets (see
-    `_bound_reaches`).  It is admissible: however the remaining merges
-    play out, each counted line ends with two of its points in one class,
-    and because no class touches two counted lines the merge forest spans
-    two fresh endpoints per line, which by Hall's theorem pins one
-    distinct merge per line.  It is tested on the fixpoint over every
-    live line, and at the first forced or dead line of each pass over the
-    live lines below it, on the state the pass started from.
+    The bound adds to the merges made so far the lines of the packing
+    the state keeps: live lines with pairwise disjoint class sets (see
+    `MergeState` and `_bound_reaches`).  It is admissible: however the
+    remaining merges play out, each packed line ends with two of its
+    points in one class, and because no class touches two packed lines
+    the merge forest spans two fresh endpoints per line, which by Hall's
+    theorem pins one distinct merge per line.  A merge drops at most one
+    packed line, so the bound never falls along a path, and it is tested
+    once, on the fixpoint, after the forced merges have raised it.
 
     Forced merges are confluent: a blocked pair stays blocked, and a
     forced line can only be satisfied by its one pair, so propagation in
     any order reaches the same fixpoint partition, and a dead line or a
-    merge count of `best` met in one order is met in every order.  The
-    bound is not monotone under merges, though: a greedy packing can lose
-    more lines than a pass adds merges, so a bound tested part-way through
-    propagation can cut a state that the fixpoint's bound keeps.  The
-    order is therefore fixed to that of a full scan of the line table in
-    passes, which skips satisfied lines, merges each forced line it meets
-    and tests the bound on the lines before the first.  A live line
-    outside `dirty` has two unblocked pairs, so such a scan does nothing
-    at it either: `_settle` makes the same merges in the same order and
-    returns what the full scan returns, on the same partition.
+    merge count of `best` met in one order is met in every order.  Which
+    packed line a merge drops depends on the order, though, so the order
+    is fixed to that of a full scan of the line table in passes, which
+    skips satisfied lines and merges each forced line it meets.  A live
+    line outside `dirty` has two unblocked pairs, so such a scan does
+    nothing at it either: `_settle` makes the same merges in the same
+    order and returns what the full scan returns, on the same partition
+    and packing.
     """
     label = state.label
     incompat = state._incompat
@@ -412,7 +500,6 @@ def _settle(state: MergeState, best: int) -> int:
         state.dirty = 0
         if not work:
             break
-        changed = False
         while work:
             low = work & -work
             work ^= low
@@ -426,11 +513,6 @@ def _settle(state: MergeState, best: int) -> int:
                     only = (i, j)
             else:
                 # At most one unblocked pair: the line is dead or forced.
-                if not changed:
-                    changed = True
-                    if _bound_reaches(state, state.live & (low - 1), best):
-                        state.dirty |= work | low
-                        return _PRUNE
                 if only is None:
                     state.dirty |= work | low
                     return _DEAD
@@ -444,7 +526,7 @@ def _settle(state: MergeState, best: int) -> int:
     live = state.live
     if not live:
         return _SOLVED if state.merge_count < best else _PRUNE
-    if _bound_reaches(state, live, best):
+    if _bound_reaches(state, best):
         return _PRUNE
     return (live & -live).bit_length() - 1
 

@@ -37,6 +37,13 @@ class TestLines:
         assert code == 0
         assert out.strip() == "*"
 
+    def test_wide_alphabet_list_has_no_duplicates(self, capsys):
+        code, out, _ = run(capsys, "lines", "--k", "11", "--n", "3", "--list")
+        assert code == 0
+        names = out.split()
+        assert len(names) == len(set(names)) == 12**3 - 11**3
+        assert "11:1:*" in names and "1:11:*" in names
+
     def test_two_symbol_count(self, capsys):
         code, out, _ = run(capsys, "lines", "--k", "2", "--n", "2", "--count")
         assert code == 0

@@ -107,6 +107,30 @@ class TestTemplateParsing:
         with pytest.raises(ShapeError):
             template_from_string(text, CubeShape(3, 2))
 
+    @given(small_shape)
+    def test_names_parse_back(self, shape):
+        for t in enumerate_lines(shape):
+            assert template_from_string(str(t), shape) == t
+
+    @pytest.mark.parametrize("k,n", [(11, 2), (10, 3)])
+    def test_wide_alphabet_names_parse_back(self, k, n):
+        """From k = 10 on a symbol can take two digits, so a name joins its
+        cells with ":" and still reads back as the same template."""
+        shape = CubeShape(k, n)
+        names = [str(t) for t in enumerate_lines(shape)]
+        assert len(set(names)) == len(names) == line_count(shape)
+        for name, t in zip(names, enumerate_lines(shape)):
+            assert template_from_string(name, shape) == t
+
+    def test_names_separate_cells_from_k_ten_on(self):
+        assert str(template_from_string("11:1:*", CubeShape(11, 3))) == "11:1:*"
+        assert str(point_of((1, 11, 1), CubeShape(11, 3))) == "1:11:1"
+        assert str(point_of((1, 1), CubeShape(10, 2))) == "1:1"
+        assert str(point_of((1, 9), CubeShape(9, 2))) == "19"
+        for text in ("111*", "1:1:*:", "01:1:*", "1:12:*"):
+            with pytest.raises(ShapeError):
+                template_from_string(text, CubeShape(11, 3))
+
 
 class TestExpand:
     def test_column(self):
@@ -261,7 +285,7 @@ def _reference_templates(shape):
     star_symbol = shape.k + 1
     for word in product(range(1, star_symbol + 1), repeat=shape.n):
         if star_symbol in word:
-            yield LineTemplate(tuple(STAR if c == star_symbol else c for c in word))
+            yield LineTemplate(tuple(STAR if c == star_symbol else c for c in word), shape.k)
 
 
 def _reference_group(shape):

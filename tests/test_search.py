@@ -44,6 +44,7 @@ from ahj.search import (
     _SOLVED,
     _Budget,
     _Incumbent,
+    _bound_reaches,
     _dfs,
     _independent_sets,
     _seed_coloring,
@@ -164,12 +165,14 @@ def _unblocked_pairs(state, idxs):
 def _assert_bookkeeping(state, model):
     """The class, line and exclusion masks of `state` match a
     recomputation from its labels, the line table and the model's
-    exclusions, and every live line with fewer than two unblocked pairs
-    is dirty.
+    exclusions, every live line with fewer than two unblocked pairs is
+    dirty, and the packing is valid.
 
     The exclusion masks hold points: `_incompat[r]` meets the points of
     another root q iff the model keeps r and q apart, and every point in
-    it lies in a class kept apart from r."""
+    it lies in a class kept apart from r.  The packed lines are live and
+    their class sets pairwise disjoint, and `plines` holds exactly the
+    lines through their classes."""
     shape = state.shape
     lines = line_index_table(shape)
     roots = sorted(set(state.label))
@@ -195,6 +198,15 @@ def _assert_bookkeeping(state, model):
     for li in live:
         if len(_unblocked_pairs(state, lines[li])) < 2:
             assert state.dirty >> li & 1, li
+    packed = [li for li in range(len(lines)) if state.packed >> li & 1]
+    assert set(packed) <= set(live)
+    taken = set()
+    for li in packed:
+        roots = {state.label[x] for x in lines[li]}
+        assert not roots & taken, li
+        taken |= roots
+    reach = {li for li, idxs in enumerate(lines) if any(state.label[x] in taken for x in idxs)}
+    assert state.plines == sum(1 << li for li in reach)
 
 
 def _adopt_merges(state, model):
@@ -210,7 +222,8 @@ _STATE_OPS = st.lists(
         st.tuples(
             st.sampled_from(["merge", "forbid"]), st.integers(0, 26), st.integers(0, 26)
         ),
-        st.tuples(st.sampled_from(["mark", "settle"]), st.just(0), st.just(0)),
+        st.tuples(st.just("mark"), st.just(0), st.just(0)),
+        st.tuples(st.just("settle"), st.integers(1, 8), st.just(0)),
         st.tuples(st.just("undo"), st.integers(0, 1000), st.just(0)),
     ),
     max_size=40,
@@ -316,9 +329,10 @@ class TestMergeState:
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_naive_partition_model(self, shape, ops):
         """Merge, forbid, mark and undo_to track a naive set partition, and
-        keep the line and class masks equal to a recomputation.  A settle
-        step runs `_settle` with a threshold it cannot reach, and the model
-        takes over the forced merges it made."""
+        keep the line, class and packing masks equal to a recomputation.  A
+        settle step runs `_settle` with a threshold 1-8 merges above the
+        current count, so that it also refills, swaps and cuts, and the
+        model takes over the forced merges it made."""
         count = shape.point_count
         state = MergeState(shape)
         model = _PartitionModel(count)
@@ -342,7 +356,7 @@ class TestMergeState:
             elif tag == "mark":
                 marks.append((state.mark(), model.copy()))
             elif tag == "settle":
-                _settle(state, count + 1)
+                _settle(state, state.merge_count + a)
                 _adopt_merges(state, model)
             else:
                 del marks[a % len(marks) + 1 :]
@@ -445,15 +459,18 @@ class TestLowerBound:
 
 def _reference_settle(state, best):
     """The full-scan settle: every pass walks the whole line table through
-    `label`, `same`, `blocked` and `merge` only, merging forced pairs,
-    packing unsatisfied lines with disjoint class sets for the bound, and
-    taking the first unsatisfied line to branch on."""
+    `label`, `same`, `blocked` and `merge` only, merging forced pairs, and
+    the fixpoint takes the first unsatisfied line to branch on.
+
+    The bound is not recomputed here: the fixpoint reads it from the
+    state's own maintained packing through `_bound_reaches`, as `_settle`
+    does.  So this reference checks the propagation and the order of its
+    merges, on which the packing's repairs depend; the oracle test in
+    `TestPackingBound` checks the packing's cuts."""
     lines = line_index_table(state.shape)
     while True:
         changed = False
         first = -1
-        used = set()
-        bound = state.merge_count
         for li, idxs in enumerate(lines):
             if any(state.same(a, b) for a, b in combinations(idxs, 2)):
                 continue
@@ -465,21 +482,12 @@ def _reference_settle(state, best):
                 if state.merge_count >= best:
                     return _PRUNE
                 changed = True
-                continue
-            if changed:
-                continue
-            if first < 0:
+            elif first < 0:
                 first = li
-            roots = {state.label[x] for x in idxs}
-            if not used & roots:
-                used |= roots
-                bound += 1
-                if bound >= best:
-                    return _PRUNE
         if not changed:
             if first < 0:
                 return _SOLVED if state.merge_count < best else _PRUNE
-            return first if bound < best else _PRUNE
+            return _PRUNE if _bound_reaches(state, best) else first
 
 
 def _blocks(state):
@@ -489,11 +497,11 @@ def _blocks(state):
 
 
 @st.composite
-def _settle_runs(draw):
+def _settle_runs(draw, shapes=(S32, CubeShape(4, 2), S33)):
     """A shape and a list of merge, forbid and settle steps.  A settle step
     carries the slack of its prune threshold over the merges made; the
     share of forbids among the pair steps is drawn once per run."""
-    shape = draw(st.sampled_from([S32, CubeShape(4, 2), S33]))
+    shape = draw(st.sampled_from(shapes))
     count = shape.point_count
     forbids = draw(st.integers(0, 4))
     steps = []
@@ -528,6 +536,7 @@ def _play(shape, steps):
             outcome = _settle(mine, best)
             assert outcome == _reference_settle(ref, best)
             assert _blocks(mine) == _blocks(ref)
+            assert mine.packed == ref.packed
             if outcome < 0:
                 return outcome
             assert mine.dirty == 0
@@ -550,22 +559,6 @@ class TestSettleAgainstFullScan:
     def test_same_outcome_as_full_scan(self, run):
         _play(*run)
 
-    def test_pass_bound_cuts_what_the_fixpoint_bound_keeps(self):
-        """On this [3]^4 state the first pass packs 26 lines ahead of its
-        forced line, so with the 3 merges made the bound reaches 29.  The
-        forced merge makes 4, and the fixpoint's greedy packing holds only
-        24 lines: 28 in all.  A settle that tested the bound on the
-        fixpoint alone would branch here where the full scan cuts."""
-        steps = [
-            ("merge", 39, 73),
-            ("forbid", 67, 40),
-            ("forbid", 13, 67),
-            ("merge", 55, 52),
-            ("merge", 64, 17),
-        ]
-        assert _play(S34, steps + [("settle", 26, 0)]) == _PRUNE
-        assert _play(S34, steps + [("settle", 27, 0)]) == 0
-
     def test_lines_made_dirty_below_wait_for_the_next_pass(self):
         """On this [3]^2 state line 2 is forced and line 3 is dead.  The
         merge on line 2 forces line 1 as well, but the pass goes on to line
@@ -582,6 +575,107 @@ class TestSettleAgainstFullScan:
             ("settle", 6, 0),
         ]
         assert _play(S32, steps) == _DEAD
+
+
+def _fewest_merges(shape, labels, forbidden, below):
+    """The fewest merges, if fewer than `below`, of a rainbow-free set
+    partition of `shape`'s points that coarsens the blocks of `labels`
+    and keeps each pair in `forbidden` apart; None if there is none.
+
+    Plain backtracking: each block joins an earlier group or opens the
+    next one, a branch stops once its merges reach the best so far, and a
+    line is checked for two same-group points once its last block is
+    placed.  The lines come from `expand`, and nothing here packs lines."""
+    roots = sorted(set(labels))
+    block = {r: i for i, r in enumerate(roots)}
+    of = [block[r] for r in labels]
+    count = len(roots)
+    apart = [[] for _ in range(count)]
+    for a, b in forbidden:
+        i, j = sorted((of[a], of[b]))
+        apart[j].append(i)
+    closing = [[] for _ in range(count)]
+    for t in enumerate_lines(shape):
+        line = [of[p.index] for p in expand(t, shape)]
+        closing[max(line)].append(line)
+    group = [0] * count
+    least = [below]
+
+    def extend(i, used):
+        merges = shape.point_count - count + i - used
+        if merges >= least[0]:
+            return
+        if i == count:
+            least[0] = merges
+            return
+        for g in range(used + 1):
+            if any(group[j] == g for j in apart[i]):
+                continue
+            group[i] = g
+            if all(len({group[x] for x in line}) < len(line) for line in closing[i]):
+                extend(i + 1, used + (g == used))
+
+    extend(0, 0)
+    return least[0] if least[0] < below else None
+
+
+class TestPackingBound:
+    """The line packing that `MergeState` keeps and `_settle` cuts on."""
+
+    @given(_settle_runs((S32, CubeShape(4, 2))))
+    @settings(max_examples=300, deadline=None)
+    def test_cuts_against_partition_oracle(self, run):
+        """When `_settle(state, best)` cuts, no rainbow-free partition
+        that coarsens the state's classes and keeps its exclusions apart
+        has fewer than `best` merges.  The earlier settles of the run leave
+        their packing in the state, so a cut reads a packing that merges
+        have repaired, not one built afresh.  After a settle that branches,
+        the bound is also asked for one merge more than the packing
+        reaches, which only a 1-for-2 swap can meet."""
+        shape, steps = run
+        state = MergeState(shape)
+        forbidden = []
+        for tag, a, b in steps:
+            if tag == "settle":
+                best = state.merge_count + a
+                labels = tuple(state.label)
+                if _settle(state, best) in (_DEAD, _PRUNE):
+                    assert _fewest_merges(shape, labels, forbidden, best) is None, steps
+                    return
+                labels = tuple(state.label)
+                best = state.merge_count + state.packed.bit_count() + 1
+                if _bound_reaches(state, best):
+                    assert _fewest_merges(shape, labels, forbidden, best) is None, steps
+            elif state.same(a, b):
+                continue
+            elif tag == "forbid":
+                state.forbid(a, b)
+                forbidden.append((a, b))
+            elif not state.blocked(a, b):
+                state.merge(a, b)
+
+    @given(_settle_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_merges_plus_packed_lines_never_fall(self, run):
+        """Along a run of merges, forbids and settles, cut or not, the
+        merge count plus the number of packed lines never decreases: a
+        merge drops at most one packed line, a forbid drops none, and a
+        settle adds lines or trades one for two."""
+        shape, steps = run
+        state = MergeState(shape)
+        level = 0
+        for tag, a, b in steps:
+            if tag == "settle":
+                _settle(state, state.merge_count + a)
+            elif state.same(a, b):
+                continue
+            elif tag == "forbid":
+                state.forbid(a, b)
+            elif not state.blocked(a, b):
+                state.merge(a, b)
+            now = state.merge_count + state.packed.bit_count()
+            assert now >= level
+            level = now
 
 
 class TestMaxRfColors:
@@ -622,7 +716,7 @@ class TestMaxRfColors:
         shapes = [CubeShape(2, 2), CubeShape(2, 3), S31, S32]
         assert [naive_max_rf_colors(shape) for shape in shapes] == [1, 1, 2, 4]
 
-    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 47), (4, 10, 1006), (5, 17, 193466)])
+    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 38), (4, 10, 734), (5, 17, 63468)])
     def test_single_worker_node_counts_pinned(self, k, value, nodes):
         """The 1-worker search tree is fixed; a kernel change must not move it."""
         out = max_rf_colors(CubeShape(k, 2))
