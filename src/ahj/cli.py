@@ -316,10 +316,11 @@ def _recompute_row(k, row, deadline):
 
 
 def _parse_points(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
+    # ASCII digits only: int() would also take "٣", "1_0" and "+3".
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not all(tok.isascii() and tok.isdecimal() for tok in tokens):
         raise ConstructionError(f"bad point list {text!r}; expected comma-separated integers")
+    return [int(tok) for tok in tokens]
 
 
 def _require(condition: bool, message: str) -> None:

@@ -189,17 +189,16 @@ def parse(text: str) -> Coloring:
     if len(raw_lines) < 2:
         raise ParseError("missing shape line 'k=<int> n=<int>'", 2)
     shape_fields = raw_lines[1].split()
+    # ASCII digits only, as in the entries: int() would also take "٣",
+    # "1_0" and "+3".
     if (
         len(shape_fields) != 2
         or not shape_fields[0].startswith("k=")
         or not shape_fields[1].startswith("n=")
+        or not all(f[2:].isascii() and f[2:].isdecimal() for f in shape_fields)
     ):
         raise ParseError("shape line must be 'k=<int> n=<int>'", 2)
-    try:
-        k = int(shape_fields[0][2:])
-        n = int(shape_fields[1][2:])
-    except ValueError:
-        raise ParseError("shape line must be 'k=<int> n=<int>'", 2) from None
+    k, n = int(shape_fields[0][2:]), int(shape_fields[1][2:])
     try:
         shape = CubeShape(k, n)
     except Exception as exc:

@@ -115,10 +115,8 @@ class MergeState:
       dropped since the last `_settle`.  Every live line outside it has at
       least two unblocked pairs.  A fresh state marks every line dirty;
     - `packed` holds live lines with pairwise disjoint class sets, the
-      packing that the bound of `_settle` counts, and `plines` the lines
-      through their classes: the OR of `class_lines` over those classes.
-      `_bound_reaches` adds lines to it; a fresh state packs none.
-      `_swapless` is the `packed` mask on which it last found no swap.
+      packing that the bound of `_settle` counts.  `_bound_reaches` adds
+      lines to it and `_swap` trades one for two; a fresh state packs none.
 
     A merge takes the lines through both classes out of `live` and ORs the
     two halves' exclusion masks.  A class kept apart from one half only is
@@ -129,11 +127,11 @@ class MergeState:
     A merge also repairs the packing.  A class lies on at most one packed
     line.  If one packed line holds both halves, the merge satisfies it;
     if two packed lines hold one half each, they now share a class.  Either
-    way the packed line through the relabeled half goes, and `plines` is
-    rebuilt from the lines left.  If only one half is on a packed line,
-    the other half's lines join `plines`.  So a merge drops at most one
-    packed line, and `merge_count` plus the number of packed lines never
-    falls along a path.  A forbid leaves the packing as it is.
+    way the packed line through the relabeled half goes.  If at most one
+    half is on a packed line, the packed lines stay class-disjoint.  So a
+    merge drops at most one packed line, and `merge_count` plus the number
+    of packed lines never falls along a path.  A forbid leaves the packing
+    as it is.
 
     `mark()` hands the four live lists, the counter and the masks over to
     the mark and goes on with shallow copies; `undo_to` puts the mark's
@@ -156,9 +154,7 @@ class MergeState:
         "live",
         "dirty",
         "packed",
-        "plines",
         "_incompat",
-        "_swapless",
     )
 
     def __init__(self, shape: CubeShape):
@@ -171,9 +167,8 @@ class MergeState:
         self.class_points = [1 << x for x in range(count)]
         self.class_lines = list(_line_masks_by_point(shape))
         self.live = self.dirty = (1 << len(self.lines)) - 1
-        self.packed = self.plines = 0
+        self.packed = 0
         self._incompat = [0] * count
-        self._swapless = -1
 
     def same(self, a: int, b: int) -> bool:
         return self.label[a] == self.label[b]
@@ -235,27 +230,10 @@ class MergeState:
         self.live = live
         self.dirty |= (lines_a & near_a | lines_b & near_b) & live
         packed = self.packed
-        held_a, held_b = lines_a & packed, lines_b & packed
-        if held_a and held_b:
+        if lines_a & packed and lines_b & packed:
             # One packed line holding both halves is satisfied; two now
             # share the merged class.  Either way one line goes.
-            packed ^= held_b
-            self.packed = packed
-            self.plines = self._reach(packed)
-        elif held_a or held_b:
-            self.plines |= lines_a | lines_b
-
-    def _reach(self, packed: int) -> int:
-        """The lines through the classes of the lines in `packed`: `plines`
-        recomputed in full."""
-        label, class_lines, lines = self.label, self.class_lines, self.lines
-        reach = 0
-        while packed:
-            low = packed & -packed
-            packed ^= low
-            for x in lines[low.bit_length() - 1]:
-                reach |= class_lines[label[x]]
-        return reach
+            self.packed = packed ^ (lines_b & packed)
 
     def mark(self) -> list:
         """Snapshot the state for one later `undo_to`."""
@@ -268,8 +246,6 @@ class MergeState:
             self.live,
             self.dirty,
             self.packed,
-            self.plines,
-            self._swapless,
         ]
         self.label = self.label[:]
         self.class_points = self.class_points[:]
@@ -290,8 +266,6 @@ class MergeState:
             self.live,
             self.dirty,
             self.packed,
-            self.plines,
-            self._swapless,
         ) = mark
         mark.clear()
 
@@ -378,41 +352,47 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
     reach `best`.
 
     The packing is first refilled greedily, in line order, from the live
-    lines outside `plines`, the ones that meet no packed class.  When the
-    count is then exactly one short of `best`, one 1-for-2 swap is tried
-    (`_swap`).  The refill and a swap found stay in the state, so the
-    children of a node start from its packing.
+    lines that meet no packed class.  One loop walks the packed lines and
+    ORs their classes' lines into `plines`; once they are done it packs
+    the lowest live line outside `plines` and walks that one, until no
+    such line is left.  When the count is then exactly one short of
+    `best`, one 1-for-2 swap is tried (`_swap`).  The refill and a swap
+    found stay in the state, so the children of a node start from its
+    packing.
 
-    A swap that fails is remembered by the `packed` mask it failed on, and
-    not tried again while `packed` is unchanged.  Merges only coarsen the
-    classes and shrink `live`, so below a state with no such swap there
-    is none either until a line is dropped or added.  The memo is part of
-    the snapshot marks, so a backtrack takes back what a subtree learnt.
+    A swap that fails at a node X is not tried again below it, and need
+    not be: X was one line short, every node below X has made at least
+    one merge more, and the incumbent only falls, so a node below X that
+    still has X's packing reaches `best` and is cut before a swap is
+    tried.  A node with any other packing poses a new swap problem.
     """
-    packed, plines = state.packed, state.plines
-    free = state.live & ~plines
-    while free:
-        low = free & -free
-        packed |= low
-        plines |= state._reach(low)
-        free &= ~plines
-    state.packed, state.plines = packed, plines
+    label, lines, class_lines = state.label, state.lines, state.class_lines
+    live = state.live
+    packed = rest = state.packed
+    plines = 0
+    while True:
+        if not rest:
+            free = live & ~plines
+            if not free:
+                break
+            rest = free & -free
+            packed |= rest
+        low = rest & -rest
+        rest ^= low
+        for x in lines[low.bit_length() - 1]:
+            plines |= class_lines[label[x]]
+    state.packed = packed
     short = best - state.merge_count - packed.bit_count()
     if short <= 0:
         return True
-    if short > 1 or packed == state._swapless:
-        return False
-    if _swap(state):
-        return True
-    state._swapless = packed
-    return False
+    return short == 1 and _swap(state)
 
 
 def _swap(state: MergeState) -> bool:
     """Trade one packed line p for two live lines that meet no packed line
     but p and share no class with each other; the first such p and pair,
-    in line order, is kept.  The refill has left no live line outside
-    `plines`, so the lines that meet p alone are those through p's
+    in line order, is kept.  The refill has left no live line that meets
+    no packed class, so the lines that meet p alone are those through p's
     classes and through no other packed line's."""
     label, lines, class_lines = state.label, state.lines, state.class_lines
     packed = state.packed
@@ -443,9 +423,7 @@ def _swap(state: MergeState) -> bool:
                 apart |= class_lines[label[x]]
             second = alone & ~apart
             if second:
-                packed ^= low | first | second & -second
-                state.packed = packed
-                state.plines = state._reach(packed)
+                state.packed = packed ^ (low | first | second & -second)
                 return True
     return False
 

@@ -87,6 +87,13 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_non_ascii_shape_digit_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "arabic-indic.ahj"
+        path.write_text("ahj-coloring v1\nk=٣ n=2\n1 2 3\n4 5 6\n7 8 9\n")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "line 2" in err
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "absent.ahj"))
         assert code == 2
@@ -151,6 +158,14 @@ class TestConstruct:
         )
         assert code == 0
         assert record(out)["colors"] == "4"
+
+    @pytest.mark.parametrize("points", ["٣,1_0", "٣", "1_0", "+3"])
+    def test_singleton_points_take_ascii_digits_only(self, capsys, points):
+        code, _, err = run(
+            capsys, "construct", "singleton", "--k", "3", "--n", "4", "--points", points
+        )
+        assert code == 2
+        assert "bad point list" in err
 
     def test_missing_parameters_are_usage_errors(self, capsys):
         assert run(capsys, "construct", "digit-position")[0] == 2

@@ -200,6 +200,14 @@ class TestFileFormat:
                 parse(text)
             assert (err.value.line, err.value.column) == (4, 3)
 
+    @pytest.mark.parametrize("k", ["٣", "1_0", "+3"])
+    def test_shape_line_takes_ascii_digits_only(self, k):
+        # int() reads these as 3, 10 and 3; the entries fit that shape.
+        text = f"ahj-coloring v1\nk={k} n=2\n" + "1 " * int(k) ** 2 + "\n"
+        with pytest.raises(ParseError, match="shape line") as err:
+            parse(text)
+        assert err.value.line == 2
+
     def test_serialize_groups_by_last_coordinate(self):
         c = all_distinct(S32)
         body = serialize(c).splitlines()

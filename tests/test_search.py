@@ -171,8 +171,7 @@ def _assert_bookkeeping(state, model):
     The exclusion masks hold points: `_incompat[r]` meets the points of
     another root q iff the model keeps r and q apart, and every point in
     it lies in a class kept apart from r.  The packed lines are live and
-    their class sets pairwise disjoint, and `plines` holds exactly the
-    lines through their classes."""
+    their class sets pairwise disjoint."""
     shape = state.shape
     lines = line_index_table(shape)
     roots = sorted(set(state.label))
@@ -205,8 +204,6 @@ def _assert_bookkeeping(state, model):
         roots = {state.label[x] for x in lines[li]}
         assert not roots & taken, li
         taken |= roots
-    reach = {li for li, idxs in enumerate(lines) if any(state.label[x] in taken for x in idxs)}
-    assert state.plines == sum(1 << li for li in reach)
 
 
 def _adopt_merges(state, model):
@@ -332,11 +329,15 @@ class TestMergeState:
         keep the line, class and packing masks equal to a recomputation.  A
         settle step runs `_settle` with a threshold 1-8 merges above the
         current count, so that it also refills, swaps and cuts, and the
-        model takes over the forced merges it made."""
+        model takes over the forced merges it made.  A settle that
+        branches leaves a maximal packing: every live line meets a class
+        of a packed line.  An undo puts back the packing the mark saw, bit
+        for bit."""
         count = shape.point_count
+        lines = line_index_table(shape)
         state = MergeState(shape)
         model = _PartitionModel(count)
-        marks = [(state.mark(), model.copy())]
+        marks = [(state.mark(), model.copy(), state.packed)]
         for tag, a, b in ops:
             a, b = a % count, b % count
             if tag == "merge":
@@ -354,19 +355,30 @@ class TestMergeState:
                     state.forbid(a, b)
                     model.forbid(a, b)
             elif tag == "mark":
-                marks.append((state.mark(), model.copy()))
+                marks.append((state.mark(), model.copy(), state.packed))
             elif tag == "settle":
-                _settle(state, state.merge_count + a)
+                if _settle(state, state.merge_count + a) >= 0:
+                    taken = {
+                        state.label[x]
+                        for li in range(len(lines))
+                        if state.packed >> li & 1
+                        for x in lines[li]
+                    }
+                    for li in range(len(lines)):
+                        if state.live >> li & 1:
+                            assert any(state.label[x] in taken for x in lines[li]), li
                 _adopt_merges(state, model)
             else:
                 del marks[a % len(marks) + 1 :]
-                mark, saved = marks[-1]
+                mark, saved, packed = marks[-1]
                 state.undo_to(mark)
-                marks[-1] = (state.mark(), saved)
+                assert state.packed == packed
+                marks[-1] = (state.mark(), saved, packed)
                 model = saved.copy()
             _assert_agrees(state, model)
             _assert_bookkeeping(state, model)
         state.undo_to(marks[0][0])
+        assert state.packed == marks[0][2]
         _assert_agrees(state, _PartitionModel(count))
         _assert_bookkeeping(state, _PartitionModel(count))
         assert state.merge_count == 0
