@@ -597,7 +597,11 @@ CLAIMS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
 def _claim_numbers(text: str) -> frozenset[int]:
     """Parse `repro --only`: comma-separated claim numbers 1..len(CLAIMS)."""
     tokens = [token.strip() for token in text.split(",")]
-    if not all(token.isdecimal() and 1 <= int(token) <= len(CLAIMS) for token in tokens):
+    # ASCII digits only: int() would also take "٣" and "３".
+    if not all(
+        token.isascii() and token.isdecimal() and 1 <= int(token) <= len(CLAIMS)
+        for token in tokens
+    ):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated claim numbers 1..{len(CLAIMS)}, got {text!r}"
         )

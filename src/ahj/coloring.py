@@ -210,14 +210,14 @@ def parse(text: str) -> Coloring:
         col = 1
         for token in body.split():
             col = body.index(token, col - 1) + 1
-            # An optional minus sign, then ASCII digits only.
+            # An optional minus sign, then ASCII digits only.  A signed
+            # entry is refused even when int() reads it as 0, as in "-0".
             digits = token.removeprefix("-")
             if not (digits.isascii() and digits.isdecimal()):
                 raise ParseError(f"bad entry {token!r}", lineno, col)
-            value = int(token)
-            if value < 0:
-                raise ParseError(f"negative color id {value}", lineno, col)
-            entries.append(value)
+            if digits != token:
+                raise ParseError(f"negative color id {token}", lineno, col)
+            entries.append(int(token))
             col += len(token)
     expected = shape.point_count
     if len(entries) != expected:

@@ -116,7 +116,7 @@ class MergeState:
       least two unblocked pairs.  A fresh state marks every line dirty;
     - `packed` holds live lines with pairwise disjoint class sets, the
       packing that the bound of `_settle` counts.  `_bound_reaches` adds
-      lines to it and `_swap` trades one for two; a fresh state packs none.
+      lines to it and trades one for two; a fresh state packs none.
 
     A merge takes the lines through both classes out of `live` and ORs the
     two halves' exclusion masks.  A class kept apart from one half only is
@@ -353,12 +353,20 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
 
     The packing is first refilled greedily, in line order, from the live
     lines that meet no packed class.  One loop walks the packed lines and
-    ORs their classes' lines into `plines`; once they are done it packs
-    the lowest live line outside `plines` and walks that one, until no
-    such line is left.  When the count is then exactly one short of
-    `best`, one 1-for-2 swap is tried (`_swap`).  The refill and a swap
-    found stay in the state, so the children of a node start from its
-    packing.
+    keeps each one's reach, the lines through its classes; `plines` ORs
+    the reaches and `twice` holds the lines reached a second time.  Once
+    the packed lines are done it packs the lowest live line outside
+    `plines` and walks that one, until no such line is left.
+
+    When the count is then exactly one short of `best`, one 1-for-2 swap
+    is tried: a packed line p is traded for two live lines that meet no
+    packed line but p and share no class with each other; the first such
+    p and pair, in line order, is kept.  The refill has left no live line
+    that meets no packed class, so the lines that meet p alone are those
+    in p's reach and outside `twice`.  A refilled line can sit below a
+    kept one, so the reaches are sorted by line before the swap reads
+    them.  The refill and a swap found stay in the state, so the children
+    of a node start from its packing.
 
     A swap that fails at a node X is not tried again below it, and need
     not be: X was one line short, every node below X has made at least
@@ -369,7 +377,8 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
     label, lines, class_lines = state.label, state.lines, state.class_lines
     live = state.live
     packed = rest = state.packed
-    plines = 0
+    plines = twice = 0
+    reaches = []
     while True:
         if not rest:
             free = live & ~plines
@@ -379,40 +388,20 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
             packed |= rest
         low = rest & -rest
         rest ^= low
+        reach = 0
         for x in lines[low.bit_length() - 1]:
-            plines |= class_lines[label[x]]
+            reach |= class_lines[label[x]]
+        twice |= plines & reach
+        plines |= reach
+        reaches.append((low, reach))
     state.packed = packed
     short = best - state.merge_count - packed.bit_count()
     if short <= 0:
         return True
-    return short == 1 and _swap(state)
-
-
-def _swap(state: MergeState) -> bool:
-    """Trade one packed line p for two live lines that meet no packed line
-    but p and share no class with each other; the first such p and pair,
-    in line order, is kept.  The refill has left no live line that meets
-    no packed class, so the lines that meet p alone are those through p's
-    classes and through no other packed line's."""
-    label, lines, class_lines = state.label, state.lines, state.class_lines
-    packed = state.packed
-    # `seen` holds the lines through a packed class, `twice` those through
-    # the classes of two packed lines or more.
-    reaches = []
-    seen = twice = 0
-    rest = packed
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        reach = 0
-        for x in lines[low.bit_length() - 1]:
-            reach |= class_lines[label[x]]
-        twice |= seen & reach
-        seen |= reach
-        reaches.append((low, reach))
-    single = state.live & ~twice & ~packed
-    if single & (single - 1) == 0:
+    single = live & ~twice & ~packed
+    if short > 1 or single & (single - 1) == 0:
         return False
+    reaches.sort()
     for low, reach in reaches:
         alone = single & reach
         while alone & (alone - 1):
@@ -946,19 +935,19 @@ def _fill(
     if rainbow is not None:
         return None, template_table(shape)[rainbow]
 
-    free = [i for i in shape.iter_indices() if colors[i] == 0]
-    used = {c for c in colors if c != 0}
-    if len(used) > total_colors or len(used) + len(free) < total_colors:
-        return None, None
-    if not free:
-        return tuple(colors), None
-
-    fresh_next = max(used, default=0) + 1
-    partial_used = set(used)
-    solution: tuple[int, ...] | None = None
     # open_bits holds the unassigned cells, line_bits[li] the cells of line
     # li and through[cell] the lines through cell, as bits li.
-    open_bits = sum(1 << i for i in free)
+    open_bits = sum(1 << i for i, c in enumerate(colors) if c == 0)
+    used = {c for c in colors if c != 0}
+    if len(used) > total_colors or len(used) + open_bits.bit_count() < total_colors:
+        return None, None
+    if not open_bits:
+        return tuple(colors), None
+
+    # A cell adds a color to `used` only by taking the fresh one, so
+    # `fresh_base + len(used)` is one above every color used so far.
+    fresh_base = max(used, default=0) + 1 - len(used)
+    solution: tuple[int, ...] | None = None
     line_bits = _line_bits(shape)
     through = _line_masks_by_point(shape)
     line_colors = [itemgetter(*idxs) for idxs in lines]
@@ -1010,9 +999,10 @@ def _fill(
         best_allowance: set[int] | None = None
         best_count = -1
         fresh_room = len(used) < total_colors
-        for cell in free:
-            if colors[cell] != 0:
-                continue
+        cells = open_bits
+        while cells:
+            cell = (cells & -cells).bit_length() - 1
+            cells &= cells - 1
             allowance: set[int] | None = None
             if not pinned_bits >> cell & 1:
                 count = len(used) + fresh_room
@@ -1034,22 +1024,22 @@ def _fill(
             return best_cell, sorted(best_allowance)
         cand = sorted(used)
         if fresh_room:
-            cand.append(fresh_next + (len(used) - len(partial_used)))
+            cand.append(fresh_base + len(used))
         return best_cell, cand
 
-    def dfs(open_cells: int) -> bool:
-        """Search below a node with `open_cells` free cells still unassigned."""
+    def dfs() -> bool:
+        """Search below the current node."""
         nonlocal solution, open_bits, pin_lines, wide_lines, pinned_bits
         if not budget.tick():
             return False
         # Each packed deficient line keeps one unassigned cell from adding
         # a color; the pinned cells are the packed one-cell lines.
-        room = len(used) + open_cells - pinned_bits.bit_count() - total_colors
+        room = len(used) + open_bits.bit_count() - pinned_bits.bit_count() - total_colors
         if room < 0:
             return False
         if wide_lines.bit_count() > room and packing_exceeds(room):
             return False
-        if not open_cells:
+        if not open_bits:
             if len(used) == total_colors:
                 solution = tuple(colors)
                 return True
@@ -1064,7 +1054,7 @@ def _fill(
             added = value not in used
             if added:
                 used.add(value)
-            if dfs(open_cells - 1):
+            if dfs():
                 return True
             if added:
                 used.discard(value)
@@ -1074,7 +1064,7 @@ def _fill(
                 return False
         return False
 
-    if dfs(len(free)) or budget.exhausted:
+    if dfs() or budget.exhausted:
         return solution, None
     return None, _forced_cell(shape, partial.colors, *root_pins)
 

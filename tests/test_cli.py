@@ -393,7 +393,7 @@ class TestUsage:
         assert len(lines) == 2
         assert all("PASS" in l for l in lines)
 
-    @pytest.mark.parametrize("only", ["x", "4,", "0", "11"])
+    @pytest.mark.parametrize("only", ["x", "4,", "0", "11", "\u0663", "\uff13"])
     def test_repro_only_rejects_bad_claim_numbers(self, capsys, only):
         code, out, err = run(capsys, "repro", "--only", only)
         assert code == 2

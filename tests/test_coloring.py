@@ -200,6 +200,14 @@ class TestFileFormat:
                 parse(text)
             assert (err.value.line, err.value.column) == (4, 3)
 
+    @pytest.mark.parametrize("token", ["-0", "-00"])
+    def test_signed_zero_is_not_an_unassigned_cell(self, token):
+        # int() reads these as 0, the unassigned cell.
+        text = f"ahj-coloring v1\nk=3 n=2\n1 2 3\n4 {token} 6\n7 8 9\n"
+        with pytest.raises(ParseError, match="negative color id") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (4, 3)
+
     @pytest.mark.parametrize("k", ["٣", "1_0", "+3"])
     def test_shape_line_takes_ascii_digits_only(self, k):
         # int() reads these as 3, 10 and 3; the entries fit that shape.

@@ -631,6 +631,64 @@ def _fewest_merges(shape, labels, forbidden, below):
     return least[0] if least[0] < below else None
 
 
+def _reference_bound_reaches(state, best):
+    """`_bound_reaches` in two walks: the greedy refill, then, one line
+    short, a 1-for-2 swap that walks the packed lines again in line order
+    to rebuild their reaches."""
+    label, lines, class_lines = state.label, state.lines, state.class_lines
+    packed = rest = state.packed
+    plines = 0
+    while True:
+        if not rest:
+            free = state.live & ~plines
+            if not free:
+                break
+            rest = free & -free
+            packed |= rest
+        low = rest & -rest
+        rest ^= low
+        for x in lines[low.bit_length() - 1]:
+            plines |= class_lines[label[x]]
+    state.packed = packed
+    short = best - state.merge_count - packed.bit_count()
+    if short <= 0:
+        return True
+    return short == 1 and _reference_swap(state)
+
+
+def _reference_swap(state):
+    label, lines, class_lines = state.label, state.lines, state.class_lines
+    packed = state.packed
+    reaches = []
+    seen = twice = 0
+    rest = packed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        reach = 0
+        for x in lines[low.bit_length() - 1]:
+            reach |= class_lines[label[x]]
+        twice |= seen & reach
+        seen |= reach
+        reaches.append((low, reach))
+    single = state.live & ~twice & ~packed
+    if single & (single - 1) == 0:
+        return False
+    for low, reach in reaches:
+        alone = single & reach
+        while alone & (alone - 1):
+            first = alone & -alone
+            alone ^= first
+            apart = 0
+            for x in lines[first.bit_length() - 1]:
+                apart |= class_lines[label[x]]
+            second = alone & ~apart
+            if second:
+                state.packed = packed ^ (low | first | second & -second)
+                return True
+    return False
+
+
 class TestPackingBound:
     """The line packing that `MergeState` keeps and `_settle` cuts on."""
 
@@ -688,6 +746,27 @@ class TestPackingBound:
             now = state.merge_count + state.packed.bit_count()
             assert now >= level
             level = now
+
+    def test_bound_matches_reference(self, monkeypatch):
+        """Every bound test of a [3]^3 search capped at 20,000 nodes gives
+        the answer and leaves the packing of the two-walk reference, run
+        first from the same state.  The refill can pack a line below a
+        kept one, so a swap that read the reaches in walk order rather
+        than line order would differ here."""
+        checked = []
+
+        def against_reference(state, best):
+            start = state.packed
+            expected = _reference_bound_reaches(state, best), state.packed
+            state.packed = start
+            assert (_bound_reaches(state, best), state.packed) == expected
+            checked.append(expected[0])
+            return expected[0]
+
+        monkeypatch.setattr("ahj.search._bound_reaches", against_reference)
+        outcome = max_rf_colors(S33, SearchConfig(node_limit=20_000))
+        assert outcome.nodes_explored == 20_000
+        assert checked
 
 
 class TestMaxRfColors:
