@@ -212,36 +212,37 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    # Every input check runs before the first record, so a usage error
+    # leaves stdout empty.
+    shape = CubeShape(args.k, args.n)
     if args.independent_size is not None:
         _reject_unread(args, ("colors", "minimal_only", "out_dir"), "--independent-size")
-    shape = CubeShape(args.k, args.n)
+        found = enumerate_independent_sets(
+            shape, args.independent_size, up_to_symmetry=args.up_to_symmetry
+        )
+    else:
+        _require(args.colors is not None, "one of --colors or --independent-size is required")
+        _require(args.minimal_only, "only minimal colorings are enumerable; pass --minimal-only")
+        found = enumerate_minimal_rf(shape, args.colors, up_to_symmetry=args.up_to_symmetry)
     _emit("subcommand", "enumerate")
     _emit("k", args.k)
     _emit("n", args.n)
     if args.independent_size is not None:
-        sets = enumerate_independent_sets(
-            shape, args.independent_size, up_to_symmetry=args.up_to_symmetry
-        )
-        for points in sets:
+        for points in found:
             _emit("set", ",".join(str(p) for p in points))
-        _emit("count", len(sets))
-        return EXIT_OK
-    _require(args.colors is not None, "one of --colors or --independent-size is required")
-    _require(args.minimal_only, "only minimal colorings are enumerable; pass --minimal-only")
-    colorings = enumerate_minimal_rf(shape, args.colors, up_to_symmetry=args.up_to_symmetry)
-    if args.out_dir:
+    elif args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, coloring in enumerate(colorings, start=1):
+        for i, coloring in enumerate(found, start=1):
             path = out_dir / f"minimal-rf-{args.colors}col-{i:03d}.ahj"
             _write_coloring(
                 str(path),
                 coloring,
                 f"minimal rainbow-free {args.colors}-coloring "
-                f"of [{args.k}]^{args.n}, {i} of {len(colorings)}",
+                f"of [{args.k}]^{args.n}, {i} of {len(found)}",
             )
             _emit("output", path)
-    _emit("count", len(colorings))
+    _emit("count", len(found))
     return EXIT_OK
 
 

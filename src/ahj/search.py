@@ -116,7 +116,9 @@ class MergeState:
       least two unblocked pairs.  A fresh state marks every line dirty;
     - `packed` holds live lines with pairwise disjoint class sets, the
       packing that the bound of `_settle` counts.  `_bound_reaches` adds
-      lines to it and trades one for two; a fresh state packs none.
+      lines to it and trades one for two; a fresh state packs none;
+    - `reach[li]`, for each packed line li, holds its reach: the lines
+      through its classes.  Entries of other lines are stale.
 
     A merge takes the lines through both classes out of `live` and ORs the
     two halves' exclusion masks.  A class kept apart from one half only is
@@ -130,17 +132,18 @@ class MergeState:
     way the packed line through the relabeled half goes.  If at most one
     half is on a packed line, the packed lines stay class-disjoint.  So a
     merge drops at most one packed line, and `merge_count` plus the number
-    of packed lines never falls along a path.  A forbid leaves the packing
-    as it is.
+    of packed lines never falls along a path.  A packed line left holding
+    one half ORs the other half's lines into its reach.  A forbid leaves
+    the packing and the reaches as they are.
 
-    `mark()` hands the four live lists, the counter and the masks over to
-    the mark and goes on with shallow copies; `undo_to` puts the mark's
-    lists back, with no replay and no copy.  The lists hold only ints, so
-    a mark's lists stay as they were until it is restored.  Restoring
-    hands them back to the state, which changes them from then on, so a
-    mark is restored at most once: a second `undo_to` raises
-    `SearchError`.  The search restores its marks in stack order, and a
-    restore throws away every mark taken after it.
+    `mark()` hands the five live lists, the counter and the three masks
+    over to the mark, nine entries, and goes on with shallow copies;
+    `undo_to` puts the mark's lists back, with no replay and no copy.  The
+    lists hold only ints, so a mark's lists stay as they were until it is
+    restored.  Restoring hands them back to the state, which changes them
+    from then on, so a mark is restored at most once: a second `undo_to`
+    raises `SearchError`.  The search restores its marks in stack order,
+    and a restore throws away every mark taken after it.
     """
 
     __slots__ = (
@@ -154,6 +157,7 @@ class MergeState:
         "live",
         "dirty",
         "packed",
+        "reach",
         "_incompat",
     )
 
@@ -168,6 +172,7 @@ class MergeState:
         self.class_lines = list(_line_masks_by_point(shape))
         self.live = self.dirty = (1 << len(self.lines)) - 1
         self.packed = 0
+        self.reach = [0] * len(self.lines)
         self._incompat = [0] * count
 
     def same(self, a: int, b: int) -> bool:
@@ -205,10 +210,11 @@ class MergeState:
         class_lines = self.class_lines
         lines_a, lines_b = class_lines[ra], class_lines[rb]
         # A class kept apart from rb only blocks new pairs on ra's lines,
-        # one kept apart from ra only on rb's lines.  Each class is found
-        # through the label of the lowest point of it left in the masks.
+        # one kept apart from ra only on rb's lines; one kept apart from
+        # both has points in both masks or none outside them.  Each class
+        # is found through the label of the lowest point of it left.
         near_a = near_b = 0
-        rest = inc_a | inc_b
+        rest = inc_a ^ inc_b
         while rest:
             r = label[(rest & -rest).bit_length() - 1]
             points = class_points[r]
@@ -230,10 +236,19 @@ class MergeState:
         self.live = live
         self.dirty |= (lines_a & near_a | lines_b & near_b) & live
         packed = self.packed
-        if lines_a & packed and lines_b & packed:
-            # One packed line holding both halves is satisfied; two now
-            # share the merged class.  Either way one line goes.
-            self.packed = packed ^ (lines_b & packed)
+        held_a, held_b = lines_a & packed, lines_b & packed
+        if held_b:
+            if held_a:
+                # One packed line holding both halves is satisfied; two
+                # now share the merged class.  Either way the line through
+                # rb goes, and one left through ra reaches rb's lines too.
+                self.packed = packed ^ held_b
+                if held_a != held_b:
+                    self.reach[held_a.bit_length() - 1] |= lines_b
+            else:
+                self.reach[held_b.bit_length() - 1] |= lines_a
+        elif held_a:
+            self.reach[held_a.bit_length() - 1] |= lines_b
 
     def mark(self) -> list:
         """Snapshot the state for one later `undo_to`."""
@@ -246,11 +261,13 @@ class MergeState:
             self.live,
             self.dirty,
             self.packed,
+            self.reach,
         ]
         self.label = self.label[:]
         self.class_points = self.class_points[:]
         self.class_lines = self.class_lines[:]
         self._incompat = self._incompat[:]
+        self.reach = self.reach[:]
         return mark
 
     def undo_to(self, mark: list) -> None:
@@ -266,6 +283,7 @@ class MergeState:
             self.live,
             self.dirty,
             self.packed,
+            self.reach,
         ) = mark
         mark.clear()
 
@@ -352,21 +370,22 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
     reach `best`.
 
     The packing is first refilled greedily, in line order, from the live
-    lines that meet no packed class.  One loop walks the packed lines and
-    keeps each one's reach, the lines through its classes; `plines` ORs
-    the reaches and `twice` holds the lines reached a second time.  Once
-    the packed lines are done it packs the lowest live line outside
-    `plines` and walks that one, until no such line is left.
+    lines that meet no packed class.  The kept packed lines' reaches come
+    from `state.reach`; `plines` ORs them and `twice` holds the lines
+    reached a second time.  Then the lowest live line outside `plines` is
+    packed, its points walked and its reach stored, until no such line is
+    left.
 
     When the count is then exactly one short of `best`, one 1-for-2 swap
     is tried: a packed line p is traded for two live lines that meet no
     packed line but p and share no class with each other; the first such
     p and pair, in line order, is kept.  The refill has left no live line
     that meets no packed class, so the lines that meet p alone are those
-    in p's reach and outside `twice`.  A refilled line can sit below a
-    kept one, so the reaches are sorted by line before the swap reads
-    them.  The refill and a swap found stay in the state, so the children
-    of a node start from its packing.
+    in p's reach and outside `twice`.  The swap reads the packed lines in
+    bit order, so a refilled line below a kept one needs no sort.  The
+    refill stays in the state, with its lines' reaches, so the children of
+    a node start from its packing.  A swap found meets `best`, so `_settle`
+    cuts the node, but it too is left in the state with its reaches.
 
     A swap that fails at a node X is not tried again below it, and need
     not be: X was one line short, every node below X has made at least
@@ -375,25 +394,28 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
     tried.  A node with any other packing poses a new swap problem.
     """
     label, lines, class_lines = state.label, state.lines, state.class_lines
+    reach = state.reach
     live = state.live
     packed = rest = state.packed
     plines = twice = 0
-    reaches = []
-    while True:
-        if not rest:
-            free = live & ~plines
-            if not free:
-                break
-            rest = free & -free
-            packed |= rest
+    while rest:
         low = rest & -rest
         rest ^= low
-        reach = 0
-        for x in lines[low.bit_length() - 1]:
-            reach |= class_lines[label[x]]
-        twice |= plines & reach
-        plines |= reach
-        reaches.append((low, reach))
+        ours = reach[low.bit_length() - 1]
+        twice |= plines & ours
+        plines |= ours
+    free = live & ~plines
+    while free:
+        low = free & -free
+        packed |= low
+        li = low.bit_length() - 1
+        ours = 0
+        for x in lines[li]:
+            ours |= class_lines[label[x]]
+        reach[li] = ours
+        twice |= plines & ours
+        plines |= ours
+        free &= ~ours
     state.packed = packed
     short = best - state.merge_count - packed.bit_count()
     if short <= 0:
@@ -401,9 +423,11 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
     single = live & ~twice & ~packed
     if short > 1 or single & (single - 1) == 0:
         return False
-    reaches.sort()
-    for low, reach in reaches:
-        alone = single & reach
+    rest = packed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        alone = single & reach[low.bit_length() - 1]
         while alone & (alone - 1):
             first = alone & -alone
             alone ^= first
@@ -412,7 +436,14 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
                 apart |= class_lines[label[x]]
             second = alone & ~apart
             if second:
-                state.packed = packed ^ (low | first | second & -second)
+                second &= -second
+                li = second.bit_length() - 1
+                ours = 0
+                for x in lines[li]:
+                    ours |= class_lines[label[x]]
+                reach[li] = ours
+                reach[first.bit_length() - 1] = apart
+                state.packed = packed ^ (low | first | second)
                 return True
     return False
 
@@ -500,7 +531,9 @@ def _settle(state: MergeState, best: int) -> int:
 
 def _dfs(state: MergeState, budget: _Incumbent) -> None:
     """Search below the current state, leaving its forced merges and
-    forbids in place: the caller's `undo_to` throws them away."""
+    forbids, and the last child's merges, in place: the caller's `undo_to`
+    throws them away.  So only the children before the last take a mark
+    and forbid their pair once it is undone."""
     if not budget.tick():
         return
     outcome = _settle(state, budget.best_merges)
@@ -509,14 +542,17 @@ def _dfs(state: MergeState, budget: _Incumbent) -> None:
         return
     if outcome < 0:
         return
-    for a, b in _branch_pairs(state, state.lines[outcome]):
+    *before, last = _branch_pairs(state, state.lines[outcome])
+    for a, b in before:
         mark = state.mark()
         state.merge(a, b)
         _dfs(state, budget)
         state.undo_to(mark)
         if budget.exhausted:
-            break
+            return
         state.forbid(a, b)
+    state.merge(*last)
+    _dfs(state, budget)
 
 
 def _search_from_root(shape: CubeShape, budget: _Incumbent) -> None:

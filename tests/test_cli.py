@@ -264,6 +264,22 @@ class TestEnumerate:
         code, _, _ = run(capsys, "enumerate", "--k", "3", "--n", "2", "--colors", "4")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--k", "4", "--n", "2", "--independent-size", "2"),
+            ("--k", "3", "--n", "2", "--colors", "0", "--minimal-only"),
+            ("--k", "3", "--n", "2", "--colors", "3"),
+            ("--k", "3", "--n", "2", "--independent-size", "10"),
+        ],
+    )
+    def test_usage_error_prints_no_records(self, capsys, flags):
+        """Input is checked before the first record, so stdout stays empty."""
+        code, out, err = run(capsys, "enumerate", *flags)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
 
 class TestComplete:
     def test_arrangement_infeasible(self, capsys, tmp_path):

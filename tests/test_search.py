@@ -171,7 +171,8 @@ def _assert_bookkeeping(state, model):
     The exclusion masks hold points: `_incompat[r]` meets the points of
     another root q iff the model keeps r and q apart, and every point in
     it lies in a class kept apart from r.  The packed lines are live and
-    their class sets pairwise disjoint."""
+    their class sets pairwise disjoint, and each one's `reach` entry is the
+    lines through its classes."""
     shape = state.shape
     lines = line_index_table(shape)
     roots = sorted(set(state.label))
@@ -197,13 +198,23 @@ def _assert_bookkeeping(state, model):
     for li in live:
         if len(_unblocked_pairs(state, lines[li])) < 2:
             assert state.dirty >> li & 1, li
-    packed = [li for li in range(len(lines)) if state.packed >> li & 1]
-    assert set(packed) <= set(live)
+    assert state.packed & ~state.live == 0
+    _assert_packing(state)
+
+
+def _assert_packing(state):
+    """The packed lines' class sets are pairwise disjoint, and each one's
+    `reach` entry is the lines through its classes."""
     taken = set()
-    for li in packed:
-        roots = {state.label[x] for x in lines[li]}
-        assert not roots & taken, li
-        taken |= roots
+    for li, idxs in enumerate(state.lines):
+        if state.packed >> li & 1:
+            roots = {state.label[x] for x in idxs}
+            assert not roots & taken, li
+            taken |= roots
+            reach = 0
+            for r in roots:
+                reach |= state.class_lines[r]
+            assert state.reach[li] == reach, li
 
 
 def _adopt_merges(state, model):
@@ -701,7 +712,8 @@ class TestPackingBound:
         their packing in the state, so a cut reads a packing that merges
         have repaired, not one built afresh.  After a settle that branches,
         the bound is also asked for one merge more than the packing
-        reaches, which only a 1-for-2 swap can meet."""
+        reaches, which only a 1-for-2 swap can meet, and the packing it
+        leaves must hold the reaches of its lines."""
         shape, steps = run
         state = MergeState(shape)
         forbidden = []
@@ -716,6 +728,7 @@ class TestPackingBound:
                 best = state.merge_count + state.packed.bit_count() + 1
                 if _bound_reaches(state, best):
                     assert _fewest_merges(shape, labels, forbidden, best) is None, steps
+                _assert_packing(state)
             elif state.same(a, b):
                 continue
             elif tag == "forbid":
@@ -814,6 +827,57 @@ class TestMaxRfColors:
         assert out.status is Status.OPTIMAL
         assert out.best_value == value
         assert out.nodes_explored == nodes
+
+    @pytest.mark.parametrize(
+        "shape,node_limit,value,colors",
+        [
+            (
+                CubeShape(5, 2),
+                None,
+                17,
+                (
+                    1, 1, 2, 3, 4,
+                    1, 1, 5, 6, 4,
+                    7, 7, 8, 9, 10,
+                    11, 12, 13, 13, 14,
+                    15, 16, 13, 13, 17,
+                ),
+            ),
+            (
+                S33,
+                100_000,
+                10,
+                (
+                    1, 2, 1, 3, 1, 1, 1, 1, 4,
+                    5, 1, 1, 1, 1, 6, 1, 7, 1,
+                    1, 1, 8, 1, 9, 1, 10, 1, 1,
+                ),
+            ),
+            (
+                S34,
+                3_000,
+                23,
+                (
+                    1, 2, 1, 3, 1, 1, 1, 1, 4,
+                    5, 1, 1, 1, 1, 6, 1, 7, 1,
+                    1, 1, 8, 1, 9, 1, 10, 1, 1,
+                    11, 1, 1, 1, 1, 12, 1, 13, 1,
+                    1, 1, 14, 1, 1, 1, 15, 1, 1,
+                    1, 16, 1, 17, 1, 1, 1, 1, 1,
+                    1, 1, 18, 1, 19, 1, 20, 1, 1,
+                    1, 21, 1, 22, 1, 1, 1, 1, 1,
+                    23, 1, 1, 1, 1, 1, 1, 1, 1,
+                ),
+            ),
+        ],
+        ids=["5^2", "3^3-capped", "3^4-capped"],
+    )
+    def test_witnesses_pinned(self, shape, node_limit, value, colors):
+        """The witness of each benchmarked search is fixed along with its
+        node count: the [5]^2 proof and the capped [3]^3 and [3]^4 runs."""
+        out = max_rf_colors(shape, SearchConfig(node_limit=node_limit))
+        assert out.best_value == value
+        assert out.witness.colors == colors
 
     def test_time_limit_bounds_warm_start(self):
         started = time.monotonic()
