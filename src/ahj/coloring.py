@@ -198,7 +198,12 @@ def parse(text: str) -> Coloring:
         or not all(f[2:].isascii() and f[2:].isdecimal() for f in shape_fields)
     ):
         raise ParseError("shape line must be 'k=<int> n=<int>'", 2)
-    k, n = int(shape_fields[0][2:]), int(shape_fields[1][2:])
+    # int() refuses more digits than sys.get_int_max_str_digits(), as it
+    # does an entry's below.
+    try:
+        k, n = int(shape_fields[0][2:]), int(shape_fields[1][2:])
+    except ValueError:
+        raise ParseError("shape number too long", 2) from None
     try:
         shape = CubeShape(k, n)
     except Exception as exc:
@@ -217,7 +222,10 @@ def parse(text: str) -> Coloring:
                 raise ParseError(f"bad entry {token!r}", lineno, col)
             if digits != token:
                 raise ParseError(f"negative color id {token}", lineno, col)
-            entries.append(int(token))
+            try:
+                entries.append(int(token))
+            except ValueError:
+                raise ParseError(f"color id too long: {len(token)} digits", lineno, col) from None
             col += len(token)
     expected = shape.point_count
     if len(entries) != expected:

@@ -45,7 +45,9 @@ class CubeShape:
             raise ShapeError(f"alphabet size k must be >= 2, got {self.k}")
         if self.n < 1:
             raise ShapeError(f"dimension n must be >= 1, got {self.n}")
-        if self.k**self.n > _MAX_POINTS:
+        # With k >= 2, any n > 32 exceeds the budget; testing n first keeps
+        # a huge n from computing k**n.
+        if self.n > 32 or self.k**self.n > _MAX_POINTS:
             raise ShapeError(f"shape [{self.k}]^{self.n} exceeds the index budget")
 
     @property

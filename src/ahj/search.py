@@ -116,7 +116,7 @@ class MergeState:
       least two unblocked pairs.  A fresh state marks every line dirty;
     - `packed` holds live lines with pairwise disjoint class sets, the
       packing that the bound of `_settle` counts.  `_bound_reaches` adds
-      lines to it and trades one for two; a fresh state packs none;
+      lines to it; a fresh state packs none;
     - `reach[li]`, for each packed line li, holds its reach: the lines
       through its classes.  Entries of other lines are stale.
 
@@ -132,9 +132,10 @@ class MergeState:
     way the packed line through the relabeled half goes.  If at most one
     half is on a packed line, the packed lines stay class-disjoint.  So a
     merge drops at most one packed line, and `merge_count` plus the number
-    of packed lines never falls along a path.  A packed line left holding
-    one half ORs the other half's lines into its reach.  A forbid leaves
-    the packing and the reaches as they are.
+    of packed lines never falls along a path.  A packed line left through
+    the merged class ORs the merged class's lines into its reach, which
+    already held those of the half it went through.  A forbid leaves the
+    packing and the reaches as they are.
 
     `mark()` hands the five live lists, the counter and the three masks
     over to the mark, nine entries, and goes on with shallow copies;
@@ -230,25 +231,18 @@ class MergeState:
             moving ^= low
             label[low.bit_length() - 1] = ra
         self.merge_count += 1
-        class_lines[ra] = lines_a | lines_b
+        merged = class_lines[ra] = lines_a | lines_b
         incompat[ra] = inc_a | inc_b
         live = self.live & ~(lines_a & lines_b)
         self.live = live
         self.dirty |= (lines_a & near_a | lines_b & near_b) & live
         packed = self.packed
-        held_a, held_b = lines_a & packed, lines_b & packed
-        if held_b:
-            if held_a:
-                # One packed line holding both halves is satisfied; two
-                # now share the merged class.  Either way the line through
-                # rb goes, and one left through ra reaches rb's lines too.
-                self.packed = packed ^ held_b
-                if held_a != held_b:
-                    self.reach[held_a.bit_length() - 1] |= lines_b
-            else:
-                self.reach[held_b.bit_length() - 1] |= lines_a
-        elif held_a:
-            self.reach[held_a.bit_length() - 1] |= lines_b
+        if lines_a & packed and lines_b & packed:
+            packed = self.packed = packed ^ (lines_b & packed)
+        # At most one packed line is left through the merged class.
+        held = merged & packed
+        if held:
+            self.reach[held.bit_length() - 1] |= merged
 
     def mark(self) -> list:
         """Snapshot the state for one later `undo_to`."""
@@ -376,16 +370,15 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
     packed, its points walked and its reach stored, until no such line is
     left.
 
-    When the count is then exactly one short of `best`, one 1-for-2 swap
-    is tried: a packed line p is traded for two live lines that meet no
-    packed line but p and share no class with each other; the first such
-    p and pair, in line order, is kept.  The refill has left no live line
-    that meets no packed class, so the lines that meet p alone are those
-    in p's reach and outside `twice`.  The swap reads the packed lines in
-    bit order, so a refilled line below a kept one needs no sort.  The
-    refill stays in the state, with its lines' reaches, so the children of
-    a node start from its packing.  A swap found meets `best`, so `_settle`
-    cuts the node, but it too is left in the state with its reaches.
+    When the count is then exactly one short of `best`, the bound asks
+    whether one 1-for-2 swap exists: a packed line p traded for two live
+    lines that meet no packed line but p and share no class with each
+    other.  The refill has left no live line that meets no packed class,
+    so the lines that meet p alone are those in p's reach and outside
+    `twice`.  A swap found meets `best`, so `_settle` cuts the node and
+    its state is thrown away; the swap only answers and writes nothing.
+    The refill stays in the state, with its lines' reaches, so the
+    children of a node start from its packing.
 
     A swap that fails at a node X is not tried again below it, and need
     not be: X was one line short, every node below X has made at least
@@ -434,16 +427,7 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
             apart = 0
             for x in lines[first.bit_length() - 1]:
                 apart |= class_lines[label[x]]
-            second = alone & ~apart
-            if second:
-                second &= -second
-                li = second.bit_length() - 1
-                ours = 0
-                for x in lines[li]:
-                    ours |= class_lines[label[x]]
-                reach[li] = ours
-                reach[first.bit_length() - 1] = apart
-                state.packed = packed ^ (low | first | second)
+            if alone & ~apart:
                 return True
     return False
 

@@ -1,5 +1,6 @@
 """Command-line surface: records, exit codes, file round trips."""
 
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -54,6 +55,12 @@ class TestLines:
         assert code == 2
         assert "error" in err
 
+    def test_huge_shape_is_usage_error(self, capsys):
+        started = time.process_time()
+        code, out, _ = run(capsys, "lines", "--k", "10000000", "--n", "10000000", "--count")
+        assert (code, out) == (2, "")
+        assert time.process_time() - started < 1.0
+
 
 class TestVerify:
     def test_fixture_passes(self, capsys, tmp_path):
@@ -93,6 +100,25 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "shape,entry",
+        [
+            ("k=3 n=2", "7" * 5000),
+            ("k=" + "3" * 5000 + " n=2", "5"),
+            ("k=10000000 n=10000000", "5"),
+        ],
+        ids=["long-entry", "long-k", "huge-shape"],
+    )
+    def test_oversized_numbers_are_usage_errors(self, capsys, tmp_path, shape, entry):
+        # Not a traceback and exit 1, the code of a failed claim.
+        path = tmp_path / "oversized.ahj"
+        path.write_text(f"ahj-coloring v1\n{shape}\n1 2 3\n4 {entry} 6\n7 8 9\n")
+        started = time.process_time()
+        code, out, err = run(capsys, "verify", str(path), "--expect-rf")
+        assert (code, out) == (2, "")
+        assert "line " in err
+        assert time.process_time() - started < 1.0
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "absent.ahj"))

@@ -1,5 +1,7 @@
 """Coloring model: rainbow checks, census, canonical forms, file format."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -215,6 +217,26 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="shape line") as err:
             parse(text)
         assert err.value.line == 2
+
+    def test_huge_shape_is_refused_quickly(self):
+        started = time.process_time()
+        with pytest.raises(ParseError, match="index budget") as err:
+            parse("ahj-coloring v1\nk=10000000 n=10000000\n1\n")
+        assert err.value.line == 2
+        assert time.process_time() - started < 1.0
+
+    def test_overlong_shape_number_is_a_parse_error(self):
+        # More digits than int() converts by default (4,300 on CPython).
+        text = "ahj-coloring v1\nk=" + "3" * 5000 + " n=2\n1 2 3\n4 5 6\n7 8 9\n"
+        with pytest.raises(ParseError, match="too long") as err:
+            parse(text)
+        assert err.value.line == 2
+
+    def test_overlong_entry_is_a_parse_error(self):
+        text = "ahj-coloring v1\nk=3 n=2\n1 2 3\n4 " + "7" * 5000 + " 6\n7 8 9\n"
+        with pytest.raises(ParseError, match="too long") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (4, 3)
 
     def test_serialize_groups_by_last_coordinate(self):
         c = all_distinct(S32)

@@ -1,6 +1,7 @@
 """Core combinatorics: indexing, line enumeration, symmetries."""
 
 import math
+import time
 from itertools import permutations, product
 
 import pytest
@@ -53,6 +54,11 @@ class TestShape:
     def test_rejects_overflowing_point_count(self):
         with pytest.raises(ShapeError):
             CubeShape(2, 33)
+        # (10**7)**(10**7) has 7 * 10**7 digits; the guard reads n first.
+        started = time.process_time()
+        with pytest.raises(ShapeError):
+            CubeShape(10**7, 10**7)
+        assert time.process_time() - started < 1.0
 
 
 class TestPointIndexing:

@@ -339,8 +339,8 @@ class TestMergeState:
         """Merge, forbid, mark and undo_to track a naive set partition, and
         keep the line, class and packing masks equal to a recomputation.  A
         settle step runs `_settle` with a threshold 1-8 merges above the
-        current count, so that it also refills, swaps and cuts, and the
-        model takes over the forced merges it made.  A settle that
+        current count, so that it also refills, tries swaps and cuts, and
+        the model takes over the forced merges it made.  A settle that
         branches leaves a maximal packing: every live line meets a class
         of a packed line.  An undo puts back the packing the mark saw, bit
         for bit."""
@@ -644,8 +644,9 @@ def _fewest_merges(shape, labels, forbidden, below):
 
 def _reference_bound_reaches(state, best):
     """`_bound_reaches` in two walks: the greedy refill, then, one line
-    short, a 1-for-2 swap that walks the packed lines again in line order
-    to rebuild their reaches."""
+    short, a search for a 1-for-2 swap that walks the packed lines again
+    in line order to rebuild their reaches.  A swap found only answers:
+    the state keeps the refill's packing."""
     label, lines, class_lines = state.label, state.lines, state.class_lines
     packed = rest = state.packed
     plines = 0
@@ -693,9 +694,7 @@ def _reference_swap(state):
             apart = 0
             for x in lines[first.bit_length() - 1]:
                 apart |= class_lines[label[x]]
-            second = alone & ~apart
-            if second:
-                state.packed = packed ^ (low | first | second & -second)
+            if alone & ~apart:
                 return True
     return False
 
@@ -712,8 +711,9 @@ class TestPackingBound:
         their packing in the state, so a cut reads a packing that merges
         have repaired, not one built afresh.  After a settle that branches,
         the bound is also asked for one merge more than the packing
-        reaches, which only a 1-for-2 swap can meet, and the packing it
-        leaves must hold the reaches of its lines."""
+        reaches, which only a 1-for-2 swap can meet; a yes must hold
+        against the oracle too, and the packing left in the state must
+        stay class-disjoint with the reaches of its lines."""
         shape, steps = run
         state = MergeState(shape)
         forbidden = []
@@ -743,7 +743,7 @@ class TestPackingBound:
         """Along a run of merges, forbids and settles, cut or not, the
         merge count plus the number of packed lines never decreases: a
         merge drops at most one packed line, a forbid drops none, and a
-        settle adds lines or trades one for two."""
+        settle only adds lines."""
         shape, steps = run
         state = MergeState(shape)
         level = 0
@@ -762,10 +762,9 @@ class TestPackingBound:
 
     def test_bound_matches_reference(self, monkeypatch):
         """Every bound test of a [3]^3 search capped at 20,000 nodes gives
-        the answer and leaves the packing of the two-walk reference, run
-        first from the same state.  The refill can pack a line below a
-        kept one, so a swap that read the reaches in walk order rather
-        than line order would differ here."""
+        the answer of the two-walk reference, run first from the same
+        state, and leaves the same packing: the greedy refill in line
+        order, which a swap found does not change."""
         checked = []
 
         def against_reference(state, best):
@@ -780,6 +779,29 @@ class TestPackingBound:
         outcome = max_rf_colors(S33, SearchConfig(node_limit=20_000))
         assert outcome.nodes_explored == 20_000
         assert checked
+
+    def test_swap_found_leaves_the_refill(self, monkeypatch):
+        """A bound test that answers yes through a 1-for-2 swap leaves
+        `state.packed` and the packed lines' `reach` entries exactly as its
+        refill made them.  Each bound test of the [4]^2 search is preceded
+        by a refill alone, asked for more lines than the state has, so the
+        state seen afterwards is the refill's."""
+        swaps = []
+
+        def refill_first(state, best):
+            assert not _bound_reaches(state, state.merge_count + len(state.lines) + 2)
+            packed, reach = state.packed, state.reach[:]
+            answer = _bound_reaches(state, best)
+            if answer and best - state.merge_count - packed.bit_count() == 1:
+                assert state.packed == packed
+                assert state.reach == reach
+                swaps.append(best)
+            return answer
+
+        monkeypatch.setattr("ahj.search._bound_reaches", refill_first)
+        outcome = max_rf_colors(CubeShape(4, 2))
+        assert (outcome.best_value, outcome.nodes_explored) == (10, 734)
+        assert swaps
 
 
 class TestMaxRfColors:
