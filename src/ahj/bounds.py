@@ -18,8 +18,6 @@ class BoundsError(ValueError):
 KNOWN_VALUE = "known-value"
 LAYER_RECURSION = "layer-recursion"
 POWER_CONSTRUCTION = "power-construction"
-GEOMETRIC_SERIES = "geometric-series"
-REFINED_RECURSION = "refined-recursion"
 
 
 @dataclass(frozen=True)
@@ -131,6 +129,12 @@ def bounds_table(k: int, n_max: int) -> BoundsReport:
 
     Takes the max over lower-bound formulas and the min over upper-bound
     formulas, seeded by known values; candidate order breaks ties.
+
+    The upper candidates are the known value and the layer recursion from
+    the previous row.  `geometric_upper` and `refined_upper_3` are the same
+    recursion run from (1, k) and (4, 27).  The recursion is increasing,
+    and each row it starts from here is at least as tight as those, so
+    they could only tie it and are not candidates.
     """
     if k < 2:
         raise BoundsError("alphabet size must be >= 2")
@@ -151,9 +155,6 @@ def bounds_table(k: int, n_max: int) -> BoundsReport:
                 lowers.append((rec_lo, LAYER_RECURSION))
                 uppers.append((rec_hi, LAYER_RECURSION))
             lowers.append((power_lower(k, n), POWER_CONSTRUCTION))
-            if k == 3 and n >= 4:
-                uppers.append((refined_upper_3(n), REFINED_RECURSION))
-            uppers.append((geometric_upper(k, n), GEOMETRIC_SERIES))
         best_lo = max(lowers, key=lambda it: it[0])
         best_hi = min(uppers, key=lambda it: it[0])
         if best_lo[0] > best_hi[0]:

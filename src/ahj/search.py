@@ -3,12 +3,12 @@
 The optimization runs over class partitions instead of colorings: a total
 coloring is rainbow-free iff every line carries two same-class points, and
 maximizing colors is minimizing class merges.  Branch and bound explores
-merge decisions over a snapshotted quick-find union-find with exclusion
-constraints ("these two points stay in different classes"), unit
+merge decisions over a quick-find union-find, copied at each branch, with
+exclusion constraints ("these two points stay in different classes"), unit
 propagation of forced merges, and an admissible lower bound from a
 packing of disjoint lines that the state keeps and repairs.
 
-The search is serial: one state and one depth-first walk, so a run's node
+The search is serial: one depth-first walk, so a run's node
 count, value and witness are the same every time it is repeated.
 """
 
@@ -95,8 +95,7 @@ class SearchOutcome:
 
 
 class MergeState:
-    """Quick-find union-find over point indices, with line bookkeeping and
-    snapshot marks.
+    """Quick-find union-find over point indices, with line bookkeeping.
 
     `label[x]` is the root of x's class, so a lookup is one list index.  A
     merge relabels the smaller class (union by size), walking the bits of
@@ -137,14 +136,9 @@ class MergeState:
     already held those of the half it went through.  A forbid leaves the
     packing and the reaches as they are.
 
-    `mark()` hands the five live lists, the counter and the three masks
-    over to the mark, nine entries, and goes on with shallow copies;
-    `undo_to` puts the mark's lists back, with no replay and no copy.  The
-    lists hold only ints, so a mark's lists stay as they were until it is
-    restored.  Restoring hands them back to the state, which changes them
-    from then on, so a mark is restored at most once: a second `undo_to`
-    raises `SearchError`.  The search restores its marks in stack order,
-    and a restore throws away every mark taken after it.
+    The search branches on copies: `copy()` gives an independent state
+    with its own five lists, which hold only ints, and shares the
+    per-shape tables, which nothing changes.
     """
 
     __slots__ = (
@@ -185,7 +179,7 @@ class MergeState:
         return self._incompat[label[a]] & self.class_points[label[b]] != 0
 
     def forbid(self, a: int, b: int) -> None:
-        """Pin the classes of a and b apart from here on (undoable)."""
+        """Pin the classes of a and b apart from here on."""
         ra, rb = self.label[a], self.label[b]
         if ra == rb:
             raise SearchError("cannot forbid a pair already in one class")
@@ -244,42 +238,19 @@ class MergeState:
         if held:
             self.reach[held.bit_length() - 1] |= merged
 
-    def mark(self) -> list:
-        """Snapshot the state for one later `undo_to`."""
-        mark = [
-            self.label,
-            self.class_points,
-            self.class_lines,
-            self._incompat,
-            self.merge_count,
-            self.live,
-            self.dirty,
-            self.packed,
-            self.reach,
-        ]
-        self.label = self.label[:]
-        self.class_points = self.class_points[:]
-        self.class_lines = self.class_lines[:]
-        self._incompat = self._incompat[:]
-        self.reach = self.reach[:]
-        return mark
-
-    def undo_to(self, mark: list) -> None:
-        """Put back the state `mark` saved; each mark is restored once."""
-        if not mark:
-            raise SearchError("a mark is restored at most once")
-        (
-            self.label,
-            self.class_points,
-            self.class_lines,
-            self._incompat,
-            self.merge_count,
-            self.live,
-            self.dirty,
-            self.packed,
-            self.reach,
-        ) = mark
-        mark.clear()
+    def copy(self) -> MergeState:
+        """An independent state with the same partition, exclusions, lines
+        and packing."""
+        twin = MergeState.__new__(MergeState)
+        twin.shape, twin.lines, twin.pairs = self.shape, self.lines, self.pairs
+        twin.label = self.label[:]
+        twin.class_points = self.class_points[:]
+        twin.class_lines = self.class_lines[:]
+        twin._incompat = self._incompat[:]
+        twin.reach = self.reach[:]
+        twin.merge_count, twin.live = self.merge_count, self.live
+        twin.dirty, twin.packed = self.dirty, self.packed
+        return twin
 
     @property
     def class_count(self) -> int:
@@ -375,8 +346,8 @@ def _bound_reaches(state: MergeState, best: int) -> bool:
     lines that meet no packed line but p and share no class with each
     other.  The refill has left no live line that meets no packed class,
     so the lines that meet p alone are those in p's reach and outside
-    `twice`.  A swap found meets `best`, so `_settle` cuts the node and
-    its state is thrown away; the swap only answers and writes nothing.
+    `twice`.  A swap found meets `best`, so `_settle` cuts the node, whose
+    state is never read again; the swap only answers and writes nothing.
     The refill stays in the state, with its lines' reaches, so the
     children of a node start from its packing.
 
@@ -440,15 +411,13 @@ def _settle(state: MergeState, best: int) -> int:
     satisfied, and otherwise the index of the branch line: the lowest
     live line.
 
-    Propagation reads only the dirty live lines.  A line with no
-    unblocked pair is dead; one with exactly one is forced, and its pair
-    is merged, which may make more lines dirty.  The scan only needs to
-    know whether a line has zero, one or more unblocked pairs, so it
-    counts them over the position-pair table and stops at the second one.
-    It runs in passes that walk the dirty lines in line order: a line
-    made dirty above the current one joins the pass, one below waits for
-    the next.  Propagation ends after a pass without a merge, when every
-    live line has at least two unblocked pairs.
+    Propagation reads only the dirty live lines, lowest first.  A line
+    with no unblocked pair is dead; one with exactly one is forced, and
+    its pair is merged, which may make more lines dirty.  The scan only
+    needs to know whether a line has zero, one or more unblocked pairs, so
+    it counts them over the position-pair table and stops at the second
+    one.  Propagation ends when no live line is dirty, so every live line
+    has at least two unblocked pairs.
 
     The bound adds to the merges made so far the lines of the packing
     the state keeps: live lines with pairwise disjoint class sets (see
@@ -465,46 +434,39 @@ def _settle(state: MergeState, best: int) -> int:
     any order reaches the same fixpoint partition, and a dead line or a
     merge count of `best` met in one order is met in every order.  Which
     packed line a merge drops depends on the order, though, so the order
-    is fixed to that of a full scan of the line table in passes, which
-    skips satisfied lines and merges each forced line it meets.  A live
-    line outside `dirty` has two unblocked pairs, so such a scan does
-    nothing at it either: `_settle` makes the same merges in the same
-    order and returns what the full scan returns, on the same partition
-    and packing.
+    is fixed: the lowest live line with fewer than two unblocked pairs is
+    always settled first.  A live line outside `dirty` has two unblocked
+    pairs, so the lowest dirty live line that is dead or forced is that
+    line.
     """
     label = state.label
     incompat = state._incompat
     class_points = state.class_points
     lines = state.lines
     pairs = state.pairs
-    while True:
-        work = state.dirty & state.live
-        state.dirty = 0
-        if not work:
-            break
-        while work:
-            low = work & -work
-            work ^= low
-            idxs = lines[low.bit_length() - 1]
-            roots = [label[x] for x in idxs]
-            only = None
-            for i, j in pairs:
-                if not incompat[roots[i]] & class_points[roots[j]]:
-                    if only is not None:
-                        break
-                    only = (i, j)
-            else:
-                # At most one unblocked pair: the line is dead or forced.
-                if only is None:
-                    state.dirty |= work | low
-                    return _DEAD
-                state.merge(idxs[only[0]], idxs[only[1]])
-                if state.merge_count >= best:
-                    state.dirty |= work
-                    return _PRUNE
-                dirty = state.dirty
-                work = (work | dirty & -(low << 1)) & state.live
-                state.dirty = dirty & (low - 1)
+    work = state.dirty & state.live
+    while work:
+        low = work & -work
+        work ^= low
+        idxs = lines[low.bit_length() - 1]
+        roots = [label[x] for x in idxs]
+        only = None
+        for i, j in pairs:
+            if not incompat[roots[i]] & class_points[roots[j]]:
+                if only is not None:
+                    break
+                only = (i, j)
+        else:
+            # At most one unblocked pair: the line is dead or forced.
+            if only is None:
+                state.dirty = work | low
+                return _DEAD
+            state.dirty = work
+            state.merge(idxs[only[0]], idxs[only[1]])
+            if state.merge_count >= best:
+                return _PRUNE
+            work = state.dirty & state.live
+    state.dirty = 0
     live = state.live
     if not live:
         return _SOLVED if state.merge_count < best else _PRUNE
@@ -514,10 +476,10 @@ def _settle(state: MergeState, best: int) -> int:
 
 
 def _dfs(state: MergeState, budget: _Incumbent) -> None:
-    """Search below the current state, leaving its forced merges and
-    forbids, and the last child's merges, in place: the caller's `undo_to`
-    throws them away.  So only the children before the last take a mark
-    and forbid their pair once it is undone."""
+    """Search below `state`.  `_dfs` may change the state it is given: a
+    caller that needs its state afterwards passes a copy.  So each child
+    before the last runs on a copy, and its pair is then forbidden in
+    `state`; the last child runs on `state` itself."""
     if not budget.tick():
         return
     outcome = _settle(state, budget.best_merges)
@@ -528,10 +490,9 @@ def _dfs(state: MergeState, budget: _Incumbent) -> None:
         return
     *before, last = _branch_pairs(state, state.lines[outcome])
     for a, b in before:
-        mark = state.mark()
-        state.merge(a, b)
-        _dfs(state, budget)
-        state.undo_to(mark)
+        child = state.copy()
+        child.merge(a, b)
+        _dfs(child, budget)
         if budget.exhausted:
             return
         state.forbid(a, b)
@@ -545,20 +506,20 @@ def _search_from_root(shape: CubeShape, budget: _Incumbent) -> None:
     For k >= 3 the first line's points split, under the symbol
     permutations fixing the line's constant cells, into the pair orbit
     {point 1, other} and the pair orbit within points 2..k, so two
-    branches cover everything.  They run in turn on one state: merge the
-    first pair, then undo it, keep point 1 apart from the line's other
-    points and merge the second-third pair.  For k = 2 the root node
-    branches on the first line like any other.
+    branches cover everything.  The first merges the first pair on a copy
+    of the root state; the second keeps point 1 apart from the line's
+    other points on the root state itself and merges the second-third
+    pair.  For k = 2 the root node branches on the first line like any
+    other.
     """
     state = MergeState(shape)
     if shape.k < 3:
         _dfs(state, budget)
         return
     p = state.lines[0]
-    root = state.mark()
-    state.merge(p[0], p[1])
-    _dfs(state, budget)
-    state.undo_to(root)
+    first = state.copy()
+    first.merge(p[0], p[1])
+    _dfs(first, budget)
     if budget.exhausted:
         return
     for q in p[1:]:
@@ -649,7 +610,7 @@ def naive_max_rf_colors(shape: CubeShape) -> int:
     sensible for k^n <= 9 or so.
     """
     count, k = shape.point_count, shape.k
-    lines = [itemgetter(*idxs) for idxs in line_index_table(shape)]
+    lines = _line_getters(shape)
     labels = [0] * count
 
     def partitions(i: int, used: int) -> Iterator[int]:
@@ -804,6 +765,12 @@ def enumerate_minimal_rf(
 @lru_cache(maxsize=None)
 def _line_bits(shape: CubeShape) -> tuple[int, ...]:
     return tuple(sum(1 << i for i in idxs) for idxs in line_index_table(shape))
+
+
+@lru_cache(maxsize=None)
+def _line_getters(shape: CubeShape) -> tuple[itemgetter, ...]:
+    """Per line, an `itemgetter` of its points' entries in a point list."""
+    return tuple(itemgetter(*idxs) for idxs in line_index_table(shape))
 
 
 @lru_cache(maxsize=None)
@@ -970,7 +937,7 @@ def _fill(
     solution: tuple[int, ...] | None = None
     line_bits = _line_bits(shape)
     through = _line_masks_by_point(shape)
-    line_colors = [itemgetter(*idxs) for idxs in lines]
+    line_colors = _line_getters(shape)
     root_pins = pin_lines, pinned_bits
 
     def assign(cell: int, value: int) -> None:

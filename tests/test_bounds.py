@@ -128,6 +128,15 @@ class TestTable:
         for row in rows:
             assert row.lower <= row.upper
 
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_upper_never_above_the_closed_forms(self, k):
+        """The closed forms are not candidates of the table, and no row's
+        upper bound lies above them."""
+        for row in bounds_table(k, 20).rows:
+            assert row.upper <= geometric_upper(k, row.n)
+            if k == 3 and row.n >= 4:
+                assert row.upper <= refined_upper_3(row.n)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(BoundsError):
             bounds_table(1, 3)

@@ -217,6 +217,21 @@ def _assert_packing(state):
             assert state.reach[li] == reach, li
 
 
+def _fields(state):
+    """Every per-state entry of `state`, with its lists as tuples."""
+    return (
+        tuple(state.label),
+        tuple(state.class_points),
+        tuple(state.class_lines),
+        tuple(state._incompat),
+        tuple(state.reach),
+        state.merge_count,
+        state.live,
+        state.dirty,
+        state.packed,
+    )
+
+
 def _adopt_merges(state, model):
     """Merge in `model` the classes that `state` has merged, such as the
     forced merges of a settle."""
@@ -230,9 +245,9 @@ _STATE_OPS = st.lists(
         st.tuples(
             st.sampled_from(["merge", "forbid"]), st.integers(0, 26), st.integers(0, 26)
         ),
-        st.tuples(st.just("mark"), st.just(0), st.just(0)),
+        st.tuples(st.just("save"), st.just(0), st.just(0)),
         st.tuples(st.just("settle"), st.integers(1, 8), st.just(0)),
-        st.tuples(st.just("undo"), st.integers(0, 1000), st.just(0)),
+        st.tuples(st.just("resume"), st.integers(0, 1000), st.just(0)),
     ),
     max_size=40,
 )
@@ -244,16 +259,16 @@ class TestMergeState:
         assert s.class_count == 9
         assert s.merge_count == 0
 
-    def test_merge_and_undo(self):
+    def test_merges_on_a_copy_leave_the_original(self):
         s = MergeState(S32)
-        mark = s.mark()
-        s.merge(0, 1)
-        s.merge(1, 2)
-        assert s.same(0, 2)
-        assert s.class_count == 7
-        s.undo_to(mark)
+        c = s.copy()
+        c.merge(0, 1)
+        c.merge(1, 2)
+        assert c.same(0, 2)
+        assert c.class_count == 7
         assert not s.same(0, 1)
         assert s.class_count == 9
+        _assert_bookkeeping(s, _PartitionModel(S32.point_count))
 
     def test_forbid_blocks_pairs(self):
         s = MergeState(S32)
@@ -268,87 +283,81 @@ class TestMergeState:
         s.merge(1, 2)
         assert s.blocked(0, 2)
 
-    def test_undo_restores_forbids(self):
+    def test_forbids_on_a_copy_leave_the_original(self):
         s = MergeState(S32)
-        mark = s.mark()
-        s.forbid(0, 1)
-        s.undo_to(mark)
+        fresh = _fields(s)
+        c = s.copy()
+        c.forbid(0, 1)
+        assert c.blocked(0, 1)
+        assert not s.blocked(0, 1)
+        assert _fields(s) == fresh
+
+    def test_repeated_forbid_on_nested_copies(self):
+        s = MergeState(S32)
+        first = s.copy()
+        first.forbid(0, 1)
+        second = first.copy()
+        second.forbid(1, 0)
+        assert second.blocked(0, 1)
+        assert first.blocked(0, 1)
         assert not s.blocked(0, 1)
 
-    def test_repeated_forbid_is_undone_by_the_first_mark(self):
-        s = MergeState(S32)
-        first = s.mark()
-        s.forbid(0, 1)
-        second = s.mark()
-        s.forbid(1, 0)
-        s.undo_to(second)
-        assert s.blocked(0, 1)
-        s.undo_to(first)
-        assert not s.blocked(0, 1)
-
-    def test_mark_restores_once(self):
-        s = MergeState(S32)
-        mark = s.mark()
-        s.merge(0, 1)
-        s.undo_to(mark)
-        s.merge(0, 2)
-        with pytest.raises(SearchError):
-            s.undo_to(mark)
-        assert s.same(0, 2)
-
-    def test_nested_marks_restore_in_stack_order(self):
+    def test_nested_copies_keep_their_own_bookkeeping(self):
         s = MergeState(S33)
+        outer = s.copy()
         model = _PartitionModel(S33.point_count)
-        outer = s.mark()
-        s.merge(0, 1)
+        outer.merge(0, 1)
         model.merge(0, 1)
-        s.forbid(0, 2)
+        outer.forbid(0, 2)
         model.forbid(0, 2)
-        _settle(s, S33.point_count + 1)
-        _adopt_merges(s, model)
+        _settle(outer, S33.point_count + 1)
+        _adopt_merges(outer, model)
         settled = model.copy()
-        inner = s.mark()
-        s.merge(3, 4)
+        inner = outer.copy()
+        inner.merge(3, 4)
         model.merge(3, 4)
-        _assert_agrees(s, model)
-        _assert_bookkeeping(s, model)
-        s.undo_to(inner)
-        _assert_agrees(s, settled)
-        _assert_bookkeeping(s, settled)
-        s.undo_to(outer)
+        _assert_agrees(inner, model)
+        _assert_bookkeeping(inner, model)
+        _assert_agrees(outer, settled)
+        _assert_bookkeeping(outer, settled)
         _assert_agrees(s, _PartitionModel(S33.point_count))
         _assert_bookkeeping(s, _PartitionModel(S33.point_count))
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12))
     @settings(max_examples=60, deadline=None)
-    def test_undo_round_trips(self, pairs):
-        """Any merge sequence fully unwinds to the discrete partition."""
+    def test_merges_on_a_copy_leave_the_original_discrete(self, pairs):
+        """Any merge sequence on a copy leaves the original discrete."""
         s = MergeState(S32)
-        mark = s.mark()
+        fresh = _fields(s)
+        c = s.copy()
         for a, b in pairs:
-            if not s.same(a, b):
-                s.merge(a, b)
-        s.undo_to(mark)
+            if not c.same(a, b):
+                c.merge(a, b)
         assert s.class_count == 9
         assert s.merge_count == 0
+        assert _fields(s) == fresh
 
     @pytest.mark.parametrize("shape", [S32, S33])
     @given(ops=_STATE_OPS)
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_naive_partition_model(self, shape, ops):
-        """Merge, forbid, mark and undo_to track a naive set partition, and
-        keep the line, class and packing masks equal to a recomputation.  A
-        settle step runs `_settle` with a threshold 1-8 merges above the
-        current count, so that it also refills, tries swaps and cuts, and
-        the model takes over the forced merges it made.  A settle that
-        branches leaves a maximal packing: every live line meets a class
-        of a packed line.  An undo puts back the packing the mark saw, bit
-        for bit."""
+        """Merge and forbid track a naive set partition, and keep the line,
+        class and packing masks equal to a recomputation.  A settle step
+        runs `_settle` with a threshold 1-8 merges above the current count,
+        so that it also refills, tries swaps and cuts, and the model takes
+        over the forced merges it made.  A settle that branches leaves a
+        maximal packing: every live line meets a class of a packed line.
+
+        A save step keeps a copy of the state with a copy of its model; a
+        resume step goes on from a copy of a saved one.  Whatever runs on
+        the state afterwards, every saved copy keeps every entry it was
+        made with, its packing and reaches included, and at the end still
+        agrees with its model."""
         count = shape.point_count
         lines = line_index_table(shape)
         state = MergeState(shape)
         model = _PartitionModel(count)
-        marks = [(state.mark(), model.copy(), state.packed)]
+        saved = [(state.copy(), model.copy(), _fields(state))]
         for tag, a, b in ops:
             a, b = a % count, b % count
             if tag == "merge":
@@ -365,8 +374,8 @@ class TestMergeState:
                 else:
                     state.forbid(a, b)
                     model.forbid(a, b)
-            elif tag == "mark":
-                marks.append((state.mark(), model.copy(), state.packed))
+            elif tag == "save":
+                saved.append((state.copy(), model.copy(), _fields(state)))
             elif tag == "settle":
                 if _settle(state, state.merge_count + a) >= 0:
                     taken = {
@@ -380,20 +389,18 @@ class TestMergeState:
                             assert any(state.label[x] in taken for x in lines[li]), li
                 _adopt_merges(state, model)
             else:
-                del marks[a % len(marks) + 1 :]
-                mark, saved, packed = marks[-1]
-                state.undo_to(mark)
-                assert state.packed == packed
-                marks[-1] = (state.mark(), saved, packed)
-                model = saved.copy()
+                twin, twin_model, _ = saved[a % len(saved)]
+                state, model = twin.copy(), twin_model.copy()
             _assert_agrees(state, model)
             _assert_bookkeeping(state, model)
-        state.undo_to(marks[0][0])
-        assert state.packed == marks[0][2]
-        _assert_agrees(state, _PartitionModel(count))
-        _assert_bookkeeping(state, _PartitionModel(count))
-        assert state.merge_count == 0
-        assert state.to_coloring().colors == tuple(range(1, count + 1))
+            for twin, _, fields in saved:
+                assert _fields(twin) == fields
+        for twin, twin_model, _ in saved:
+            _assert_agrees(twin, twin_model)
+            _assert_bookkeeping(twin, twin_model)
+        root = saved[0][0]
+        assert root.merge_count == 0
+        assert root.to_coloring().colors == tuple(range(1, count + 1))
 
 
 _S32_LINES = [
@@ -481,9 +488,11 @@ class TestLowerBound:
 
 
 def _reference_settle(state, best):
-    """The full-scan settle: every pass walks the whole line table through
-    `label`, `same`, `blocked` and `merge` only, merging forced pairs, and
-    the fixpoint takes the first unsatisfied line to branch on.
+    """The lowest-first full-scan settle: through `same`, `blocked` and
+    `merge` only, it repeatedly takes the first live line, in table order,
+    that has fewer than two unblocked pairs, and stops on a dead one or
+    merges a forced one's pair.  The fixpoint takes the first live line to
+    branch on.
 
     The bound is not recomputed here: the fixpoint reads it from the
     state's own maintained packing through `_bound_reaches`, as `_settle`
@@ -492,25 +501,24 @@ def _reference_settle(state, best):
     `TestPackingBound` checks the packing's cuts."""
     lines = line_index_table(state.shape)
     while True:
-        changed = False
-        first = -1
-        for li, idxs in enumerate(lines):
-            if any(state.same(a, b) for a, b in combinations(idxs, 2)):
-                continue
-            unblocked = _unblocked_pairs(state, idxs)
+        live = [
+            li
+            for li, idxs in enumerate(lines)
+            if not any(state.same(a, b) for a, b in combinations(idxs, 2))
+        ]
+        for li in live:
+            unblocked = _unblocked_pairs(state, lines[li])
             if len(unblocked) < 2:
                 if not unblocked:
                     return _DEAD
                 state.merge(*unblocked[0])
                 if state.merge_count >= best:
                     return _PRUNE
-                changed = True
-            elif first < 0:
-                first = li
-        if not changed:
-            if first < 0:
+                break
+        else:
+            if not live:
                 return _SOLVED if state.merge_count < best else _PRUNE
-            return _PRUNE if _bound_reaches(state, best) else first
+            return _PRUNE if _bound_reaches(state, best) else live[0]
 
 
 def _blocks(state):
@@ -582,11 +590,12 @@ class TestSettleAgainstFullScan:
     def test_same_outcome_as_full_scan(self, run):
         _play(*run)
 
-    def test_lines_made_dirty_below_wait_for_the_next_pass(self):
-        """On this [3]^2 state line 2 is forced and line 3 is dead.  The
-        merge on line 2 forces line 1 as well, but the pass goes on to line
-        3 first, as the full scan does, and stops there: line 1's pair is
-        never merged."""
+    def test_line_forced_below_is_settled_first(self):
+        """On this [3]^2 state line 2, (6, 7, 8), is forced and line 3,
+        (0, 3, 6), is dead.  The merge of 6 and 8 on line 2 forces line 1,
+        (3, 4, 5), as well, and line 1 is lower than line 3, so its pair 3-5
+        is merged before line 3 is found dead, as the lowest-first full
+        scan does.  The dead line stays dirty."""
         steps = [
             ("merge", 0, 7),
             ("forbid", 0, 8),
@@ -595,9 +604,16 @@ class TestSettleAgainstFullScan:
             ("forbid", 3, 7),
             ("forbid", 6, 3),
             ("forbid", 6, 0),
-            ("settle", 6, 0),
         ]
-        assert _play(S32, steps) == _DEAD
+        assert _play(S32, steps + [("settle", 6, 0)]) == _DEAD
+        state = MergeState(S32)
+        for tag, a, b in steps:
+            getattr(state, tag)(a, b)
+        assert not state.same(3, 5)
+        assert _settle(state, state.merge_count + 6) == _DEAD
+        assert state.same(6, 8)
+        assert state.same(3, 5)
+        assert state.dirty >> 3 & 1
 
 
 def _fewest_merges(shape, labels, forbidden, below):
