@@ -823,29 +823,37 @@ def find_forced_cell(partial: Coloring) -> ForcedCell | None:
     return _forced_cell(shape, colors, pin_lines, pinned_bits)
 
 
+def _allowance(colors, lines, cell, pinning, witnesses=None) -> set[int] | None:
+    """The colors that the lines of the mask `pinning`, which pin `cell`,
+    allow it: each line's other colors, intersected in line order until the
+    set is empty.  Each line that shrinks the set, the first included, has
+    its index appended to `witnesses` if a list is given."""
+    allowance = None
+    while pinning:
+        li = (pinning & -pinning).bit_length() - 1
+        pinning &= pinning - 1
+        allowed = {colors[i] for i in lines[li] if i != cell}
+        if allowance is None or not allowance <= allowed:
+            allowance = allowed if allowance is None else allowance & allowed
+            if witnesses is not None:
+                witnesses.append(li)
+            if not allowance:
+                break
+    return allowance
+
+
 def _forced_cell(shape: CubeShape, colors, pin_lines, pinned_bits) -> ForcedCell | None:
     """`find_forced_cell` read from the pin masks `_deficient_lines` gives
     for `colors`."""
     lines = line_index_table(shape)
-    templates = template_table(shape)
     through = _line_masks_by_point(shape)
     while pinned_bits:
-        low = pinned_bits & -pinned_bits
-        pinned_bits ^= low
-        cell = low.bit_length() - 1
-        rest = pin_lines & through[cell]
-        running: set[int] | None = None
-        witnesses: list[LineTemplate] = []
-        while rest:
-            line = rest & -rest
-            rest ^= line
-            li = line.bit_length() - 1
-            allowed = {colors[i] for i in lines[li] if i != cell}
-            if running is None or not running <= allowed:
-                running = allowed if running is None else running & allowed
-                witnesses.append(templates[li])
-                if not running:
-                    return ForcedCell(point_from_index(cell, shape), tuple(witnesses))
+        cell = (pinned_bits & -pinned_bits).bit_length() - 1
+        pinned_bits &= pinned_bits - 1
+        witnesses: list[int] = []
+        if not _allowance(colors, lines, cell, pin_lines & through[cell], witnesses):
+            templates = tuple(template_table(shape)[li] for li in witnesses)
+            return ForcedCell(point_from_index(cell, shape), templates)
     return None
 
 
@@ -878,12 +886,13 @@ def complete(
     nodes.
 
     The line state is the bitmasks of `_deficient_lines`.  Assigning a cell
-    updates only the deficient lines through it, and clearing it restores
-    the masks saved before.  A pinned cell's candidates are the colors its
-    pinning lines share; any other cell takes every used color plus one
-    fresh color.  The certificate of an INFEASIBLE result is the partial's
-    first rainbow line, else the cell of `find_forced_cell`, read from the
-    pin masks the search starts from; it is None when neither exists.
+    updates only the deficient lines through it, and each child receives
+    its own masks.  A pinned cell's candidates are the colors its pinning
+    lines share, read by `_allowance` as `find_forced_cell` reads them;
+    any other cell takes every used color plus one fresh color.  The
+    certificate of an INFEASIBLE result is the partial's first rainbow
+    line, else the cell of `find_forced_cell`, read from the pin masks the
+    search starts from; it is None when neither exists.
     """
     config = config or SearchConfig()
     started = time.monotonic()
@@ -934,126 +943,99 @@ def _fill(
     # A cell adds a color to `used` only by taking the fresh one, so
     # `fresh_base + len(used)` is one above every color used so far.
     fresh_base = max(used, default=0) + 1 - len(used)
-    solution: tuple[int, ...] | None = None
     line_bits = _line_bits(shape)
     through = _line_masks_by_point(shape)
     line_colors = _line_getters(shape)
-    root_pins = pin_lines, pinned_bits
 
-    def assign(cell: int, value: int) -> None:
-        """Give `cell` the color `value`.  Only lines through `cell` change:
-        those pinning it are done, and a wide one stops being deficient if
-        `value` repeats one of its colors, else pins its last open cell."""
-        nonlocal open_bits, pin_lines, wide_lines, pinned_bits
-        colors[cell] = value
+    def dfs(open_bits: int, pin_lines: int, wide_lines: int, pinned_bits: int):
+        """The completion below the node with these masks, or None."""
+        if not budget.tick():
+            return None
+        # Each packed deficient line keeps one unassigned cell from adding
+        # a color; the pinned cells are the packed one-cell lines.  The
+        # wide lines are then packed greedily in line order.
+        room = len(used) + open_bits.bit_count() - pinned_bits.bit_count() - total_colors
+        if room < 0:
+            return None
+        if wide_lines.bit_count() > room:
+            covered = pinned_bits
+            rest = wide_lines
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cells = line_bits[low.bit_length() - 1] & open_bits
+                if not cells & covered:
+                    covered |= cells
+                    room -= 1
+                    if room < 0:
+                        return None
+        if not open_bits:
+            return tuple(colors) if len(used) == total_colors else None
+
+        # The most constrained open cell: the first with the fewest
+        # candidates.  A pinned cell allows only used colors, any other cell
+        # every used color and a fresh one, so only a pinned cell can have
+        # fewer than the first open cell.  That one is counted one over when
+        # pinned, so that the scan of the pinned cells takes it.  A pinned
+        # cell that allows no color is a dead node.
+        fresh_room = len(used) < total_colors
+        cell = (open_bits & -open_bits).bit_length() - 1
+        fewest = len(used) + fresh_room + (pinned_bits >> cell & 1)
+        allowance = None
+        rest = pinned_bits if fewest > 1 else 0
+        while rest:
+            other = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            allowed = _allowance(colors, lines, other, pin_lines & through[other])
+            if not allowed:
+                return None
+            if len(allowed) < fewest:
+                cell, allowance, fewest = other, allowed, len(allowed)
+                if fewest <= 1:
+                    break
+        candidates = sorted(used if allowance is None else allowance)
+        if allowance is None and fresh_room:
+            candidates.append(fresh_base + len(used))
+
+        # The children's masks.  Only lines through the cell change: those
+        # pinning it are done, and a wide one stops being deficient if the
+        # value repeats one of its colors, else pins its last open cell.
         open_bits ^= 1 << cell
         pinned_bits &= ~(1 << cell)
         pin_lines &= ~through[cell]
-        rest = wide_lines & through[cell]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            li = low.bit_length() - 1
-            if line_colors[li](colors).count(value) > 1:
-                wide_lines ^= low
-                continue
-            cells = line_bits[li] & open_bits
-            if not cells & (cells - 1):
-                wide_lines ^= low
-                pin_lines |= low
-                pinned_bits |= cells
-
-    def packing_exceeds(room: int) -> bool:
-        """Whether more than `room` wide lines have unassigned cells disjoint
-        from each other and from the pinned cells (greedy, in line order)."""
-        covered = pinned_bits
-        packed = 0
-        rest = wide_lines
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cells = line_bits[low.bit_length() - 1] & open_bits
-            if not cells & covered:
-                covered |= cells
-                packed += 1
-                if packed > room:
-                    return True
-        return False
-
-    def choose_cell() -> tuple[int, list[int]] | None:
-        """Most-constrained free cell and its candidates; None on a dead cell."""
-        best_cell = -1
-        best_allowance: set[int] | None = None
-        best_count = -1
-        fresh_room = len(used) < total_colors
-        cells = open_bits
-        while cells:
-            cell = (cells & -cells).bit_length() - 1
-            cells &= cells - 1
-            allowance: set[int] | None = None
-            if not pinned_bits >> cell & 1:
-                count = len(used) + fresh_room
-            else:
-                rest = pin_lines & through[cell]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    allowed = {colors[i] for i in lines[low.bit_length() - 1] if i != cell}
-                    allowance = allowed if allowance is None else allowance & allowed
-                    if not allowance:
-                        return None
-                count = len(allowance)
-            if best_count < 0 or count < best_count:
-                best_cell, best_allowance, best_count = cell, allowance, count
-                if count <= 1:
-                    break
-        if best_allowance is not None:
-            return best_cell, sorted(best_allowance)
-        cand = sorted(used)
-        if fresh_room:
-            cand.append(fresh_base + len(used))
-        return best_cell, cand
-
-    def dfs() -> bool:
-        """Search below the current node."""
-        nonlocal solution, open_bits, pin_lines, wide_lines, pinned_bits
-        if not budget.tick():
-            return False
-        # Each packed deficient line keeps one unassigned cell from adding
-        # a color; the pinned cells are the packed one-cell lines.
-        room = len(used) + open_bits.bit_count() - pinned_bits.bit_count() - total_colors
-        if room < 0:
-            return False
-        if wide_lines.bit_count() > room and packing_exceeds(room):
-            return False
-        if not open_bits:
-            if len(used) == total_colors:
-                solution = tuple(colors)
-                return True
-            return False
-        picked = choose_cell()
-        if picked is None:
-            return False
-        cell, candidates = picked
-        saved = open_bits, pin_lines, wide_lines, pinned_bits
         for value in candidates:
-            assign(cell, value)
+            colors[cell] = value
+            wide, pins, pinned = wide_lines, pin_lines, pinned_bits
+            rest = wide_lines & through[cell]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                li = low.bit_length() - 1
+                if line_colors[li](colors).count(value) > 1:
+                    wide ^= low
+                    continue
+                cells = line_bits[li] & open_bits
+                if not cells & (cells - 1):
+                    wide ^= low
+                    pins |= low
+                    pinned |= cells
             added = value not in used
             if added:
                 used.add(value)
-            if dfs():
-                return True
+            found = dfs(open_bits, pins, wide, pinned)
+            if found is not None:
+                return found
             if added:
                 used.discard(value)
-            colors[cell] = 0
-            open_bits, pin_lines, wide_lines, pinned_bits = saved
             if budget.exhausted:
-                return False
-        return False
+                break
+        colors[cell] = 0
+        return None
 
-    if dfs() or budget.exhausted:
-        return solution, None
-    return None, _forced_cell(shape, partial.colors, *root_pins)
+    found = dfs(open_bits, pin_lines, wide_lines, pinned_bits)
+    if found is not None or budget.exhausted:
+        return found, None
+    return None, _forced_cell(shape, partial.colors, pin_lines, pinned_bits)
 
 
 def two_layer_arrangements() -> list[Coloring]:

@@ -1298,6 +1298,20 @@ class TestCompleteNodeCounts:
         if witness is not None:
             _assert_completes(blank, target, out.witness)
 
+    def test_total_partial_is_decided_before_the_first_node(self):
+        """A partial with no unassigned cell is decided by the color counts
+        before the search ticks: to its own count it is its own
+        completion, and one color more has no certificate to give."""
+        from ahj.fixtures import load_fixture
+
+        fixture = load_fixture("hypercube-rf-23.ahj")
+        out = complete(fixture, 23)
+        assert (out.status, out.nodes_explored, out.certificate) == (Status.OPTIMAL, 0, None)
+        assert out.witness == fixture
+        out = complete(fixture, 24)
+        assert (out.status, out.nodes_explored) == (Status.INFEASIBLE, 0)
+        assert (out.witness, out.certificate) == (None, None)
+
     def test_two_layer_endgames(self):
         counts = []
         for arrangement in two_layer_arrangements():
@@ -1321,6 +1335,16 @@ class TestCompleteNodeCounts:
             (3, 23): (Status.OPTIMAL, 145),
             (3, 24): (Status.INFEASIBLE, 21),
         }
+
+        # The blanked layer's cells, in index order, of each OPTIMAL refill:
+        # one pattern per symbol, with consecutive fresh colors from a base
+        # that depends on the coordinate for symbol 3.
+        def fresh_run(spots, base):
+            return tuple(base + spots.index(i) if i in spots else 1 for i in range(27))
+
+        refilled = {(t, 2): fresh_run((5, 7, 11, 15, 19, 21, 26), 24) for t in range(1, 5)}
+        for t, base in ((1, 18), (2, 23), (3, 24), (4, 24)):
+            refilled[t, 3] = fresh_run((2, 4, 6, 10, 12, 18), base)
         total = solved = 0
         for t in range(1, S34.n + 1):
             for symbol in range(1, S34.k + 1):
@@ -1333,6 +1357,8 @@ class TestCompleteNodeCounts:
                     assert (out.status, out.nodes_explored) == expected[symbol, target]
                     if out.status is Status.OPTIMAL:
                         _assert_completes(partial, target, out.witness)
+                        cells = tuple(out.witness.colors[i] for i in sorted(blank))
+                        assert cells == refilled[t, symbol]
                     total += out.nodes_explored
                     solved += out.status in (Status.OPTIMAL, Status.INFEASIBLE)
         assert (total, solved) == (5_796, 20)
