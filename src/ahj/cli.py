@@ -30,7 +30,6 @@ from .bounds import (
 from .coloring import (
     Coloring,
     ColoringError,
-    ParseError,
     canonical_relabel,
     census,
     is_minimal,
@@ -57,6 +56,7 @@ from .hypercube import (
     template_table,
 )
 from .search import (
+    ForcedCell,
     SearchConfig,
     SearchError,
     SearchOutcome,
@@ -80,16 +80,6 @@ RECOMPUTE_TIME_LIMIT = 60.0  # seconds for the whole of bounds --recompute
 
 def _emit(key: str, value: object) -> None:
     print(f"{key}={value}")
-
-
-def _emit_flag(key: str, value: object | None) -> None:
-    _emit(key, "none" if value is None else value)
-
-
-def _status_exit(status: Status) -> int:
-    if status in (Status.OPTIMAL, Status.INFEASIBLE):
-        return EXIT_OK
-    return EXIT_BUDGET
 
 
 def _write_coloring(path: str, coloring: Coloring, comment: str) -> None:
@@ -189,31 +179,35 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    shape = CubeShape(args.k, args.n)
-    outcome = max_rf_colors(shape, _search_config(args))
-    _emit("subcommand", "search.max-colors")
-    _emit("k", args.k)
-    _emit("n", args.n)
-    _emit_flag("time_limit", args.time_limit)
-    _emit_flag("node_limit", args.node_limit)
-    _emit("status", outcome.status.name)
-    _emit("value", outcome.best_value)
-    _emit("nodes", outcome.nodes_explored)
-    if args.certificate and outcome.witness is not None:
-        _write_coloring(
-            args.certificate,
-            outcome.witness,
-            f"search witness: rainbow-free {outcome.best_value}-coloring",
-        )
-        _emit("certificate", args.certificate)
+def _report(args: argparse.Namespace, outcome: SearchOutcome, head, body, comment: str) -> int:
+    """Print the record of a search: the `head` pairs, the budget flags,
+    the status, the `body` pairs, the certificate and the wall time.  The
+    witness goes to `--certificate` first, under `comment`, so a path that
+    cannot be written leaves stdout empty.  Exit 0 for a decided status,
+    3 for an exhausted budget."""
+    certificate = args.certificate if outcome.witness is not None else None
+    if certificate:
+        _write_coloring(certificate, outcome.witness, comment)
+    limits = [(key, getattr(args, key)) for key in ("time_limit", "node_limit")]
+    for key, value in (*head, *limits, ("status", outcome.status.name), *body):
+        _emit(key, "none" if value is None else value)  # None: a flag not given
+    if certificate:
+        _emit("certificate", certificate)
     _emit("wall_time", f"{outcome.wall_time:.3f}")
-    return _status_exit(outcome.status)
+    return EXIT_OK if outcome.status in (Status.OPTIMAL, Status.INFEASIBLE) else EXIT_BUDGET
+
+
+def cmd_search(args: argparse.Namespace) -> int:
+    outcome = max_rf_colors(CubeShape(args.k, args.n), _search_config(args))
+    head = [("subcommand", "search.max-colors"), ("k", args.k), ("n", args.n)]
+    body = [("value", outcome.best_value), ("nodes", outcome.nodes_explored)]
+    comment = f"search witness: rainbow-free {outcome.best_value}-coloring"
+    return _report(args, outcome, head, body, comment)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    # Every input check runs before the first record, so a usage error
-    # leaves stdout empty.
+    # Every input check runs and every file is written before the first
+    # record, so a usage error or an unwritable --out-dir leaves stdout empty.
     shape = CubeShape(args.k, args.n)
     if args.independent_size is not None:
         _reject_unread(args, ("colors", "minimal_only", "out_dir"), "--independent-size")
@@ -224,13 +218,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         _require(args.colors is not None, "one of --colors or --independent-size is required")
         _require(args.minimal_only, "only minimal colorings are enumerable; pass --minimal-only")
         found = enumerate_minimal_rf(shape, args.colors, up_to_symmetry=args.up_to_symmetry)
-    _emit("subcommand", "enumerate")
-    _emit("k", args.k)
-    _emit("n", args.n)
-    if args.independent_size is not None:
-        for points in found:
-            _emit("set", ",".join(str(p) for p in points))
-    elif args.out_dir:
+    written = []
+    if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, coloring in enumerate(found, start=1):
@@ -241,7 +230,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 f"minimal rainbow-free {args.colors}-coloring "
                 f"of [{args.k}]^{args.n}, {i} of {len(found)}",
             )
-            _emit("output", path)
+            written.append(path)
+    _emit("subcommand", "enumerate")
+    _emit("k", args.k)
+    _emit("n", args.n)
+    if args.independent_size is not None:
+        for points in found:
+            _emit("set", ",".join(str(p) for p in points))
+    for path in written:
+        _emit("output", path)
     _emit("count", len(found))
     return EXIT_OK
 
@@ -249,30 +246,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_complete(args: argparse.Namespace) -> int:
     partial = parse(Path(args.file).read_text())
     outcome = complete(partial, args.total_colors, _search_config(args))
-    _emit("subcommand", "complete")
-    _emit("file", args.file)
-    _emit("total_colors", args.total_colors)
-    _emit_flag("time_limit", args.time_limit)
-    _emit_flag("node_limit", args.node_limit)
-    _emit("status", outcome.status.name)
-    _emit("nodes", outcome.nodes_explored)
-    if outcome.status is Status.INFEASIBLE and outcome.certificate is not None:
-        cert = outcome.certificate
-        if hasattr(cert, "point"):
-            _emit("forced_cell", cert.point)
-            for witness in cert.witnesses:
-                _emit("witness_line", witness)
-        else:
-            _emit("rainbow_line", cert)
-    if args.certificate and outcome.witness is not None:
-        _write_coloring(
-            args.certificate,
-            outcome.witness,
-            f"completion witness: rainbow-free {args.total_colors}-coloring",
-        )
-        _emit("certificate", args.certificate)
-    _emit("wall_time", f"{outcome.wall_time:.3f}")
-    return _status_exit(outcome.status)
+    head = [("subcommand", "complete"), ("file", args.file), ("total_colors", args.total_colors)]
+    body = [("nodes", outcome.nodes_explored)]
+    # Only an INFEASIBLE outcome carries a certificate.
+    cert = outcome.certificate
+    if isinstance(cert, ForcedCell):
+        body += [("forced_cell", cert.point)]
+        body += [("witness_line", witness) for witness in cert.witnesses]
+    elif cert is not None:
+        body += [("rainbow_line", cert)]
+    comment = f"completion witness: rainbow-free {args.total_colors}-coloring"
+    return _report(args, outcome, head, body, comment)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -711,16 +695,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (
+        ShapeError, ColoringError, ConstructionError, SearchError, BoundsError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.witness is not None:
-            print(f"witnessing line: {exc.witness}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ShapeError, ColoringError, SearchError, BoundsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        witness = getattr(exc, "witness", None)
+        if witness is not None:
+            print(f"witnessing line: {witness}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -51,10 +51,10 @@ class Status(Enum):
 class SearchConfig:
     """Budgets of one search.
 
-    `node_limit` counts search nodes only: branch-and-bound nodes in
-    `max_rf_colors` and cell-filling nodes in `complete`.  The k = 3 warm
-    start of `max_rf_colors` keeps its own fixed budget of 3,000,000
-    backtracking nodes, which `node_limit` does not shorten.
+    `node_limit`, a positive int, counts search nodes only: branch-and-bound
+    nodes in `max_rf_colors` and cell-filling nodes in `complete`.  The
+    k = 3 warm start of `max_rf_colors` keeps its own fixed budget of
+    3,000,000 backtracking nodes, which `node_limit` does not shorten.
     `time_limit` (seconds) bounds the warm start and the search alike.
 
     The search runs on one worker.  `worker_count` remains so that callers
@@ -72,8 +72,10 @@ class SearchConfig:
             raise SearchError("time_limit must be positive")
         if self.worker_count != 1:
             raise SearchError("worker_count must be 1: the search is serial")
-        if self.node_limit is not None and self.node_limit <= 0:
-            raise SearchError("node_limit must be positive")
+        # An int, since the node count meets the limit by equality.
+        limit = self.node_limit
+        if limit is not None and (type(limit) is not int or limit <= 0):
+            raise SearchError("node_limit must be a positive int")
 
 
 @dataclass(frozen=True)
@@ -587,16 +589,21 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
     _search_from_root(shape, budget)
 
     witness = canonical_relabel(Coloring(shape, budget.witness_colors))
-    value = shape.point_count - budget.best_merges
-    if not is_rainbow_free(witness) or census(witness).distinct_count != value:
-        raise SearchError("internal error: witness failed re-verification")
     status = Status.FEASIBLE_ONLY if budget.exhausted else Status.OPTIMAL
+    return _outcome(started, budget, status, shape.point_count - budget.best_merges, witness)
+
+
+def _outcome(started, budget, status, value, witness, certificate=None) -> SearchOutcome:
+    """The outcome of a search that started at `started`, a
+    `time.monotonic()` reading, and counted its nodes in `budget`.  A
+    witness is re-verified first: it must be rainbow-free with exactly
+    `value` colors."""
+    if witness is not None and (
+        not is_rainbow_free(witness) or census(witness).distinct_count != value
+    ):
+        raise SearchError("internal error: witness failed re-verification")
     return SearchOutcome(
-        status=status,
-        best_value=value,
-        witness=witness,
-        nodes_explored=budget.nodes,
-        wall_time=time.monotonic() - started,
+        status, value, witness, budget.nodes, time.monotonic() - started, certificate
     )
 
 
@@ -783,7 +790,7 @@ def _line_masks_by_point(shape: CubeShape) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _deficient_lines(colors, lines, k: int) -> tuple[int, int, int, int | None]:
+def _deficient_lines(shape: CubeShape, colors) -> tuple[int, int, int, int | None]:
     """Line bitmasks of a partial coloring (0 = unassigned), in one scan.
 
     A line is deficient when it has an unassigned cell and its assigned
@@ -792,15 +799,16 @@ def _deficient_lines(colors, lines, k: int) -> tuple[int, int, int, int | None]:
     those with two or more; `pinned_bits`, the pinned cells; and the index
     of the first rainbow line, or None.
     """
+    lines, k = line_index_table(shape), shape.k
     pin_lines = wide_lines = pinned_bits = 0
     rainbow = None
-    for li, idxs in enumerate(lines):
-        cs = [colors[i] for i in idxs]
+    for li, line_colors in enumerate(_line_getters(shape)):
+        cs = line_colors(colors)
         n_open = cs.count(0)
         if len(set(cs)) - (n_open > 0) == k - n_open:
             if n_open == 1:
                 pin_lines |= 1 << li
-                pinned_bits |= 1 << idxs[cs.index(0)]
+                pinned_bits |= 1 << lines[li][cs.index(0)]
             elif n_open:
                 wide_lines |= 1 << li
             elif rainbow is None:
@@ -819,7 +827,7 @@ def find_forced_cell(partial: Coloring) -> ForcedCell | None:
     intersection becomes empty is returned with its witnesses.
     """
     shape, colors = partial.shape, partial.colors
-    pin_lines, _, pinned_bits, _ = _deficient_lines(colors, line_index_table(shape), shape.k)
+    pin_lines, _, pinned_bits, _ = _deficient_lines(shape, colors)
     return _forced_cell(shape, colors, pin_lines, pinned_bits)
 
 
@@ -900,22 +908,11 @@ def complete(
     if total_colors < 1:
         raise SearchError("total_colors must be >= 1")
     solution, certificate = _fill(partial, total_colors, budget)
-    witness = None
     if solution is not None:
-        witness = Coloring(partial.shape, solution)
-        if not is_rainbow_free(witness) or census(witness).distinct_count != total_colors:
-            raise SearchError("internal error: completion witness failed re-verification")
-        status = Status.OPTIMAL
+        witness, status = Coloring(partial.shape, solution), Status.OPTIMAL
     else:
-        status = Status.TIMEOUT if budget.exhausted else Status.INFEASIBLE
-    return SearchOutcome(
-        status=status,
-        best_value=total_colors,
-        witness=witness,
-        nodes_explored=budget.nodes,
-        wall_time=time.monotonic() - started,
-        certificate=certificate,
-    )
+        witness, status = None, Status.TIMEOUT if budget.exhausted else Status.INFEASIBLE
+    return _outcome(started, budget, status, total_colors, witness, certificate)
 
 
 def _fill(
@@ -927,7 +924,7 @@ def _fill(
     shape = partial.shape
     lines = line_index_table(shape)
     colors = list(partial.colors)
-    pin_lines, wide_lines, pinned_bits, rainbow = _deficient_lines(colors, lines, shape.k)
+    pin_lines, wide_lines, pinned_bits, rainbow = _deficient_lines(shape, colors)
     if rainbow is not None:
         return None, template_table(shape)[rainbow]
 

@@ -344,6 +344,135 @@ class TestComplete:
         assert record(out)["status"] == "TIMEOUT"
 
 
+# (argv, exit code, stdout without its wall_time line): every branch of the
+# search and complete records, run from a directory holding the inputs below.
+GOLDEN_RECORDS = [
+    (
+        "search max-colors --k 3 --n 2",
+        0,
+        "subcommand=search.max-colors\nk=3\nn=2\ntime_limit=none\nnode_limit=none\n"
+        "status=OPTIMAL\nvalue=4\nnodes=38\n",
+    ),
+    (
+        "search max-colors --k 3 --n 2 --time-limit 30 --node-limit 1000 --certificate w.ahj",
+        0,
+        "subcommand=search.max-colors\nk=3\nn=2\ntime_limit=30.0\nnode_limit=1000\n"
+        "status=OPTIMAL\nvalue=4\nnodes=38\ncertificate=w.ahj\n",
+    ),
+    (
+        "search max-colors --k 3 --n 3 --node-limit 50",
+        3,
+        "subcommand=search.max-colors\nk=3\nn=3\ntime_limit=none\nnode_limit=50\n"
+        "status=FEASIBLE_ONLY\nvalue=10\nnodes=50\n",
+    ),
+    (
+        "complete endgame.ahj --total-colors 27",
+        0,
+        "subcommand=complete\nfile=endgame.ahj\ntotal_colors=27\ntime_limit=none\n"
+        "node_limit=none\nstatus=INFEASIBLE\nnodes=1\nforced_cell=3333\n"
+        "witness_line=*33*\nwitness_line=*3*3\n",
+    ),
+    (
+        "complete rainbow.ahj --total-colors 4",
+        0,
+        "subcommand=complete\nfile=rainbow.ahj\ntotal_colors=4\ntime_limit=none\n"
+        "node_limit=none\nstatus=INFEASIBLE\nnodes=0\nrainbow_line=1*\n",
+    ),
+    (
+        "complete blank.ahj --total-colors 4 --certificate c.ahj",
+        0,
+        "subcommand=complete\nfile=blank.ahj\ntotal_colors=4\ntime_limit=none\n"
+        "node_limit=none\nstatus=OPTIMAL\nnodes=37\ncertificate=c.ahj\n",
+    ),
+    (
+        "complete blank.ahj --total-colors 5 --certificate c.ahj",
+        0,
+        "subcommand=complete\nfile=blank.ahj\ntotal_colors=5\ntime_limit=none\n"
+        "node_limit=none\nstatus=INFEASIBLE\nnodes=71\n",
+    ),
+    (
+        "complete cube.ahj --total-colors 10 --time-limit 60 --node-limit 1",
+        3,
+        "subcommand=complete\nfile=cube.ahj\ntotal_colors=10\ntime_limit=60.0\n"
+        "node_limit=1\nstatus=TIMEOUT\nnodes=1\n",
+    ),
+]
+
+# (argv, stderr) of input errors, each exit 2 with nothing on stdout.
+GOLDEN_ERRORS = [
+    ("verify garbage.ahj", "error: line 1: expected magic line 'ahj-coloring v1'\n"),
+    (
+        "construct singleton --k 3 --n 2 --points 0,1,2",
+        "error: line 1* meets the special set in 3 points (at most 1 allowed)\n"
+        "witnessing line: 1*\n",
+    ),
+    ("verify absent.ahj", "error: [Errno 2] No such file or directory: 'absent.ahj'\n"),
+]
+
+# (argv, stderr) of an output path that cannot be written, one per subcommand
+# that writes files: also exit 2 with nothing on stdout.
+UNWRITABLE_OUTPUTS = [
+    (
+        "search max-colors --k 3 --n 2 --certificate nodir/w.ahj",
+        "error: [Errno 2] No such file or directory: 'nodir/w.ahj'\n",
+    ),
+    (
+        "complete blank.ahj --total-colors 4 --certificate nodir/w.ahj",
+        "error: [Errno 2] No such file or directory: 'nodir/w.ahj'\n",
+    ),
+    (
+        "enumerate --k 3 --n 2 --colors 4 --minimal-only --out-dir garbage.ahj/sub",
+        "error: [Errno 20] Not a directory: 'garbage.ahj/sub'\n",
+    ),
+    (
+        "construct digit-position --k 3 --n 2 -o nodir/c.ahj",
+        "error: [Errno 2] No such file or directory: 'nodir/c.ahj'\n",
+    ),
+]
+
+
+class TestGoldenRecords:
+    """The whole record of each search and complete branch, and the exact
+    text of each kind of input error, pinned byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        files = {
+            "endgame.ahj": serialize(two_layer_arrangements()[0]),
+            "rainbow.ahj": "ahj-coloring v1\nk=3 n=2\n1 2 3\n0 0 0\n0 0 0\n",
+            "blank.ahj": serialize(Coloring(CubeShape(3, 2), (0,) * 9)),
+            "cube.ahj": serialize(Coloring(CubeShape(3, 3), (0,) * 27)),
+            "garbage.ahj": "not a coloring\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+
+    @pytest.mark.parametrize(
+        "argv, code, out", GOLDEN_RECORDS, ids=[a for a, _, _ in GOLDEN_RECORDS]
+    )
+    def test_record(self, capsys, tmp_path, argv, code, out):
+        got_code, got_out, err = run(capsys, *argv.split())
+        assert (got_code, err) == (code, "")
+        lines = got_out.splitlines(keepends=True)
+        assert lines[-1].startswith("wall_time=")
+        assert "".join(lines[:-1]) == out
+        for name in ("w.ahj", "c.ahj"):
+            assert (tmp_path / name).exists() == (f"certificate={name}" in out)
+
+    @pytest.mark.parametrize("argv, err", GOLDEN_ERRORS, ids=[a for a, _ in GOLDEN_ERRORS])
+    def test_input_error(self, capsys, argv, err):
+        assert run(capsys, *argv.split()) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv, err", UNWRITABLE_OUTPUTS, ids=[a.split()[0] for a, _ in UNWRITABLE_OUTPUTS]
+    )
+    def test_unwritable_output_prints_no_records(self, capsys, argv, err):
+        """Every file is written before the first record line, so a path
+        that cannot be written leaves stdout empty."""
+        assert run(capsys, *argv.split()) == (2, "", err)
+
+
 class TestBounds:
     def test_table_rows(self, capsys):
         code, out, _ = run(capsys, "bounds", "--k", "3", "--n-max", "4")

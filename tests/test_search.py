@@ -968,8 +968,11 @@ class TestMaxRfColors:
         for limit in (-1.0, 0.0, float("nan")):
             with pytest.raises(SearchError):
                 SearchConfig(time_limit=limit)
-        with pytest.raises(SearchError):
-            SearchConfig(node_limit=0)
+        # A node count meets only an int limit, so 50.5 would never stop a
+        # search; 50.0 and True are refused with it.
+        for limit in (0, -3, 50.5, 50.0, True):
+            with pytest.raises(SearchError):
+                SearchConfig(node_limit=limit)
 
 
 class TestIndependentSets:
