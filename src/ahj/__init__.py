@@ -5,8 +5,9 @@ the hypercube [k]^n with no rainbow combinatorial line.  The subpackages
 split the work: `hypercube` (points, lines, symmetries), `coloring`
 (rainbow checks, canonical forms, file I/O), `constructions` (explicit
 rainbow-free colorings), `search` (exact branch and bound, enumeration,
-completion), `bounds` (closed-form and recursive bounds), `cli` (the
-`ahj` command), and `fixtures` (bundled verified colorings).
+completion), `bounds` (closed-form and recursive bounds), `repro` (the
+ten headline claims), `cli` (the `ahj` command), and `fixtures` (bundled
+verified colorings).
 """
 
 __version__ = "0.1.0"

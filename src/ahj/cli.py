@@ -7,8 +7,8 @@ between identical invocations.  Exit codes are a stable contract: 0 for
 success or claim-holds, 1 for claim-fails, 2 for usage or input errors,
 3 for an exhausted search budget.
 
-``CLAIMS`` is the numbered table of the ten headline claims that
-``ahj repro`` runs; the acceptance tests run the same table.
+``ahj repro`` runs the table of headline claims in ``ahj.repro``, the same
+table the acceptance tests run.
 """
 
 from __future__ import annotations
@@ -16,21 +16,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Callable
 from pathlib import Path
 
-from .bounds import (
-    BoundsError,
-    BoundsRow,
-    bounds_table,
-    geometric_upper,
-    iterated_upper,
-    refined_upper_3,
-)
+from . import repro
+from .bounds import BoundsError, BoundsRow, bounds_table
 from .coloring import (
     Coloring,
     ColoringError,
-    canonical_relabel,
     census,
     is_minimal,
     is_rainbow_free,
@@ -44,17 +36,7 @@ from .constructions import (
     singleton_set_coloring,
     stack_recursive,
 )
-from .fixtures import load_fixture
-from .hypercube import (
-    CubeShape,
-    ShapeError,
-    enumerate_lines,
-    line_count,
-    line_index_table,
-    point_from_index,
-    point_index,
-    template_table,
-)
+from .hypercube import CubeShape, ShapeError, enumerate_lines, line_count
 from .search import (
     ForcedCell,
     SearchConfig,
@@ -64,10 +46,7 @@ from .search import (
     complete,
     enumerate_independent_sets,
     enumerate_minimal_rf,
-    find_forced_cell,
     max_rf_colors,
-    naive_max_rf_colors,
-    two_layer_arrangements,
 )
 
 EXIT_OK = 0
@@ -271,17 +250,23 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         deadline = time.monotonic() + time_limit
         rows = [_recompute_row(args.k, row, deadline) for row in rows]
     header = f"{'n':>3} {'lower':>7} {'upper':>7}  {'lower_source':<22} {'upper_source':<22}"
-    print(header)
-    for row in rows:
-        print(
+    # Every line is formatted before the first prints: Python refuses to
+    # write an int of more than sys.get_int_max_str_digits() digits, and a
+    # bound that long is an input error with nothing printed.
+    try:
+        table = [
             f"{row.n:>3} {row.lower:>7} {row.upper:>7}  "
             f"{row.lower_source:<22} {row.upper_source:<22}"
-        )
-    for row in rows:
-        print(
+            for row in rows
+        ]
+        records = [
             f"n={row.n} lower={row.lower} upper={row.upper} "
             f"lower_source={row.lower_source} upper_source={row.upper_source}"
-        )
+            for row in rows
+        ]
+    except ValueError as exc:
+        raise BoundsError(f"a bound is too long to print: {exc}") from exc
+    print("\n".join([header, *table, *records]))
     return EXIT_OK
 
 
@@ -289,11 +274,11 @@ def _recompute_row(k, row, deadline):
     """`row` re-derived by a search with the time left before `deadline`;
     `row` itself for a grid of over 32 points, with no time left, or when
     the search does not finish."""
-    shape = CubeShape(k, row.n)
+    # k**n before the shape, which refuses a grid past the index budget.
     time_left = deadline - time.monotonic()
-    if shape.point_count > 32 or time_left <= 0:
+    if k**row.n > 32 or time_left <= 0:
         return row
-    outcome = max_rf_colors(shape, SearchConfig(time_limit=time_left))
+    outcome = max_rf_colors(CubeShape(k, row.n), SearchConfig(time_limit=time_left))
     if outcome.status is not Status.OPTIMAL:
         return row
     value = outcome.best_value + 1
@@ -322,280 +307,23 @@ def _reject_unread(args: argparse.Namespace, names: tuple[str, ...], context: st
         _require(value is None or value is False, f"{flag} does not apply to {context}")
 
 
-def _timed(func, *args):
-    started = time.monotonic()
-    result = func(*args)
-    return result, time.monotonic() - started
-
-
-def _slow(what: str, elapsed: float, limit: float) -> str:
-    return f"{what} took {elapsed:.2f}s (limit {limit:g}s)"
-
-
-def _witness_fault(outcome: SearchOutcome) -> str | None:
-    """Why a search's witness fails to verify, or None if it verifies."""
-    witness = outcome.witness
-    if not is_rainbow_free(witness):
-        return "search witness fails self-verification"
-    if census(witness).distinct_count != outcome.best_value:
-        return f"search witness census differs from the value {outcome.best_value}"
-    relabeled = canonical_relabel(witness)
-    if canonical_relabel(relabeled).colors != relabeled.colors:
-        return "canonical form is not idempotent"
-    return None
-
-
-# The serial search tree of the full [3]^3 proof is fixed, so claim 1 also
-# pins its node count.
-_CUBE_PROOF_NODES = 625_462
-
-
-def _check_exact_values() -> tuple[bool, str]:
-    config = SearchConfig(time_limit=900.0)
-    parts = []
-    for n, value, limit in ((1, 2, 1.0), (2, 4, 1.0), (3, 10, 900.0)):
-        outcome, elapsed = _timed(max_rf_colors, CubeShape(3, n), config)
-        parts.append(f"[3]^{n}:{outcome.best_value}/{outcome.status.name}")
-        if outcome.status is not Status.OPTIMAL or outcome.best_value != value:
-            return False, " ".join(parts)
-        if elapsed >= limit:
-            return False, _slow(f"[3]^{n}", elapsed, limit)
-    detail = " ".join(parts) + f"; [3]^3 nodes={outcome.nodes_explored}"
-    if outcome.nodes_explored != _CUBE_PROOF_NODES:
-        return False, f"{detail} (want {_CUBE_PROOF_NODES})"
-    fault = _witness_fault(outcome)
-    if fault is not None:
-        return False, f"[3]^3 {fault}"
-    return True, detail + ", witness verified"
-
-
-def _check_two_symbol() -> tuple[bool, str]:
-    config = SearchConfig(time_limit=10.0)
-    for n in range(1, 5):
-        outcome, elapsed = _timed(max_rf_colors, CubeShape(2, n), config)
-        if outcome.status is not Status.OPTIMAL or outcome.best_value != 1:
-            return False, f"[2]^{n} gave {outcome.best_value}/{outcome.status.name}"
-        if elapsed >= 10.0:
-            return False, _slow(f"[2]^{n}", elapsed, 10.0)
-    return True, "[2]^1..4 all optimal at 1"
-
-
-def _check_oracle() -> tuple[bool, str]:
-    for k, n in ((2, 2), (2, 3), (3, 1), (3, 2)):
-        shape = CubeShape(k, n)
-        fast = max_rf_colors(shape).best_value
-        slow = naive_max_rf_colors(shape)
-        if fast != slow:
-            return False, f"[{k}]^{n}: search {fast} != oracle {slow}"
-    return True, "search equals all-partitions oracle on 4 shapes"
-
-
-# (n, size, seconds): independent sets of the given size in [3]^n and the
-# time one enumeration may take.
-_ENUMERATIONS = ((2, 3, 1.0), (3, 9, 600.0), (3, 10, 600.0))
-
-
-def _check_enumeration() -> tuple[bool, str]:
-    counts = []
-    for n, size, limit in _ENUMERATIONS:
-        sets, elapsed = _timed(enumerate_independent_sets, CubeShape(3, n), size)
-        if elapsed >= limit:
-            return False, _slow(f"size {size}", elapsed, limit)
-        counts.append(len(sets))
-    c1, c2, c3 = counts
-    ok = (c1, c2, c3) == (5, 2, 0)
-    return ok, f"sizes 3/9/10 -> {c1}/{c2}/{c3} (want 5/2/0)"
-
-
-def _check_constructions() -> tuple[bool, str]:
-    started = time.monotonic()
-    for k in (3, 4, 5):
-        for n in (2, 3, 4):
-            base = digit_position_coloring(CubeShape(k, n))
-            if not is_rainbow_free(base):
-                return False, f"digit-position [{k}]^{n} not rainbow-free"
-            c = census(base).distinct_count
-            if c != (k - 1) ** n:
-                return False, f"digit-position [{k}]^{n} has {c} colors"
-            stacked = stack_recursive(base)
-            if not is_rainbow_free(stacked):
-                return False, f"stack over [{k}]^{n} not rainbow-free"
-            if census(stacked).distinct_count != (k - 2) * c + 1:
-                return False, f"stack over [{k}]^{n} has wrong census"
-    elapsed = time.monotonic() - started
-    if elapsed >= 60.0:
-        return False, _slow("constructions", elapsed, 60.0)
-    return True, "digit-position and stacking verified for k=3..5, n=2..4"
-
-
-def _check_arrangements() -> tuple[bool, str]:
-    arrangements = two_layer_arrangements()
-    if len(arrangements) != 6:
-        return False, f"{len(arrangements)} arrangements (want 6)"
-    for i, arrangement in enumerate(arrangements):
-        forced, t_cell = _timed(find_forced_cell, arrangement)
-        if forced is None:
-            return False, f"arrangement {i} has no forced cell"
-        outcome, t_done = _timed(complete, arrangement, 27, SearchConfig(time_limit=60.0))
-        if outcome.status is not Status.INFEASIBLE:
-            return False, f"arrangement {i} completion gave {outcome.status.name}"
-        for step, elapsed in (("forced cell", t_cell), ("completion", t_done)):
-            if elapsed >= 60.0:
-                return False, _slow(f"arrangement {i} {step}", elapsed, 60.0)
-    return True, "all 6 arrangements have forced cells and refuse 27 colors"
-
-
-def _check_bounds() -> tuple[bool, str]:
-    rows = [(r.lower, r.upper) for r in bounds_table(3, 5).rows]
-    if rows != [(3, 3), (5, 5), (11, 11), (24, 27), (33, 77)]:
-        return False, f"table rows {rows}"
-    for k in range(3, 7):
-        for n in range(1, 11):
-            if geometric_upper(k, n) != iterated_upper(k, 1, k, n):
-                return False, f"closed form != recursion at k={k}, n={n}"
-    for n in range(4, 11):
-        if refined_upper_3(n) != iterated_upper(3, 4, 27, n):
-            return False, f"refined bound != recursion at n={n}"
-    return True, "table [3,3],[5,5],[11,11],[24,27],[33,77]; identities hold"
-
-
-def _check_fixtures() -> tuple[bool, str]:
-    specs = [
-        ("square-rf-4.ahj", 4),
-        ("cube-rf-10-a.ahj", 10),
-        ("cube-rf-10-b.ahj", 10),
-        ("hypercube-rf-23.ahj", 23),
-    ]
-    for name, colors in specs:
-        coloring = load_fixture(name)
-        if not is_rainbow_free(coloring):
-            return False, f"{name} is not rainbow-free"
-        if census(coloring).distinct_count != colors:
-            return False, f"{name} does not have {colors} colors"
-    enumerated = {c.colors for c in enumerate_minimal_rf(CubeShape(3, 3), 10)}
-    shipped = {
-        canonical_relabel(load_fixture(n)).colors
-        for n in ("cube-rf-10-a.ahj", "cube-rf-10-b.ahj")
-    }
-    if shipped != enumerated:
-        return False, "cube fixtures are not the two enumerated 10-colorings"
-    return True, "4 fixtures verified; cube pair matches enumeration"
-
-
-def _generator_index_maps(shape: CubeShape) -> list[tuple[int, ...]]:
-    """Index maps of the adjacent coordinate transpositions and the adjacent
-    symbol transpositions, which together generate the n!*k! group, built
-    from point coordinates rather than the group's index arithmetic."""
-    points = [point_from_index(i, shape).coords for i in shape.iter_indices()]
-    images = [
-        [c[:t] + (c[t + 1], c[t]) + c[t + 2 :] for c in points] for t in range(shape.n - 1)
-    ]
-    for s in range(1, shape.k):
-        swap = {s: s + 1, s + 1: s}
-        images.append([tuple(swap.get(v, v) for v in c) for c in points])
-    return [tuple(point_index(c, shape) for c in image) for image in images]
-
-
-def _lines_invariant(shape: CubeShape, lines) -> bool:
-    """Whether every generator of the symmetry group maps the line table
-    onto itself, so that the whole group does."""
-    table = {tuple(sorted(idxs)) for idxs in lines}
-    return all(
-        {tuple(sorted(mapping[i] for i in idxs)) for idxs in lines} == table
-        for mapping in _generator_index_maps(shape)
-    )
-
-
-def _lines_meet_layers(shape: CubeShape, lines) -> bool:
-    """Whether each of the first 40 lines meets every layer of its first star
-    coordinate once, that is, takes each digit of that coordinate once."""
-    digits = list(range(shape.k))
-    for template, idxs in zip(template_table(shape)[:40], lines):
-        weight = shape.weights[min(template.star_set)]
-        if sorted(i // weight % shape.k for i in idxs) != digits:
-            return False
-    return True
-
-
-def _check_invariants() -> tuple[bool, str]:
-    started = time.monotonic()
-    for k in (2, 3, 4, 5):
-        for n in (1, 2, 3, 4):
-            shape = CubeShape(k, n)
-            if shape.point_count > 700:
-                continue
-            if line_count(shape) != ((k + 1) ** n - k**n):
-                return False, f"line count formula fails on [{k}]^{n}"
-            lines = line_index_table(shape)
-            if not _lines_invariant(shape, lines):
-                return False, f"automorphism breaks lines on [{k}]^{n}"
-            if not _lines_meet_layers(shape, lines):
-                return False, f"a line misses a layer of its star coordinate on [{k}]^{n}"
-    fault = _witness_fault(max_rf_colors(CubeShape(3, 2)))
-    if fault is not None:
-        return False, f"[3]^2 {fault}"
-    elapsed = time.monotonic() - started
-    if elapsed >= 300.0:
-        return False, _slow("invariants", elapsed, 300.0)
-    return True, "line counts, generator images, star layers, [3]^2 witness checks hold"
-
-
-def _check_determinism() -> tuple[bool, str]:
-    """Search each small shape twice and enumerate each size twice; both
-    runs must agree in every field but the wall time."""
-    small = ((3, 1, 2), (3, 2, 4), (2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 4, 1))
-    config = SearchConfig(time_limit=60.0)
-    for k, n, value in small:
-        first, second = (
-            (o.status.name, o.best_value, o.witness.colors, o.nodes_explored)
-            for o in (max_rf_colors(CubeShape(k, n), config) for _ in range(2))
-        )
-        if first[:2] != (Status.OPTIMAL.name, value):
-            return False, f"[{k}]^{n} gave {first[1]}/{first[0]}"
-        if first != second:
-            return False, f"[{k}]^{n} differs between runs: {first} != {second}"
-    first, second = (
-        [enumerate_independent_sets(CubeShape(3, n), size) for n, size, _ in _ENUMERATIONS]
-        for _ in range(2)
-    )
-    if first != second:
-        return False, "independent-set enumeration is not reproducible"
-    return True, "6 shapes repeat status, value, witness and nodes; enumerations repeat"
-
-
-# (label, check) in claim order.  A check takes no argument and returns
-# (holds, detail).
-CLAIMS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
-    ("exact values [3]^1..3 by search", _check_exact_values),
-    ("two-symbol cubes force 2 colors", _check_two_symbol),
-    ("search equals naive oracle", _check_oracle),
-    ("independent-set counts 5/2/0", _check_enumeration),
-    ("construction censuses", _check_constructions),
-    ("two-layer arrangements refuse 27", _check_arrangements),
-    ("bounds table and identities", _check_bounds),
-    ("bundled fixtures verify", _check_fixtures),
-    ("structural invariants", _check_invariants),
-    ("determinism across runs", _check_determinism),
-)
-
-
 def _claim_numbers(text: str) -> frozenset[int]:
-    """Parse `repro --only`: comma-separated claim numbers 1..len(CLAIMS)."""
+    """Parse `repro --only`: comma-separated claim numbers 1..len(repro.CLAIMS)."""
     tokens = [token.strip() for token in text.split(",")]
     # ASCII digits only: int() would also take "٣" and "３".
     if not all(
-        token.isascii() and token.isdecimal() and 1 <= int(token) <= len(CLAIMS)
+        token.isascii() and token.isdecimal() and 1 <= int(token) <= len(repro.CLAIMS)
         for token in tokens
     ):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated claim numbers 1..{len(CLAIMS)}, got {text!r}"
+            f"expected comma-separated claim numbers 1..{len(repro.CLAIMS)}, got {text!r}"
         )
     return frozenset(map(int, tokens))
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
     failures = 0
-    for i, (label, check) in enumerate(CLAIMS, start=1):
+    for i, (label, check) in enumerate(repro.CLAIMS, start=1):
         if args.only is not None and i not in args.only:
             continue
         started = time.monotonic()

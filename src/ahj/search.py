@@ -67,9 +67,13 @@ class SearchConfig:
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        # Written so that NaN, which no clock reading ever reaches, fails.
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise SearchError("time_limit must be positive")
+        # Written so that NaN, which no clock reading ever reaches, fails; a
+        # bool is an int to Python but not a number of seconds.
+        limit = self.time_limit
+        if limit is not None and (
+            type(limit) is bool or not isinstance(limit, (int, float)) or not limit > 0
+        ):
+            raise SearchError("time_limit must be a positive number")
         if self.worker_count != 1:
             raise SearchError("worker_count must be 1: the search is serial")
         # An int, since the node count meets the limit by equality.

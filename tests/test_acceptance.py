@@ -1,7 +1,7 @@
 """Acceptance gate: the ten headline claims, one test case and verdict
 line each.
 
-Each case runs one entry of ``ahj.cli.CLAIMS``, the same table that
+Each case runs one entry of ``ahj.repro.CLAIMS``, the same table that
 ``ahj repro`` runs, so every claim, its assertions and its time bounds
 have a single definition.  Claim 1 runs the only exact ``[3]^3`` search.
 """
@@ -9,7 +9,7 @@ have a single definition.  Claim 1 runs the only exact ``[3]^3`` search.
 import pytest
 
 from conftest import ACCEPTANCE_RESULTS
-from ahj.cli import CLAIMS
+from ahj.repro import CLAIMS
 
 
 @pytest.mark.parametrize(

@@ -508,6 +508,24 @@ class TestBounds:
         assert rows and "recomputed-search" in rows[0]
         assert "lower=5 upper=5" in rows[0]
 
+    def test_recompute_keeps_rows_past_the_index_budget(self, capsys):
+        """[3]^21 has more points than a shape may index, so its row keeps
+        the formula bounds rather than failing the command."""
+        code, out, err = run(
+            capsys, "bounds", "--k", "3", "--n-max", "21", "--recompute",
+            "--time-limit", "0.05",
+        )
+        assert (code, err) == (0, "")
+        rows = [l for l in out.splitlines() if l.startswith("n=21 ")]
+        assert rows and rows[0].endswith("upper_source=layer-recursion")
+
+    def test_bound_too_long_to_print_is_an_input_error(self, capsys):
+        # From n = 4,345 the k = 10 bounds have more digits than int()
+        # prints by default (4,300); no row is printed before the error.
+        code, out, err = run(capsys, "bounds", "--k", "10", "--n-max", "5000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a bound is too long to print")
+
     def test_time_limit_without_recompute_rejected(self, capsys):
         code, out, err = run(capsys, "bounds", "--k", "3", "--n-max", "2", "--time-limit", "1")
         assert code == 2
@@ -572,7 +590,7 @@ class TestUsage:
         assert out == ""
 
     def test_repro_failing_claims_exit_one(self, capsys, monkeypatch):
-        import ahj.cli
+        import ahj.repro
 
         def refuted():
             return False, "refuted on purpose"
@@ -580,10 +598,10 @@ class TestUsage:
         def broken():
             raise RuntimeError("broken on purpose")
 
-        claims = list(ahj.cli.CLAIMS)
+        claims = list(ahj.repro.CLAIMS)
         claims[3] = (claims[3][0], refuted)
         claims[4] = (claims[4][0], broken)
-        monkeypatch.setattr(ahj.cli, "CLAIMS", tuple(claims))
+        monkeypatch.setattr(ahj.repro, "CLAIMS", tuple(claims))
         code, out, _ = run(capsys, "repro", "--only", "4,5,7")
         assert code == 1
         lines = out.splitlines()
@@ -672,19 +690,39 @@ class TestUsage:
         assert not out.exists()
 
 
+class TestClaimBudgets:
+    def test_exact_values_stop_at_the_proof_limit(self, capsys, monkeypatch):
+        """Claim 1 hands each proof its time limit, so a [3]^3 proof allowed
+        0.05 s stops there and fails the claim instead of running to the end."""
+        import ahj.repro
+
+        rows = [
+            (k, n, value, 0.05 if (k, n) == (3, 3) else limit)
+            for k, n, value, limit in ahj.repro._EXACT_VALUES
+        ]
+        monkeypatch.setattr(ahj.repro, "_EXACT_VALUES", tuple(rows))
+        started = time.monotonic()
+        code, out, _ = run(capsys, "repro", "--only", "1")
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        assert out.startswith("claim  1 FAIL")
+        # The incumbent found by then depends on the machine; the status does not.
+        assert "[3]^3:" in out and "FEASIBLE_ONLY" in out
+
+
 class TestInvariantCheck:
     """Claim 9 checks the line table against generators of the whole group."""
 
     @pytest.mark.parametrize("k, n", [(2, 4), (3, 3), (4, 3), (5, 4)])
     def test_line_table_is_invariant(self, k, n):
-        from ahj.cli import _lines_invariant
+        from ahj.repro import _lines_invariant
         from ahj.hypercube import line_index_table
 
         shape = CubeShape(k, n)
         assert _lines_invariant(shape, line_index_table(shape))
 
     def test_badly_permuted_line_table_fails(self):
-        from ahj.cli import _lines_invariant
+        from ahj.repro import _lines_invariant
         from ahj.hypercube import line_index_table
 
         shape = CubeShape(3, 2)
@@ -696,7 +734,7 @@ class TestInvariantCheck:
         """Swapping the first two coordinates of the points with three
         distinct symbols commutes with every symbol permutation, so only a
         coordinate permutation can expose the mapped table."""
-        from ahj.cli import _lines_invariant
+        from ahj.repro import _lines_invariant
         from ahj.hypercube import automorphism_index_maps, line_index_table, point_index
 
         shape = CubeShape(4, 3)

@@ -965,7 +965,9 @@ class TestMaxRfColors:
         for workers in (0, 2):
             with pytest.raises(SearchError):
                 SearchConfig(worker_count=workers)
-        for limit in (-1.0, 0.0, float("nan")):
+        # True would read as 1 s and "5" would fail to compare: both are
+        # refused as input errors.
+        for limit in (-1.0, 0.0, float("nan"), True, "5"):
             with pytest.raises(SearchError):
                 SearchConfig(time_limit=limit)
         # A node count meets only an int limit, so 50.5 would never stop a
