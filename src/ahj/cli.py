@@ -250,10 +250,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         deadline = time.monotonic() + time_limit
         rows = [_recompute_row(args.k, row, deadline) for row in rows]
     header = f"{'n':>3} {'lower':>7} {'upper':>7}  {'lower_source':<22} {'upper_source':<22}"
-    # Every line is formatted before the first prints: Python refuses to
-    # write an int of more than sys.get_int_max_str_digits() digits, and a
-    # bound that long is an input error with nothing printed.
+    # Python refuses to write an int of more than sys.get_int_max_str_digits()
+    # digits, and a bound that long is an input error with nothing printed.
+    # No bound of a row exceeds its upper bound, so converting the largest
+    # upper bound first refuses such a table before any row is formatted.
     try:
+        str(max(row.upper for row in rows))
         table = [
             f"{row.n:>3} {row.lower:>7} {row.upper:>7}  "
             f"{row.lower_source:<22} {row.upper_source:<22}"

@@ -87,12 +87,6 @@ def is_minimal(coloring: Coloring) -> bool:
     return sum(1 for s in sizes.values() if s > 1) <= 1
 
 
-def dominant_color(coloring: Coloring) -> int | None:
-    """The unique repeated color of a minimal coloring, if there is one."""
-    repeated = [c for c, s in census(coloring).class_sizes.items() if s > 1]
-    return repeated[0] if len(repeated) == 1 else None
-
-
 def _require_total(coloring: Coloring, op: str) -> None:
     if not coloring.is_total:
         raise ColoringError(f"{op} requires a total coloring")

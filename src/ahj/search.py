@@ -22,7 +22,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterator
 
-from .coloring import Coloring, canonical_relabel, census, dominant_color, is_rainbow_free
+from .coloring import Coloring, canonical_relabel, census, is_rainbow_free
 from .constructions import digit_position_coloring, monochromatic, singleton_set_coloring
 from .hypercube import (
     CubeShape,
@@ -550,30 +550,22 @@ def _seed_coloring(shape: CubeShape, deadline: float | None = None) -> Coloring:
     """Deterministic warm-start witness: the best cheap construction.
 
     For k = 3 a singleton coloring over a large line-independent set
-    usually beats the digit-position count, so sizes are probed downward
-    from the arithmetic ceiling to just above the greedy set's size, all
-    probes sharing one budget of 3,000,000 nodes; the first set found is
-    kept.  If no probe finds one, or once the budget is spent or the
-    `time.monotonic()` deadline passes, the greedy independent set stands
-    in.
+    usually beats the digit-position count.  Sizes are probed upward from
+    one above the greedy set's, all probes sharing one budget of
+    3,000,000 nodes, and each probe keeps the first set of its size.  The
+    largest set found is kept once a probe finds none: its size is
+    refuted, the budget is spent or the `time.monotonic()` deadline has
+    passed.  If the first probe finds none, the greedy set stands in.
     """
     if shape.k < 3:
         return monochromatic(shape)
     seed = canonical_relabel(digit_position_coloring(shape))
     if shape.k != 3:
         return seed
-    from .bounds import bounds_table
-
-    cap = min(bounds_table(3, shape.n).rows[-1].upper - 2, shape.point_count - 1)
     best_set = _greedy_independent_set(shape)
     budget = _Budget(3_000_000, deadline)
-    for size in range(cap, len(best_set), -1):
-        found = next(_independent_sets(shape, size, budget), None)
-        if found is not None:
-            best_set = found
-            break
-        if budget.exhausted:
-            break
+    while (found := next(_independent_sets(shape, len(best_set) + 1, budget), None)) is not None:
+        best_set = found
     if len(best_set) + 1 > census(seed).distinct_count:
         return canonical_relabel(singleton_set_coloring(shape, best_set))
     return seed
@@ -1042,36 +1034,26 @@ def _fill(
 def two_layer_arrangements() -> list[Coloring]:
     """The six partial colorings of [3]^4 behind the completion endgame.
 
-    Each places the two minimal rainbow-free 10-colorings of [3]^3, in
+    Each places the two 9-point line-independent sets of [3]^3 (the
+    singleton classes of its two minimal rainbow-free 10-colorings), in
     both orders, on one of the three ordered pairs of distinct layers
-    along coordinate 1.  Their dominant colors are identified as color 1,
-    the singleton palettes are disjoint (2..10 and 11..19), and the
-    remaining layer is left unassigned.
+    along coordinate 1.  Both filled layers take color 1 off their set,
+    the first layer's set points take colors 2..10 and the second's
+    11..19, each in index order, and the remaining layer is left
+    unassigned.
     """
-    shape3 = CubeShape(3, 3)
-    shape4 = CubeShape(3, 4)
-    patterns = enumerate_minimal_rf(shape3, 10)
-    if len(patterns) != 2:
-        raise SearchError("expected exactly two minimal 10-colorings")
-
-    def relabeled(coloring: Coloring, singleton_base: int) -> tuple[int, ...]:
-        dominant = dominant_color(coloring)
-        mapping = {dominant: 1}
-        for c in coloring.colors:
-            if c != dominant and c not in mapping:
-                mapping[c] = singleton_base + len(mapping) - 1
-        return tuple(mapping[c] for c in coloring.colors)
-
-    sub_count = shape3.point_count
-    weights = shape4.weights
+    shape = CubeShape(3, 4)
+    sets = enumerate_independent_sets(CubeShape(3, 3), 9)
+    if len(sets) != 2:
+        raise SearchError("expected exactly two 9-point independent sets")
+    width = shape.weights[0]
     out = []
-    for first, second in ((patterns[0], patterns[1]), (patterns[1], patterns[0])):
-        first_colors = relabeled(first, 2)
-        second_colors = relabeled(second, 11)
-        for la, lb in ((1, 2), (1, 3), (2, 3)):
-            cells = [0] * shape4.point_count
-            for rest in range(sub_count):
-                cells[(la - 1) * weights[0] + rest] = first_colors[rest]
-                cells[(lb - 1) * weights[0] + rest] = second_colors[rest]
-            out.append(Coloring(shape4, tuple(cells)))
+    for first, second in (sets, sets[::-1]):
+        for la, lb in ((0, 1), (0, 2), (1, 2)):
+            cells = [0] * shape.point_count
+            for base, points, palette in ((la * width, first, 2), (lb * width, second, 11)):
+                cells[base : base + width] = [1] * width
+                for color, p in enumerate(points, start=palette):
+                    cells[base + p] = color
+            out.append(Coloring(shape, tuple(cells)))
     return out

@@ -522,7 +522,10 @@ class TestBounds:
     def test_bound_too_long_to_print_is_an_input_error(self, capsys):
         # From n = 4,345 the k = 10 bounds have more digits than int()
         # prints by default (4,300); no row is printed before the error.
+        started = time.process_time()
         code, out, err = run(capsys, "bounds", "--k", "10", "--n-max", "5000")
+        # The largest bound is refused before any row is formatted.
+        assert time.process_time() - started < 0.5
         assert (code, out) == (2, "")
         assert err.startswith("error: a bound is too long to print")
 

@@ -11,7 +11,6 @@ from ahj.coloring import (
     ParseError,
     canonical_relabel,
     census,
-    dominant_color,
     is_minimal,
     is_rainbow_free,
     orbit_canonical_form,
@@ -101,7 +100,6 @@ class TestCensusAndMinimality:
         c = coloring_of(S32, 1, 1, 1, 1, 1, 1, 2, 3, 4)
         assert census(c).class_sizes == {1: 6, 2: 1, 3: 1, 4: 1}
         assert is_minimal(c)
-        assert dominant_color(c) == 1
 
     def test_monochromatic_is_minimal(self):
         assert is_minimal(mono(S32))
@@ -109,7 +107,6 @@ class TestCensusAndMinimality:
     def test_two_big_classes_are_not_minimal(self):
         c = coloring_of(S32, 1, 1, 1, 1, 2, 2, 2, 3, 4)
         assert not is_minimal(c)
-        assert dominant_color(c) is None
 
     def test_all_distinct_is_minimal(self):
         assert is_minimal(all_distinct(S32))

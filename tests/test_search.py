@@ -1,7 +1,9 @@
 """Branch-and-bound search, enumeration, and completion endgames."""
 
+import hashlib
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1056,6 +1058,22 @@ class TestIndependentSets:
         seed = _seed_coloring(S35)
         assert time.monotonic() - started < 15.0
         assert is_rainbow_free(seed)
+        # The budget runs out while probing 52 points: the greedy 51-point
+        # set stands in.
+        assert census(seed).distinct_count == 52
+
+    def test_warm_start_keeps_the_largest_set_found(self, monkeypatch):
+        """A clock that advances by 1 at each read passes a deadline of
+        10,000 after 22 points are found and while 23 are being refuted;
+        the 22-point set is kept, not the greedy 19-point one."""
+        clock = [0]
+
+        def monotonic():
+            clock[0] += 1
+            return clock[0]
+
+        monkeypatch.setattr("ahj.search.time", SimpleNamespace(monotonic=monotonic))
+        assert census(_seed_coloring(S34, 10_000)).distinct_count == 23
 
 
 class TestMinimalEnumeration:
@@ -1249,19 +1267,21 @@ class TestComplete:
 
 class TestSharedBudget:
     @pytest.mark.parametrize(
-        "run, status",
+        "run, status, value",
         [
-            (lambda config: max_rf_colors(S33, config), Status.FEASIBLE_ONLY),
-            (lambda config: max_rf_colors(S35, config), Status.FEASIBLE_ONLY),
-            (lambda config: complete(Coloring(S33, (0,) * 27), 11, config), Status.TIMEOUT),
+            (lambda config: max_rf_colors(S33, config), Status.FEASIBLE_ONLY, 8),
+            (lambda config: max_rf_colors(S34, config), Status.FEASIBLE_ONLY, 20),
+            (lambda config: max_rf_colors(S35, config), Status.FEASIBLE_ONLY, 52),
+            (lambda config: complete(Coloring(S33, (0,) * 27), 11, config), Status.TIMEOUT, 11),
         ],
-        ids=["max_rf_colors-3^3", "max_rf_colors-3^5", "complete-3^3-to-11"],
+        ids=["max_rf_colors-3^3", "max_rf_colors-3^4", "max_rf_colors-3^5", "complete-3^3-to-11"],
     )
-    def test_passed_deadline_stops_at_the_first_node(self, run, status):
+    def test_passed_deadline_stops_at_the_first_node(self, run, status, value):
         """Every search reads the clock at every node, so a deadline that
-        has passed by the first node ends the search there."""
+        has passed by the first node ends the search there, and
+        max_rf_colors reports its warm start's value before any size probe."""
         out = run(SearchConfig(time_limit=1e-9))
-        assert (out.status, out.nodes_explored) == (status, 1)
+        assert (out.status, out.nodes_explored, out.best_value) == (status, 1, value)
 
 
 def _assert_completes(partial, target, witness):
@@ -1460,6 +1480,12 @@ class TestTwoLayerArrangements:
     def test_six_arrangements(self):
         arrangements = two_layer_arrangements()
         assert len(arrangements) == 6
+
+    def test_arrangements_pinned(self):
+        colors = repr([a.colors for a in two_layer_arrangements()])
+        assert hashlib.sha256(colors.encode()).hexdigest() == (
+            "49340c8d114abc196fa824c8cd500aacb234e7ab93850eaa3ded9aad9ac55f70"
+        )
 
     def test_arrangement_shape_and_census(self):
         for arrangement in two_layer_arrangements():
