@@ -8,6 +8,7 @@ that produced it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -135,11 +136,19 @@ def bounds_table(k: int, n_max: int) -> BoundsReport:
     recursion run from (1, k) and (4, 27).  The recursion is increasing,
     and each row it starts from here is at least as tight as those, so
     they could only tie it and are not candidates.
+
+    A table that Python could not print is refused, by a BoundsError at
+    the first row whose upper bound has more decimal digits than
+    `sys.get_int_max_str_digits()` (0, or a Python before 3.10.7: no
+    limit), before any later row is built.  No bound of a row exceeds its
+    upper bound, so every bound of a table returned can be printed.
     """
     if k < 2:
         raise BoundsError("alphabet size must be >= 2")
     if n_max < 1:
         raise BoundsError("n_max must be >= 1")
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    ceiling = 10**max_digits if max_digits > 0 else None
     rows: list[BoundsRow] = []
     prev: tuple[int, int] | None = None
     for n in range(1, n_max + 1):
@@ -159,6 +168,11 @@ def bounds_table(k: int, n_max: int) -> BoundsReport:
         best_hi = min(uppers, key=lambda it: it[0])
         if best_lo[0] > best_hi[0]:
             raise BoundsError(f"inconsistent bounds at n={n}")
+        if ceiling is not None and best_hi[0] >= ceiling:
+            raise BoundsError(
+                f"a bound is too long to print: the upper bound at n={n} "
+                f"has more than {max_digits} digits"
+            )
         rows.append(BoundsRow(n, best_lo[0], best_hi[0], best_lo[1], best_hi[1]))
         prev = (best_lo[0], best_hi[0])
     return BoundsReport(k, tuple(rows))

@@ -16,17 +16,18 @@ Conventions, fixed once so every downstream artifact is reproducible:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterator
 
 #: Sentinel for a starred template cell.  Rendered as "*".
 STAR = 0
 
 _MAX_POINTS = 2**32
-_MAX_GROUP = 10**6
+# Entries of the automorphism_index_maps table: |G| = n! * k! maps of k^n
+# indices each.  [5]^4 has 1.8M and [3]^6 3.1M; [3]^7 would have 66M.
+_MAX_MAP_ENTRIES = 4 * 10**6
 
 
 class ShapeError(ValueError):
@@ -246,9 +247,17 @@ def automorphism_index_maps(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     Point is built.
     """
     k, n, weights = shape.k, shape.n, shape.weights
-    size = math.factorial(k) * math.factorial(n)
-    if size > _MAX_GROUP:
-        raise ShapeError(f"symmetry group of size {size} exceeds the {_MAX_GROUP} guard")
+    # The table's size, |G| * k^n, is multiplied up one factor at a time
+    # and refused as soon as it passes the guard, before any map is built
+    # and before a factorial of a large k is computed.
+    entries = shape.point_count
+    for factor in chain(range(2, k + 1), range(2, n + 1)):
+        entries *= factor
+        if entries > _MAX_MAP_ENTRIES:
+            raise ShapeError(
+                f"symmetry group of [{k}]^{n} needs more than {_MAX_MAP_ENTRIES} "
+                "index-map entries"
+            )
 
     def index_map(symbols, placed) -> tuple[int, ...]:
         # Image of every point, in index order, when digit d of coordinate

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 from typing import Iterator
 
@@ -556,6 +556,9 @@ def _seed_coloring(shape: CubeShape, deadline: float | None = None) -> Coloring:
     largest set found is kept once a probe finds none: its size is
     refuted, the budget is spent or the `time.monotonic()` deadline has
     passed.  If the first probe finds none, the greedy set stands in.
+    The probes start their sets at the orbit leaders only: the first set
+    of each size is the least of its orbit, so they find the sets a walk
+    from every point finds, in fewer nodes.
     """
     if shape.k < 3:
         return monochromatic(shape)
@@ -564,7 +567,10 @@ def _seed_coloring(shape: CubeShape, deadline: float | None = None) -> Coloring:
         return seed
     best_set = _greedy_independent_set(shape)
     budget = _Budget(3_000_000, deadline)
-    while (found := next(_independent_sets(shape, len(best_set) + 1, budget), None)) is not None:
+    leaders = _orbit_leaders(shape)
+    while (
+        found := next(_independent_sets(shape, len(best_set) + 1, budget, leaders), None)
+    ) is not None:
         best_set = found
     if len(best_set) + 1 > census(seed).distinct_count:
         return canonical_relabel(singleton_set_coloring(shape, best_set))
@@ -658,8 +664,31 @@ def _line_cover_masks(shape: CubeShape) -> tuple[tuple[int, int], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _orbit_leaders(shape: CubeShape) -> int:
+    """Bitmask of the points that have the least index in their orbit
+    under the group of `automorphism_index_maps`.
+
+    The index reads the 0-based digits lexicographically, coordinate 1
+    first.  A coordinate permutation can sort the digits and a symbol
+    permutation can give 0 to the most frequent symbol, 1 to the next and
+    so on, so the least point of an orbit has non-decreasing digits and
+    symbol counts that do not increase from 0 up; each orbit has one such
+    point, since its symbol counts are an invariant.  Such a point uses
+    the symbols 0..j-1 for some j <= min(k, n).  Computed from the digits
+    alone, so the group is never built.
+    """
+    symbols = min(shape.k, shape.n)
+    mask = 0
+    for digits in combinations_with_replacement(range(symbols), shape.n):
+        counts = [digits.count(d) for d in range(symbols)]
+        if all(a >= b for a, b in zip(counts, counts[1:])):
+            mask |= 1 << sum(d * w for d, w in zip(digits, shape.weights))
+    return mask
+
+
 def _independent_sets(
-    shape: CubeShape, size: int, budget: _Budget | None = None
+    shape: CubeShape, size: int, budget: _Budget | None = None, firsts: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Size-`size` line-independent sets of [3]^n in lexicographic order.
 
@@ -670,6 +699,17 @@ def _independent_sets(
     holds no solution and is cut.  With a `budget`, each node ticks it and
     the walk ends once it is exhausted, so the sets yielded are then a
     prefix of the full order.
+
+    `firsts`, a point mask (all points by default), restricts the least
+    point of each set; the walk then yields the sets whose least point is
+    in the mask, in the same order.  With `_orbit_leaders(shape)` it keeps
+    the lexicographically least set of every automorphism orbit.  Suppose
+    some g maps a point of S below min(S).  Then min(g(S)) < min(S), so
+    the sorted g(S) is lexicographically smaller than S.  So the least set
+    of an orbit has a least point that no g moves lower: an orbit leader.
+    That includes the lexicographically first set of each size, which is
+    the least of its orbit, so the restricted walk finds the same first
+    set and finds none exactly when no set of that size exists.
     """
     masks = _collinearity_masks(shape)
     covers = _line_cover_masks(shape)
@@ -677,7 +717,9 @@ def _independent_sets(
     full = (1 << count) - 1
     chosen: list[int] = []
 
-    def extend(start: int, banned: int) -> Iterator[tuple[int, ...]]:
+    def extend(start: int, banned: int, barred: int) -> Iterator[tuple[int, ...]]:
+        # `barred` holds the points this node may not add: `banned` below
+        # the root, and the points outside `firsts` at the root.
         if budget is not None and not budget.tick():
             return
         need = size - len(chosen)
@@ -692,13 +734,14 @@ def _independent_sets(
                 if ((free | free >> w | free >> 2 * w) & base).bit_count() < need:
                     return
         for p in range(start, count - need + 1):
-            if banned >> p & 1:
+            if barred >> p & 1:
                 continue
             chosen.append(p)
-            yield from extend(p + 1, banned | masks[p] | (1 << p))
+            grown = banned | masks[p] | (1 << p)
+            yield from extend(p + 1, grown, grown)
             chosen.pop()
 
-    return extend(0, 0)
+    return extend(0, 0, 0 if firsts is None else full & ~firsts)
 
 
 def enumerate_independent_sets(
@@ -714,11 +757,16 @@ def enumerate_independent_sets(
     3-point lines, so other alphabet sizes are rejected.
 
     The symmetry reduction marks orbits instead of minimising over them.
-    The sets arrive in lexicographic order and an automorphism maps
-    independent sets to independent sets, so every member of an orbit is
-    enumerated and the first one met is the orbit's minimum.  That set is
-    kept and all its images are marked seen; a seen set is skipped.  The
-    group is applied to each representative only, not to every set.
+    The walk starts from the orbit leaders only (`_orbit_leaders`), which
+    keeps the least set of every orbit, and yields its sets in
+    lexicographic order, so the first set met of an orbit is its minimum.
+    That set is kept and all its images are marked seen; a seen set is
+    skipped.  A set is marked by its point mask.  The images of a kept set
+    are built at C level over the columns of the group, `columns[p][g]`
+    being the image of point p under element g: the mask of g(S) is the
+    sum over p in S of `1 << columns[p][g]` (the images are distinct, so
+    the sum is their OR).  The group is applied to each representative
+    only, and no per-point table of |G| masks is stored.
     """
     if shape.k != 3:
         raise SearchError("independent-set enumeration supports k = 3 only")
@@ -726,14 +774,15 @@ def enumerate_independent_sets(
         raise SearchError(f"size {size} out of range 0..{shape.point_count}")
     if not up_to_symmetry:
         return list(_independent_sets(shape, size))
-    maps = automorphism_index_maps(shape)
+    columns = list(zip(*automorphism_index_maps(shape)))
+    bits = [1 << p for p in shape.iter_indices()]
     reps = []
     seen = set()
-    for s in _independent_sets(shape, size):
-        if s in seen:
+    for s in _independent_sets(shape, size, firsts=_orbit_leaders(shape)):
+        if sum(map(bits.__getitem__, s)) in seen:
             continue
         reps.append(s)
-        seen.update(tuple(sorted(m[p] for p in s)) for m in maps)
+        seen.update(map(sum, zip(*[map(bits.__getitem__, columns[p]) for p in s])))
     return reps
 
 

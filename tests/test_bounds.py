@@ -1,5 +1,7 @@
 """Bound formulas, identities between them, and the assembled table."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +138,18 @@ class TestTable:
             assert row.upper <= geometric_upper(k, row.n)
             if k == 3 and row.n >= 4:
                 assert row.upper <= refined_upper_3(row.n)
+
+    def test_bound_too_long_to_print_refused_at_its_row(self, monkeypatch):
+        # The k = 10 upper bound at row n has n digits; Python prints at
+        # most 4,300 by default.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        rows = bounds_table(10, 4300).rows
+        assert len(str(rows[-1].upper)) == 4300
+        with pytest.raises(BoundsError, match="upper bound at n=4301 has more than 4300"):
+            bounds_table(10, 20000)
+        # With no limit every row is built.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        assert len(bounds_table(10, 4301).rows) == 4301
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(BoundsError):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from ahj.bounds import layer_recursion_bounds
 from ahj.cli import main
 from ahj.coloring import Coloring, parse, serialize
 from ahj.hypercube import CubeShape, point_from_index
@@ -253,6 +254,22 @@ class TestEnumerate:
         )
         assert code == 0
         assert record(out)["count"] == "3"
+
+    def test_symmetry_table_too_large_is_an_input_error(self, capsys, monkeypatch):
+        """[3]^8 has a group of 241,920 maps of 6,561 points: refused (exit
+        2, nothing printed) before any map is built.  The builder fails if
+        called, so a missing guard fails here without allocating."""
+
+        def refuse(*_):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr("ahj.hypercube.permutations", refuse)
+        code, out, err = run(
+            capsys, "enumerate", "--k", "3", "--n", "8", "--independent-size", "1",
+            "--up-to-symmetry",
+        )
+        assert (code, out) == (2, "")
+        assert "index-map entries" in err
 
     def test_minimal_colorings_written(self, capsys, tmp_path):
         code, out, _ = run(
@@ -520,7 +537,7 @@ class TestBounds:
         assert rows and rows[0].endswith("upper_source=layer-recursion")
 
     def test_bound_too_long_to_print_is_an_input_error(self, capsys):
-        # From n = 4,345 the k = 10 bounds have more digits than int()
+        # From n = 4,301 the k = 10 upper bounds have more digits than int()
         # prints by default (4,300); no row is printed before the error.
         started = time.process_time()
         code, out, err = run(capsys, "bounds", "--k", "10", "--n-max", "5000")
@@ -528,6 +545,21 @@ class TestBounds:
         assert time.process_time() - started < 0.5
         assert (code, out) == (2, "")
         assert err.startswith("error: a bound is too long to print")
+
+    def test_table_stops_at_the_first_bound_too_long_to_print(self, capsys, monkeypatch):
+        """Rows n = 2.. each take one layer-recursion step, so the refusal at
+        n = 4,301 builds 4,300 rows of the 20,000 asked for."""
+        steps = []
+
+        def counted(*args):
+            steps.append(args)
+            return layer_recursion_bounds(*args)
+
+        monkeypatch.setattr("ahj.bounds.layer_recursion_bounds", counted)
+        code, out, err = run(capsys, "bounds", "--k", "10", "--n-max", "20000")
+        assert (code, out) == (2, "")
+        assert "upper bound at n=4301 has more than 4300 digits" in err
+        assert len(steps) == 4300
 
     def test_time_limit_without_recompute_rejected(self, capsys):
         code, out, err = run(capsys, "bounds", "--k", "3", "--n-max", "2", "--time-limit", "1")

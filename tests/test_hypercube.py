@@ -270,6 +270,27 @@ class TestAutomorphisms:
         with pytest.raises(ShapeError):
             automorphism_index_maps(CubeShape(7, 7))
 
+    @pytest.mark.parametrize("k, n", [(3, 7), (3, 8), (8, 2), (2, 8), (100_000, 1)])
+    def test_table_too_large_rejected_before_any_map(self, k, n, monkeypatch):
+        """|G| * k^n bounds the table: [3]^8 has a group of 241,920 but
+        would need 1.6 * 10^9 entries.  The builders are replaced by ones
+        that fail, so a missing guard fails here without allocating.  The
+        size is refused as it grows, so no factorial of a large k is
+        computed (100,000! has 456,574 digits)."""
+
+        def refuse(*_):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr("ahj.hypercube.permutations", refuse)
+        monkeypatch.setattr("ahj.hypercube.product", refuse)
+        with pytest.raises(ShapeError, match="index-map entries"):
+            automorphism_index_maps.__wrapped__(CubeShape(k, n))
+
+    def test_largest_tested_tables_still_built(self):
+        # [5]^4 (claim 9) has 1.8M entries and [3]^6 3.1M.
+        assert len(automorphism_index_maps.__wrapped__(CubeShape(5, 4))) == 2880
+        assert len(automorphism_index_maps.__wrapped__(CubeShape(3, 6))) == 4320
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lines_map_onto_lines(self, n):
         shape = CubeShape(3, n)

@@ -49,6 +49,7 @@ from ahj.search import (
     _bound_reaches,
     _dfs,
     _independent_sets,
+    _orbit_leaders,
     _seed_coloring,
     _settle,
 )
@@ -1043,6 +1044,35 @@ class TestIndependentSets:
     def test_hypercube_three_sets_up_to_symmetry(self):
         assert len(enumerate_independent_sets(S34, 3, up_to_symmetry=True)) == 452
 
+    @pytest.mark.parametrize(
+        "size, count, digest",
+        [
+            (3, 452, "46451103d5d5c6af7749a4083340e1f053bfdf6904b70e397e5ad0555f86b130"),
+            (4, 4370, "10049c42467eb47c10d0e0711af19d1454f90bef6490a1dc39af31f23dccd610"),
+        ],
+    )
+    def test_hypercube_representatives_pinned(self, size, count, digest):
+        """The representatives of the [3]^4 orbits, in order, as the
+        whole-orbit walk marked by sorted tuples gave them."""
+        reps = enumerate_independent_sets(S34, size, up_to_symmetry=True)
+        assert len(reps) == count
+        assert hashlib.sha256(repr(reps).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("shape", [S31, S32, S33, S34, S35], ids=lambda s: f"3^{s.n}")
+    def test_orbit_leaders_are_the_orbit_minima(self, shape):
+        maps = automorphism_index_maps(shape)
+        expected = {p for p in shape.iter_indices() if min(m[p] for m in maps) == p}
+        leaders = _orbit_leaders(shape)
+        assert {p for p in shape.iter_indices() if leaders >> p & 1} == expected
+
+    @pytest.mark.parametrize("size", range(19, 24))
+    def test_leader_walk_finds_the_first_set(self, size):
+        """The first set of each size is the least of its orbit, so a walk
+        from the orbit leaders finds it too (and none for 23 points)."""
+        first = next(_independent_sets(S34, size), None)
+        assert next(_independent_sets(S34, size, firsts=_orbit_leaders(S34)), None) == first
+        assert (first is None) == (size == 23)
+
     def test_hypercube_warm_start_has_23_colors(self):
         started = time.monotonic()
         seed = _seed_coloring(S34)
@@ -1050,6 +1080,20 @@ class TestIndependentSets:
         assert seed == canonical_relabel(singleton_set_coloring(S34, FIRST_22_OF_S34))
         assert is_rainbow_free(seed)
         assert census(seed).distinct_count == 23
+
+    def test_hypercube_warm_start_probe_nodes(self, monkeypatch):
+        """The probes for 20 to 23 points, walked from the orbit leaders
+        0, 1, 4 and 5 only, take 17,075 nodes (29,773 from every point)."""
+        budgets = []
+
+        class Recorded(_Budget):
+            def __init__(self, *args):
+                super().__init__(*args)
+                budgets.append(self)
+
+        monkeypatch.setattr("ahj.search._Budget", Recorded)
+        _seed_coloring(S34)
+        assert [b.nodes for b in budgets] == [17_075]
 
     def test_five_cube_warm_start_ends_without_a_time_limit(self):
         """The size probes share one node budget, so the [3]^5 seed ends in
