@@ -23,6 +23,7 @@ from .bounds import BoundsError, BoundsRow, bounds_table
 from .coloring import (
     Coloring,
     ColoringError,
+    ParseError,
     census,
     is_minimal,
     is_rainbow_free,
@@ -65,6 +66,17 @@ def _write_coloring(path: str, coloring: Coloring, comment: str) -> None:
     Path(path).write_text(serialize(coloring, comment))
 
 
+def _read_coloring(path: str) -> Coloring:
+    """The coloring in the file at `path`.  Bytes that are not UTF-8 are a
+    ParseError at their line, like any other malformed input."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line) from None
+
+
 def _search_config(args: argparse.Namespace) -> SearchConfig:
     return SearchConfig(time_limit=args.time_limit, node_limit=args.node_limit)
 
@@ -80,7 +92,7 @@ def cmd_lines(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    coloring = parse(Path(args.file).read_text())
+    coloring = _read_coloring(args.file)
     cen = census(coloring)
     _emit("subcommand", "verify")
     _emit("file", args.file)
@@ -131,7 +143,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         detail = "digit-position"
     elif args.kind == "recursive":
         _require(args.base is not None, "--base is required")
-        base = parse(Path(args.base).read_text())
+        base = _read_coloring(args.base)
         coord = 1 if args.stacking_coord is None else args.stacking_coord
         coloring = stack_recursive(base, coord)
         detail = f"recursive over {args.base}"
@@ -223,7 +235,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
-    partial = parse(Path(args.file).read_text())
+    partial = _read_coloring(args.file)
     outcome = complete(partial, args.total_colors, _search_config(args))
     head = [("subcommand", "complete"), ("file", args.file), ("total_colors", args.total_colors)]
     body = [("nodes", outcome.nodes_explored)]

@@ -15,7 +15,7 @@ from .hypercube import (
     LineTemplate,
     automorphism_index_maps,
     line_index_table,
-    template_table,
+    line_template,
 )
 
 UNASSIGNED = 0
@@ -92,11 +92,11 @@ def _require_total(coloring: Coloring, op: str) -> None:
         raise ColoringError(f"{op} requires a total coloring")
 
 
-def _rainbow_line_indices(coloring: Coloring, op: str) -> Iterator[int]:
-    """Indices into `line_index_table` of the rainbow lines, in table order."""
+def _rainbow_line_points(coloring: Coloring, op: str) -> Iterator[tuple[int, ...]]:
+    """The `line_index_table` entries of the rainbow lines, in table order."""
     _require_total(coloring, op)
     colors = coloring.colors
-    for li, idxs in enumerate(line_index_table(coloring.shape)):
+    for idxs in line_index_table(coloring.shape):
         seen = set()
         for i in idxs:
             c = colors[i]
@@ -104,17 +104,19 @@ def _rainbow_line_indices(coloring: Coloring, op: str) -> Iterator[int]:
                 break
             seen.add(c)
         else:
-            yield li
+            yield idxs
 
 
 def rainbow_lines(coloring: Coloring) -> list[LineTemplate]:
-    """Every rainbow line, in template enumeration order."""
-    templates = template_table(coloring.shape)
-    return [templates[li] for li in _rainbow_line_indices(coloring, "rainbow_lines")]
+    """Every rainbow line, in template enumeration order.  A template is
+    built for each rainbow line only, so a rainbow-free coloring builds
+    none."""
+    rainbow = _rainbow_line_points(coloring, "rainbow_lines")
+    return [line_template(idxs, coloring.shape) for idxs in rainbow]
 
 
 def is_rainbow_free(coloring: Coloring) -> bool:
-    return next(_rainbow_line_indices(coloring, "is_rainbow_free"), None) is None
+    return next(_rainbow_line_points(coloring, "is_rainbow_free"), None) is None
 
 
 def _first_occurrence(values: Iterable[int]) -> tuple[int, ...]:

@@ -6,17 +6,11 @@ construction; the guarantees are also re-checked in the test suite.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable
 
 from .coloring import Coloring, canonical_relabel, is_rainbow_free
-from .hypercube import (
-    CubeShape,
-    LineTemplate,
-    layer,
-    line_index_table,
-    point_from_index,
-    template_table,
-)
+from .hypercube import CubeShape, LineTemplate, line_index_table, line_template
 
 
 class ConstructionError(ValueError):
@@ -39,19 +33,18 @@ def digit_position_coloring(shape: CubeShape) -> Coloring:
     contributes one of k-1 classes and the coloring uses (k-1)^n colors.
     On any line, the points with star value k-1 and k agree everywhere
     else and land in the same class, so no line is rainbow.
+
+    A point's color is one more than its classes read as a base-(k-1)
+    number, coordinate 1 most significant.  Digit d of coordinate t
+    (0-based) adds min(d, k-2) * (k-1)^(n-1-t), and itertools.product sums
+    one such entry per coordinate in point-index order, so no point is
+    built.
     """
     k, n = shape.k, shape.n
     if k < 3:
         raise ConstructionError("digit-position coloring needs k >= 3")
-    high = k - 1
-    colors = []
-    for idx in shape.iter_indices():
-        code = 0
-        for v in point_from_index(idx, shape).coords:
-            digit = v - 1 if v <= k - 2 else high - 1
-            code = code * high + digit
-        colors.append(code + 1)
-    return Coloring(shape, tuple(colors))
+    columns = [[min(d, k - 2) * (k - 1) ** (n - 1 - t) for d in range(k)] for t in range(n)]
+    return Coloring(shape, tuple(code + 1 for code in map(sum, product(*columns))))
 
 
 def stack_recursive(base: Coloring, stacking_coord: int = 1) -> Coloring:
@@ -63,6 +56,11 @@ def stack_recursive(base: Coloring, stacking_coord: int = 1) -> Coloring:
     copies a base line, a line inside a high layer is monochromatic, and
     a line crossing layers hits both high layers in the shared color, so
     the result stays rainbow-free with (k-2) * base_colors + 1 colors.
+
+    Each point is placed by index arithmetic.  With w the weight of the
+    stacking coordinate, point idx lies in layer idx // w % k (0-based),
+    and dropping that coordinate leaves the base point
+    idx // (w*k) * w + idx % w.
     """
     k = base.shape.k
     if k < 3:
@@ -79,14 +77,12 @@ def stack_recursive(base: Coloring, stacking_coord: int = 1) -> Coloring:
     base_colors = canonical_relabel(base).colors
     width = max(base_colors)
     cap_color = (k - 2) * width + 1
-    out = [0] * shape.point_count
-    for i in range(1, k + 1):
-        members = sorted(layer(shape, t, i))
-        for rest_index, idx in enumerate(members):
-            if i <= k - 2:
-                out[idx] = (i - 1) * width + base_colors[rest_index]
-            else:
-                out[idx] = cap_color
+    w = shape.weights[t - 1]
+    out = [cap_color] * shape.point_count
+    for idx in shape.iter_indices():
+        i = idx // w % k
+        if i < k - 2:
+            out[idx] = i * width + base_colors[idx // (w * k) * w + idx % w]
     return Coloring(shape, tuple(out))
 
 
@@ -95,19 +91,22 @@ def singleton_set_coloring(shape: CubeShape, special: Iterable[int]) -> Coloring
 
     Sound whenever every line meets the special set in at most k-2
     points: the other two points on the line share the dominant color.
-    For k=3 this is exactly pairwise non-collinearity of the set.
+    For k=3 this is exactly pairwise non-collinearity of the set.  The
+    lines are read as point indices; only the first line that breaks the
+    condition is named, as the error's witness.
     """
     special_set = frozenset(special)
     for idx in special_set:
         if not 0 <= idx < shape.point_count:
             raise ConstructionError(f"point index {idx} out of range")
-    for tmpl, idxs in zip(template_table(shape), line_index_table(shape)):
+    for idxs in line_index_table(shape):
         hits = sum(1 for i in idxs if i in special_set)
         if hits > shape.k - 2:
+            witness = line_template(idxs, shape)
             raise ConstructionError(
-                f"line {tmpl} meets the special set in {hits} points "
+                f"line {witness} meets the special set in {hits} points "
                 f"(at most {shape.k - 2} allowed)",
-                witness=tmpl,
+                witness=witness,
             )
     colors = [1] * shape.point_count
     for next_id, idx in enumerate(sorted(special_set), start=2):

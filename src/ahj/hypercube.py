@@ -124,11 +124,6 @@ class LineTemplate:
     cells: tuple[int, ...]
     k: int
 
-    @property
-    def star_set(self) -> frozenset[int]:
-        """0-based positions of the stars (nonempty by construction)."""
-        return frozenset(t for t, c in enumerate(self.cells) if c == STAR)
-
     def __str__(self) -> str:
         return _name(self.cells, self.k)
 
@@ -196,7 +191,8 @@ def expand(template: LineTemplate, shape: CubeShape) -> tuple[Point, ...]:
 def line_index_table(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     """Point-index tuples of every line, in enumeration order.  Cached.
 
-    Entry i holds the indices of expand()'s points of template i.
+    Entry i holds the indices of expand()'s points of template i.  This is
+    the one per-shape line table; :func:`line_template` names an entry.
     """
     k = shape.k
     return tuple(
@@ -204,9 +200,13 @@ def line_index_table(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def template_table(shape: CubeShape) -> tuple[LineTemplate, ...]:
-    return tuple(enumerate_lines(shape))
+def line_template(idxs: tuple[int, ...], shape: CubeShape) -> LineTemplate:
+    """The template of the line whose point indices are `idxs`, an entry of
+    :func:`line_index_table`: the step between its points has digit 1 at
+    the stars, and its first point has the symbols elsewhere."""
+    base, step = idxs[0], idxs[1] - idxs[0]
+    cells = (STAR if step // w % shape.k else base // w % shape.k + 1 for w in shape.weights)
+    return LineTemplate(tuple(cells), shape.k)
 
 
 def collinear(u: Point, v: Point, shape: CubeShape) -> bool:

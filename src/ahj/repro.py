@@ -215,8 +215,8 @@ def _lines_meet_layers(shape: CubeShape, lines) -> bool:
     """Whether each of the first 40 lines meets every layer of its first star
     coordinate once, that is, takes each digit of that coordinate once."""
     digits = list(range(shape.k))
-    for template, idxs in zip(hypercube.template_table(shape)[:40], lines):
-        weight = shape.weights[min(template.star_set)]
+    for idxs, template in zip(lines[:40], hypercube.enumerate_lines(shape)):
+        weight = shape.weights[template.cells.index(hypercube.STAR)]
         if sorted(i // weight % shape.k for i in idxs) != digits:
             return False
     return True

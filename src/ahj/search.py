@@ -15,6 +15,7 @@ count, value and witness are the same every time it is repeated.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -31,13 +32,25 @@ from .hypercube import (
     automorphism_index_maps,
     layer,
     line_index_table,
+    line_template,
     point_from_index,
-    template_table,
 )
 
 
 class SearchError(ValueError):
     """Invalid search input or unsupported shape."""
+
+
+@contextmanager
+def _depth_guard(shape: CubeShape):
+    """Report a search that nests deeper than Python's recursion limit, one
+    frame per chosen point or filled cell, as a SearchError naming the
+    shape.  The limit is left as it is: deep `yield from` chains recurse in
+    C, so a higher one could overflow the C stack."""
+    try:
+        yield
+    except RecursionError:
+        raise SearchError(f"search of [{shape.k}]^{shape.n} nests too deeply") from None
 
 
 class Status(Enum):
@@ -586,9 +599,10 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
     config = config or SearchConfig()
     started = time.monotonic()
     budget = _Incumbent.of(config, started)
-    seed = _seed_coloring(shape, budget.deadline)
-    budget.offer(shape.point_count - census(seed).distinct_count, seed.colors)
-    _search_from_root(shape, budget)
+    with _depth_guard(shape):
+        seed = _seed_coloring(shape, budget.deadline)
+        budget.offer(shape.point_count - census(seed).distinct_count, seed.colors)
+        _search_from_root(shape, budget)
 
     witness = canonical_relabel(Coloring(shape, budget.witness_colors))
     status = Status.FEASIBLE_ONLY if budget.exhausted else Status.OPTIMAL
@@ -772,18 +786,19 @@ def enumerate_independent_sets(
         raise SearchError("independent-set enumeration supports k = 3 only")
     if not 0 <= size <= shape.point_count:
         raise SearchError(f"size {size} out of range 0..{shape.point_count}")
-    if not up_to_symmetry:
-        return list(_independent_sets(shape, size))
-    columns = list(zip(*automorphism_index_maps(shape)))
-    bits = [1 << p for p in shape.iter_indices()]
-    reps = []
-    seen = set()
-    for s in _independent_sets(shape, size, firsts=_orbit_leaders(shape)):
-        if sum(map(bits.__getitem__, s)) in seen:
-            continue
-        reps.append(s)
-        seen.update(map(sum, zip(*[map(bits.__getitem__, columns[p]) for p in s])))
-    return reps
+    with _depth_guard(shape):
+        if not up_to_symmetry:
+            return list(_independent_sets(shape, size))
+        columns = list(zip(*automorphism_index_maps(shape)))
+        bits = [1 << p for p in shape.iter_indices()]
+        reps = []
+        seen = set()
+        for s in _independent_sets(shape, size, firsts=_orbit_leaders(shape)):
+            if sum(map(bits.__getitem__, s)) in seen:
+                continue
+            reps.append(s)
+            seen.update(map(sum, zip(*[map(bits.__getitem__, columns[p]) for p in s])))
+        return reps
 
 
 def enumerate_minimal_rf(
@@ -905,7 +920,7 @@ def _forced_cell(shape: CubeShape, colors, pin_lines, pinned_bits) -> ForcedCell
         pinned_bits &= pinned_bits - 1
         witnesses: list[int] = []
         if not _allowance(colors, lines, cell, pin_lines & through[cell], witnesses):
-            templates = tuple(template_table(shape)[li] for li in witnesses)
+            templates = tuple(line_template(lines[li], shape) for li in witnesses)
             return ForcedCell(point_from_index(cell, shape), templates)
     return None
 
@@ -952,7 +967,8 @@ def complete(
     budget = _Budget.of(config, started)
     if total_colors < 1:
         raise SearchError("total_colors must be >= 1")
-    solution, certificate = _fill(partial, total_colors, budget)
+    with _depth_guard(partial.shape):
+        solution, certificate = _fill(partial, total_colors, budget)
     if solution is not None:
         witness, status = Coloring(partial.shape, solution), Status.OPTIMAL
     else:
@@ -971,7 +987,7 @@ def _fill(
     colors = list(partial.colors)
     pin_lines, wide_lines, pinned_bits, rainbow = _deficient_lines(shape, colors)
     if rainbow is not None:
-        return None, template_table(shape)[rainbow]
+        return None, line_template(lines[rainbow], shape)
 
     # open_bits holds the unassigned cells, line_bits[li] the cells of line
     # li and through[cell] the lines through cell, as bits li.

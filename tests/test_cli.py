@@ -607,6 +607,45 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "{}"),
+            ("complete", "{}", "--total-colors", "3"),
+            ("construct", "recursive", "--base", "{}"),
+        ],
+        ids=["verify", "complete", "construct"],
+    )
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path, argv):
+        # Not a UnicodeDecodeError traceback and exit 1, the code of a failed claim.
+        path = tmp_path / "utf16.ahj"
+        path.write_bytes(b"\xff\xfe" + "ahj-coloring v1\nk=3 n=2\n".encode("utf-16-le"))
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: not UTF-8 text")
+
+    def test_non_utf8_byte_is_reported_at_its_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.ahj"
+        path.write_bytes(b"ahj-coloring v1\nk=3 n=2\n1 1 1\n1 \xe9 1\n1 1 1\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert "line 4: not UTF-8 text" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "max-colors", "--k", "3", "--n", "8", "--time-limit", "1"),
+            ("enumerate", "--k", "3", "--n", "8", "--independent-size", "1108"),
+        ],
+        ids=["search", "enumerate"],
+    )
+    def test_search_too_deep_is_usage_error(self, capsys, argv):
+        # The warm start of [3]^8 nests one frame per point of a 1,107-point
+        # set, past Python's recursion limit.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search of [3]^8 nests too deeply")
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 

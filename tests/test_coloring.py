@@ -18,10 +18,12 @@ from ahj.coloring import (
     rainbow_lines,
     serialize,
 )
+from ahj import hypercube
 from ahj.hypercube import (
     CubeShape,
+    LineTemplate,
+    enumerate_lines,
     line_count,
-    template_table,
 )
 
 S32 = CubeShape(3, 2)
@@ -91,8 +93,32 @@ class TestRainbow:
     def test_rainbow_lines_in_enumeration_order(self, c):
         found = rainbow_lines(c)
         assert len(found) <= line_count(c.shape)
-        order = {t: i for i, t in enumerate(template_table(c.shape))}
+        order = {t: i for i, t in enumerate(enumerate_lines(c.shape))}
         assert [order[t] for t in found] == sorted(order[t] for t in found)
+
+    @pytest.mark.parametrize(
+        "coloring, rainbow_count",
+        [
+            (mono(CubeShape(3, 5)), 0),
+            (mono(CubeShape(3, 3)).assign(0, 2).assign(1, 3), 1),
+            (all_distinct(S32), 7),
+        ],
+        ids=["rainbow-free", "one-rainbow", "all-rainbow"],
+    )
+    def test_builds_a_template_per_rainbow_line_only(self, monkeypatch, coloring, rainbow_count):
+        for obj in vars(hypercube).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+        built = []
+        init = LineTemplate.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LineTemplate, "__init__", counting_init)
+        assert len(rainbow_lines(coloring)) == rainbow_count
+        assert len(built) == rainbow_count
 
 
 class TestCensusAndMinimality:

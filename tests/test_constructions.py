@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ahj.coloring import census, is_minimal, is_rainbow_free
+from ahj.coloring import Coloring, canonical_relabel, census, is_minimal, is_rainbow_free
 from ahj.constructions import (
     ConstructionError,
     digit_position_coloring,
@@ -11,7 +11,7 @@ from ahj.constructions import (
     singleton_set_coloring,
     stack_recursive,
 )
-from ahj.hypercube import CubeShape, point_index
+from ahj.hypercube import CubeShape, layer, point_from_index, point_index
 
 S32 = CubeShape(3, 2)
 
@@ -71,8 +71,6 @@ class TestStackRecursive:
         assert is_rainbow_free(stacked)
 
     def test_rejects_rainbow_base(self):
-        from ahj.coloring import Coloring
-
         rainbow = Coloring(S32, tuple(range(1, 10)))
         with pytest.raises(ConstructionError):
             stack_recursive(rainbow)
@@ -99,6 +97,57 @@ class TestStackRecursive:
         assert is_rainbow_free(stacked)
         expected = (shape.k - 2) * census(base).distinct_count + 1
         assert census(stacked).distinct_count == expected
+
+
+def _reference_digit_position(shape):
+    """digit_position_coloring's colors from each point's coordinates."""
+    k = shape.k
+    high = k - 1
+    colors = []
+    for idx in shape.iter_indices():
+        code = 0
+        for v in point_from_index(idx, shape).coords:
+            digit = v - 1 if v <= k - 2 else high - 1
+            code = code * high + digit
+        colors.append(code + 1)
+    return tuple(colors)
+
+
+def _reference_stack(base, t):
+    """stack_recursive's colors from the sorted layers along coordinate t:
+    the j-th point of a layer takes the color of base point j."""
+    k = base.shape.k
+    shape = CubeShape(k, base.shape.n + 1)
+    base_colors = canonical_relabel(base).colors
+    width = max(base_colors)
+    out = [0] * shape.point_count
+    for i in range(1, k + 1):
+        for rest_index, idx in enumerate(sorted(layer(shape, t, i))):
+            if i <= k - 2:
+                out[idx] = (i - 1) * width + base_colors[rest_index]
+            else:
+                out[idx] = (k - 2) * width + 1
+    return tuple(out)
+
+
+REFERENCE_SHAPES = [CubeShape(k, n) for k in (3, 4, 5) for n in (1, 2, 3, 4)]
+
+
+class TestIndexArithmeticMatchesReference:
+    """The constructions place points by index arithmetic; these are the
+    coordinate-level formulas they replace."""
+
+    @pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=str)
+    def test_digit_position(self, shape):
+        assert digit_position_coloring(shape).colors == _reference_digit_position(shape)
+
+    @pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=str)
+    def test_stack_recursive_at_every_coordinate(self, shape):
+        # Colors renamed in reverse, so the base is not in canonical order.
+        digits = digit_position_coloring(shape).colors
+        base = Coloring(shape, tuple(max(digits) + 1 - c for c in digits))
+        for t in range(1, shape.n + 2):
+            assert stack_recursive(base, t).colors == _reference_stack(base, t)
 
 
 class TestSingletonSet:

@@ -19,11 +19,11 @@ from ahj.hypercube import (
     layer,
     line_count,
     line_index_table,
+    line_template,
     point_from_index,
     point_index,
     point_of,
     template_from_string,
-    template_table,
 )
 from ahj.search import _line_masks_by_point
 
@@ -104,7 +104,7 @@ class TestLineEnumeration:
     @given(small_shape)
     def test_every_template_has_a_star(self, shape):
         for t in enumerate_lines(shape):
-            assert t.star_set
+            assert STAR in t.cells
 
 
 class TestTemplateParsing:
@@ -197,9 +197,9 @@ class TestCollinear:
 def lines_through(p, shape):
     """The templates of the lines through p, read from the point-to-line
     incidence table that the completion search uses."""
-    templates = template_table(shape)
+    lines = line_index_table(shape)
     mask = _line_masks_by_point(shape)[p.index]
-    return [templates[li] for li in range(mask.bit_length()) if mask >> li & 1]
+    return [line_template(lines[li], shape) for li in range(mask.bit_length()) if mask >> li & 1]
 
 
 class TestLinesThrough:
@@ -374,7 +374,20 @@ class TestIndexTablesMatchReference:
     def test_line_table(self, shape):
         templates = list(_reference_templates(shape))
         assert list(enumerate_lines(shape)) == templates
-        assert template_table(shape) == tuple(templates)
+        assert [line_template(idxs, shape) for idxs in line_index_table(shape)] == templates
         assert line_index_table(shape) == tuple(
             tuple(p.index for p in expand(t, shape)) for t in templates
         )
+
+
+class TestLineTemplate:
+    """line_template names a line from its entry in the index table."""
+
+    @pytest.mark.parametrize(
+        "shape", [CubeShape(2, 5), CubeShape(3, 4), CubeShape(4, 3), CubeShape(11, 2)], ids=str
+    )
+    def test_matches_enumeration(self, shape):
+        named = [line_template(idxs, shape) for idxs in line_index_table(shape)]
+        assert named == list(enumerate_lines(shape))
+        # The names are ":"-joined from k = 10 on.
+        assert {":" in str(t) for t in named} == {shape.k >= 10}

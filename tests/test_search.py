@@ -1,6 +1,7 @@
 """Branch-and-bound search, enumeration, and completion endgames."""
 
 import hashlib
+import sys
 import time
 from itertools import combinations
 from types import SimpleNamespace
@@ -1518,6 +1519,36 @@ class TestCompleteOracle:
                     _assert_completes(partial, target, out.witness)
                 else:
                     assert out.status is Status.INFEASIBLE, (cells, target)
+
+
+class TestDepthGuard:
+    """A search that nests past Python's recursion limit, one frame per
+    chosen point or filled cell, is a SearchError that names the shape."""
+
+    def test_max_rf_colors(self):
+        with pytest.raises(SearchError, match=r"\[3\]\^8 nests too deeply"):
+            max_rf_colors(CubeShape(3, 8), SearchConfig(time_limit=1))
+
+    def test_enumerate_independent_sets(self):
+        with pytest.raises(SearchError, match=r"\[3\]\^8 nests too deeply"):
+            enumerate_independent_sets(CubeShape(3, 8), 1108)
+
+    def test_complete(self):
+        # A blank [3]^7 nests one frame per cell, 2,187 in all, but takes
+        # seconds to get there; a lower limit brings the blank [3]^4's 81
+        # cells past it instead.
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        blank = Coloring(CubeShape(3, 4), (0,) * 3**4)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            with pytest.raises(SearchError, match=r"\[3\]\^4 nests too deeply"):
+                complete(blank, 3, SearchConfig(node_limit=5000))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert complete(blank, 3, SearchConfig(node_limit=5000)).status is Status.OPTIMAL
 
 
 class TestTwoLayerArrangements:
