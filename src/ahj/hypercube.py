@@ -16,6 +16,7 @@ Conventions, fixed once so every downstream artifact is reproducible:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
@@ -234,6 +235,37 @@ def layer(shape: CubeShape, t: int, i: int) -> frozenset[int]:
     return frozenset(idx for idx in shape.iter_indices() if idx // w % shape.k == i - 1)
 
 
+def symmetry_table_fits(shape: CubeShape) -> bool:
+    """Whether the table of :func:`automorphism_index_maps`, |G| * k^n
+    entries with |G| = n! * k!, stays within the guard.  The size is
+    multiplied up one factor at a time and the answer is no as soon as it
+    passes the guard, so no factorial of a large k is computed."""
+    entries = shape.point_count
+    for factor in chain(range(2, shape.k + 1), range(2, shape.n + 1)):
+        entries *= factor
+        if entries > _MAX_MAP_ENTRIES:
+            return False
+    return True
+
+
+def _digit_columns(symbols, placed) -> list[list[int]]:
+    """The digit arithmetic of every automorphism: column s, entry d, is
+    what digit d of source coordinate s adds to the image index when digit
+    d becomes digit symbols[d] at weight placed[s]."""
+    return [[v * w for v in symbols] for w in placed]
+
+
+def _placed(cp: tuple[int, ...], weights: tuple[int, ...]) -> list[int]:
+    """Per source coordinate s, the weight of its image coordinate: source
+    coordinate cp[t] lands at image coordinate t."""
+    return [w for _, w in sorted(zip(cp, weights))]
+
+
+def _index_map(columns: list[list[int]]) -> tuple[int, ...]:
+    """Image of every point, in index order, under the columns' element."""
+    return tuple(map(sum, product(*columns)))
+
+
 @lru_cache(maxsize=None)
 def automorphism_index_maps(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     """The symmetry group as permutations of the point indices.  Cached.
@@ -247,28 +279,38 @@ def automorphism_index_maps(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     Point is built.
     """
     k, n, weights = shape.k, shape.n, shape.weights
-    # The table's size, |G| * k^n, is multiplied up one factor at a time
-    # and refused as soon as it passes the guard, before any map is built
-    # and before a factorial of a large k is computed.
-    entries = shape.point_count
-    for factor in chain(range(2, k + 1), range(2, n + 1)):
-        entries *= factor
-        if entries > _MAX_MAP_ENTRIES:
-            raise ShapeError(
-                f"symmetry group of [{k}]^{n} needs more than {_MAX_MAP_ENTRIES} "
-                "index-map entries"
-            )
-
-    def index_map(symbols, placed) -> tuple[int, ...]:
-        # Image of every point, in index order, when digit d of coordinate
-        # s becomes digit symbols[d] at weight placed[s].
-        return tuple(map(sum, product(*[[v * w for v in symbols] for w in placed])))
-
+    # The table is refused before any map is built.
+    if not symmetry_table_fits(shape):
+        raise ShapeError(
+            f"symmetry group of [{k}]^{n} needs more than {_MAX_MAP_ENTRIES} "
+            "index-map entries"
+        )
     # An element's map is its coordinate map applied after its symbol map.
-    symbol_maps = [index_map(sp, weights) for sp in permutations(range(k))]
+    symbol_maps = [_index_map(_digit_columns(sp, weights)) for sp in permutations(range(k))]
     maps = []
     for cp in permutations(range(n)):
-        # Source coordinate cp[t] lands at image coordinate t, weight w_t.
-        coord_map = index_map(range(k), [w for _, w in sorted(zip(cp, weights))])
+        coord_map = _index_map(_digit_columns(range(k), _placed(cp, weights)))
         maps += (tuple(map(coord_map.__getitem__, m)) for m in symbol_maps)
     return tuple(maps)
+
+
+def automorphism_maps(shape: CubeShape, points, keep) -> Iterator[array]:
+    """The index maps of the group elements, in the order of
+    :func:`automorphism_index_maps`, that pass `keep`.
+
+    `keep` is given a function that reads an element's image of any of
+    `points` from the point's digits, so an element that fails on its
+    first few points costs only those; a whole map is built only for an
+    element that passes.  The walk visits all n! * k! elements.  A map is
+    an array of 4-byte entries, so a few hundred of them stay small.
+    """
+    k, weights = shape.k, shape.weights
+    digits = {x: [x // w % k for w in weights] for x in points}
+    # Per symbol permutation, its column at each weight.
+    scaled = [dict(zip(weights, _digit_columns(sp, weights))) for sp in permutations(range(k))]
+    for cp in permutations(range(shape.n)):
+        placed = _placed(cp, weights)
+        for by_weight in scaled:
+            columns = list(map(by_weight.__getitem__, placed))
+            if keep(lambda x: sum(map(list.__getitem__, columns, digits[x]))):
+                yield array("I", _index_map(columns))

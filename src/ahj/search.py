@@ -19,9 +19,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from operator import itemgetter
-from typing import Iterator
+from itertools import combinations, combinations_with_replacement, compress
+from operator import itemgetter, ne
+from typing import Iterator, Sequence
 
 from .coloring import Coloring, canonical_relabel, census, is_rainbow_free
 from .constructions import digit_position_coloring, monochromatic, singleton_set_coloring
@@ -30,10 +30,12 @@ from .hypercube import (
     LineTemplate,
     Point,
     automorphism_index_maps,
+    automorphism_maps,
     layer,
     line_index_table,
     line_template,
     point_from_index,
+    symmetry_table_fits,
 )
 
 
@@ -494,11 +496,87 @@ def _settle(state: MergeState, best: int) -> int:
     return (live & -live).bit_length() - 1
 
 
-def _dfs(state: MergeState, budget: _Incumbent) -> None:
+def _stabilizer(state: MergeState, group: list[Sequence[int]] | None) -> list[Sequence[int]]:
+    """The elements of `group`, point-index maps, that map the state's
+    partition and its kept-apart relation onto themselves.  None stands
+    for the whole symmetry group: `automorphism_maps` then tests each
+    element on its images of the points the test reads, and builds the
+    maps of only the elements that pass.
+
+    An element fixes the partition iff it maps each class of two or more
+    points into one class.  It is a bijection, so the largest classes then
+    go onto classes of their size, the next largest onto the classes of
+    their size left, and so on down to the singletons.  The kept-apart
+    relation holds between the classes r and q when `_incompat[r]` meets
+    class q; an element that fixes the partition fixes the relation iff it
+    keeps apart the images of one point of each pair of such classes.
+    """
+    label, class_points, incompat = state.label, state.class_points, state._incompat
+    # The classes of two or more points, each listed from its root; then
+    # the kept-apart pairs of roots.  A merged-away root's stale
+    # exclusions lead through its label to the root that holds them now.
+    count = len(label)
+    classes: dict[int, list[int]] = {}
+    for x in compress(range(count), map(ne, label, range(count))):
+        classes.setdefault(label[x], [label[x]]).append(x)
+    apart = []
+    for r in set(map(label.__getitem__, compress(range(count), incompat))):
+        rest = incompat[r]
+        while rest:
+            q = label[(rest & -rest).bit_length() - 1]
+            rest &= ~class_points[q]
+            if r < q:
+                apart.append((r, q))
+
+    def fixes(image) -> bool:
+        return all(
+            len({label[image(x)] for x in points}) == 1 for points in classes.values()
+        ) and all(incompat[label[image(a)]] & class_points[label[image(b)]] for a, b in apart)
+
+    if group is None:
+        moved = {x for points in classes.values() for x in points}.union(*apart)
+        return list(automorphism_maps(state.shape, moved, fixes))
+    return [g for g in group if fixes(g.__getitem__)]
+
+
+def _orbit_firsts(
+    state: MergeState, pairs: list[tuple[int, int]], group: list[Sequence[int]]
+) -> list[tuple[int, int]]:
+    """The branch pairs, in order, less each pair whose class pair some
+    element of `group` maps an earlier kept pair's class pair onto."""
+    label = state.label
+    images: set[frozenset[int]] = set()
+    kept = []
+    for a, b in pairs:
+        if frozenset((label[a], label[b])) in images:
+            continue
+        kept.append((a, b))
+        images.update(frozenset((label[g[a]], label[g[b]])) for g in group)
+    return kept
+
+
+def _dfs(state: MergeState, budget: _Incumbent, group: list[Sequence[int]] | None) -> None:
     """Search below `state`.  `_dfs` may change the state it is given: a
     caller that needs its state afterwards passes a copy.  So each child
     before the last runs on a copy, and its pair is then forbidden in
-    `state`; the last child runs on `state` itself."""
+    `state`; the last child runs on `state` itself.
+
+    `group` holds automorphisms as point-index maps, None standing for the
+    whole group (see `_stabilizer`).  With one element or none there is
+    nothing to do.  Otherwise a branch node keeps the elements that fix
+    its settled state, and branches only on the pairs of `_orbit_firsts`:
+    a pair is skipped, with no node counted, when a kept element g maps
+    an earlier kept pair's class pair onto its own.  Its children inherit
+    the kept elements, so the work ends once the group is trivial.
+
+    This is orbital branching, and it is sound.  Take a coloring below a
+    skipped child, and apply g's inverse, which fixes the node's state as
+    g does.  The image is a coloring below the node with the same number
+    of colors, in which the earlier pair is merged.  So it lies below the
+    first child whose pair it merges; that child was searched before, or
+    was skipped for a pair earlier still, and the same argument applies
+    to it.  The skipped pairs are not forbidden in the later children.
+    """
     if not budget.tick():
         return
     outcome = _settle(state, budget.best_merges)
@@ -507,16 +585,21 @@ def _dfs(state: MergeState, budget: _Incumbent) -> None:
         return
     if outcome < 0:
         return
-    *before, last = _branch_pairs(state, state.lines[outcome])
+    pairs = _branch_pairs(state, state.lines[outcome])
+    if group is None or len(group) > 1:
+        group = _stabilizer(state, group)
+        if len(group) > 1:
+            pairs = _orbit_firsts(state, pairs, group)
+    *before, last = pairs
     for a, b in before:
         child = state.copy()
         child.merge(a, b)
-        _dfs(child, budget)
+        _dfs(child, budget, group)
         if budget.exhausted:
             return
         state.forbid(a, b)
     state.merge(*last)
-    _dfs(state, budget)
+    _dfs(state, budget, group)
 
 
 def _search_from_root(shape: CubeShape, budget: _Incumbent) -> None:
@@ -530,21 +613,27 @@ def _search_from_root(shape: CubeShape, budget: _Incumbent) -> None:
     other points on the root state itself and merges the second-third
     pair.  For k = 2 the root node branches on the first line like any
     other.
+
+    Each root branch starts from the whole symmetry group, which its first
+    branch node filters (see `_dfs`).  A shape whose index-map table
+    `automorphism_index_maps` would refuse gets no group, so the walk of
+    the group stays as bounded as that table.
     """
     state = MergeState(shape)
+    group = None if symmetry_table_fits(shape) else []
     if shape.k < 3:
-        _dfs(state, budget)
+        _dfs(state, budget, group)
         return
     p = state.lines[0]
     first = state.copy()
     first.merge(p[0], p[1])
-    _dfs(first, budget)
+    _dfs(first, budget, group)
     if budget.exhausted:
         return
     for q in p[1:]:
         state.forbid(p[0], q)
     state.merge(p[1], p[2])
-    _dfs(state, budget)
+    _dfs(state, budget, group)
 
 
 def _greedy_independent_set(shape: CubeShape) -> tuple[int, ...]:

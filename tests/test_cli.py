@@ -194,6 +194,14 @@ class TestConstruct:
         assert code == 2
         assert "bad point list" in err
 
+    def test_singleton_repeated_point_is_an_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "construct", "singleton", "--k", "4", "--n", "3", "--points", "4,4,4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "point 4 is repeated" in err
+
     def test_missing_parameters_are_usage_errors(self, capsys):
         assert run(capsys, "construct", "digit-position")[0] == 2
         assert run(capsys, "construct", "recursive")[0] == 2
@@ -227,6 +235,17 @@ class TestSearch:
         )
         assert code == 3
         assert record(out)["status"] == "FEASIBLE_ONLY"
+
+    def test_capped_four_cube_value(self, capsys):
+        """[4]^3 under a 100,000-node cap reports the digit-position 27
+        colors and exits 3."""
+        code, out, _ = run(
+            capsys, "search", "max-colors", "--k", "4", "--n", "3",
+            "--node-limit", "100000",
+        )
+        assert code == 3
+        rec = record(out)
+        assert (rec["value"], rec["nodes"]) == ("27", "100000")
 
     def test_records_byte_identical_modulo_wall_time(self, capsys):
         outs = []

@@ -13,6 +13,7 @@ from ahj.hypercube import (
     LineTemplate,
     ShapeError,
     automorphism_index_maps,
+    automorphism_maps,
     collinear,
     enumerate_lines,
     expand,
@@ -23,6 +24,7 @@ from ahj.hypercube import (
     point_from_index,
     point_index,
     point_of,
+    symmetry_table_fits,
     template_from_string,
 )
 from ahj.search import _line_masks_by_point
@@ -290,6 +292,29 @@ class TestAutomorphisms:
         # [5]^4 (claim 9) has 1.8M entries and [3]^6 3.1M.
         assert len(automorphism_index_maps.__wrapped__(CubeShape(5, 4))) == 2880
         assert len(automorphism_index_maps.__wrapped__(CubeShape(3, 6))) == 4320
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 1), (3, 3), (4, 2), (3, 4)])
+    def test_filtered_walk_reads_the_table(self, k, n):
+        """`automorphism_maps` walks the elements in the table's order: the
+        images it hands `keep` and the maps it builds are the table's."""
+        shape = CubeShape(k, n)
+        points = range(shape.point_count)
+        seen = []
+
+        def keep(image):
+            seen.append(tuple(image(x) for x in points))
+            return len(seen) % 2 == 1
+
+        built = [tuple(m) for m in automorphism_maps(shape, points, keep)]
+        table = automorphism_index_maps(shape)
+        assert seen == list(table)
+        assert built == list(table[::2])
+
+    @pytest.mark.parametrize(
+        "k, n, fits", [(3, 6, True), (5, 4, True), (7, 2, True), (3, 7, False), (8, 2, False)]
+    )
+    def test_table_fits_matches_the_guard(self, k, n, fits):
+        assert symmetry_table_fits(CubeShape(k, n)) is fits
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lines_map_onto_lines(self, n):

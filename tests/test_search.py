@@ -50,9 +50,11 @@ from ahj.search import (
     _bound_reaches,
     _dfs,
     _independent_sets,
+    _orbit_firsts,
     _orbit_leaders,
     _seed_coloring,
     _settle,
+    _stabilizer,
 )
 
 S31 = CubeShape(3, 1)
@@ -820,7 +822,7 @@ class TestPackingBound:
 
         monkeypatch.setattr("ahj.search._bound_reaches", refill_first)
         outcome = max_rf_colors(CubeShape(4, 2))
-        assert (outcome.best_value, outcome.nodes_explored) == (10, 734)
+        assert (outcome.best_value, outcome.nodes_explored) == (10, 648)
         assert swaps
 
 
@@ -862,7 +864,7 @@ class TestMaxRfColors:
         shapes = [CubeShape(2, 2), CubeShape(2, 3), S31, S32]
         assert [naive_max_rf_colors(shape) for shape in shapes] == [1, 1, 2, 4]
 
-    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 38), (4, 10, 734), (5, 17, 63468)])
+    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 38), (4, 10, 648), (5, 17, 30411)])
     def test_single_worker_node_counts_pinned(self, k, value, nodes):
         """The 1-worker search tree is fixed; a kernel change must not move it."""
         out = max_rf_colors(CubeShape(k, 2))
@@ -955,12 +957,13 @@ class TestMaxRfColors:
 
     def test_no_symmetry_reduction_same_value(self):
         """The unreduced search, one `_dfs` from the empty state with the
-        same warm start, reaches the value of the two-branch root split."""
-        for shape, value in ((S32, 4), (CubeShape(4, 2), 10)):
+        same warm start and no automorphism, reaches the value of the
+        two-branch root split with orbital branching."""
+        for shape, value in ((S32, 4), (CubeShape(4, 2), 10), (CubeShape(5, 2), 17)):
             seed = _seed_coloring(shape)
             budget = _Incumbent(None, None)
             budget.offer(shape.point_count - census(seed).distinct_count, seed.colors)
-            _dfs(MergeState(shape), budget)
+            _dfs(MergeState(shape), budget, [])
             assert not budget.exhausted
             assert shape.point_count - budget.best_merges == value
             assert max_rf_colors(shape).best_value == value
@@ -979,6 +982,88 @@ class TestMaxRfColors:
         for limit in (0, -3, 50.5, 50.0, True):
             with pytest.raises(SearchError):
                 SearchConfig(node_limit=limit)
+
+
+def _fixes_by_brute_force(state, g):
+    """Whether the point map g maps the state's classes onto its classes
+    and its kept-apart class pairs onto kept-apart class pairs, read from
+    the labels and `blocked` alone."""
+    classes = {}
+    for x, r in enumerate(state.label):
+        classes.setdefault(r, set()).add(x)
+    partition = {frozenset(c) for c in classes.values()}
+    if {frozenset(g[x] for x in c) for c in partition} != partition:
+        return False
+    apart = {
+        frozenset((c, d))
+        for c, d in combinations(partition, 2)
+        if state.blocked(min(c), min(d))
+    }
+    return {frozenset(frozenset(g[x] for x in c) for c in pair) for pair in apart} == apart
+
+
+class TestOrbitalBranching:
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_stabilizer_matches_brute_force(self, k, monkeypatch):
+        """On every state whose stabilizer the [k]^2 search computes, the
+        walk of the whole group (None), the filter of the whole table and
+        the filter of the inherited group each keep exactly the elements
+        that fix the state."""
+        shape = CubeShape(k, 2)
+        maps = automorphism_index_maps(shape)
+        recorded = []
+
+        def recording(state, group):
+            recorded.append((state.copy(), group))
+            return _stabilizer(state, group)
+
+        monkeypatch.setattr("ahj.search._stabilizer", recording)
+        max_rf_colors(shape)
+        assert sum(group is None for _, group in recorded) == 2
+        for state, group in recorded:
+            expected = [g for g in maps if _fixes_by_brute_force(state, g)]
+            assert [tuple(g) for g in _stabilizer(state, None)] == expected
+            assert _stabilizer(state, list(maps)) == expected
+            if group is not None:
+                kept = [g for g in group if _fixes_by_brute_force(state, g)]
+                assert _stabilizer(state, group) == kept
+
+    def test_skipped_pairs_are_images_of_kept_ones(self, monkeypatch):
+        """`_orbit_firsts` keeps the first pair of each class-pair orbit
+        under the node's stabilizer and skips the rest, in the [5]^2
+        search."""
+        calls = []
+
+        def recording(state, pairs, group):
+            kept = _orbit_firsts(state, pairs, group)
+            calls.append((state.label[:], pairs, group, kept))
+            return kept
+
+        monkeypatch.setattr("ahj.search._orbit_firsts", recording)
+        max_rf_colors(CubeShape(5, 2))
+        assert any(len(kept) < len(pairs) for _, pairs, _, kept in calls)
+        for label, pairs, group, kept in calls:
+            for i, (a, b) in enumerate(pairs):
+                earlier = [pair for pair in pairs[:i] if pair in kept]
+                is_image = any(
+                    {label[g[c]], label[g[d]]} == {label[a], label[b]}
+                    for c, d in earlier
+                    for g in group
+                )
+                assert ((a, b) in kept) is not is_image
+
+    def test_search_never_builds_the_symmetry_table(self, monkeypatch):
+        """The first branch node of each root branch walks the group by
+        digit arithmetic instead of reading `automorphism_index_maps`."""
+
+        def refuse(_):
+            raise AssertionError("automorphism_index_maps was called")
+
+        for module in ("ahj.hypercube", "ahj.search", "ahj.coloring"):
+            monkeypatch.setattr(f"{module}.automorphism_index_maps", refuse)
+        assert max_rf_colors(CubeShape(4, 2)).nodes_explored == 648
+        assert max_rf_colors(S33, SearchConfig(node_limit=2_000)).best_value == 10
+        assert max_rf_colors(S34, SearchConfig(node_limit=100)).best_value == 23
 
 
 class TestIndependentSets:
