@@ -298,11 +298,7 @@ def _parse_points(text: str) -> list[int]:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not all(tok.isascii() and tok.isdecimal() for tok in tokens):
         raise ConstructionError(f"bad point list {text!r}; expected comma-separated integers")
-    points = [int(tok) for tok in tokens]
-    if len(set(points)) < len(points):
-        repeated = next(p for i, p in enumerate(points) if p in points[:i])
-        raise ConstructionError(f"bad point list {text!r}: point {repeated} is repeated")
-    return points
+    return [int(tok) for tok in tokens]
 
 
 def _require(condition: bool, message: str) -> None:

@@ -93,12 +93,16 @@ def singleton_set_coloring(shape: CubeShape, special: Iterable[int]) -> Coloring
     points: the other two points on the line share the dominant color.
     For k=3 this is exactly pairwise non-collinearity of the set.  The
     lines are read as point indices; only the first line that breaks the
-    condition is named, as the error's witness.
+    condition is named, as the error's witness.  A point given twice is
+    an error.
     """
-    special_set = frozenset(special)
-    for idx in special_set:
+    special_set: set[int] = set()
+    for idx in special:
         if not 0 <= idx < shape.point_count:
             raise ConstructionError(f"point index {idx} out of range")
+        if idx in special_set:
+            raise ConstructionError(f"point {idx} is repeated")
+        special_set.add(idx)
     for idxs in line_index_table(shape):
         hits = sum(1 for i in idxs if i in special_set)
         if hits > shape.k - 2:

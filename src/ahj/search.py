@@ -15,6 +15,7 @@ count, value and witness are the same every time it is repeated.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -1022,7 +1023,18 @@ def complete(
 
     Free cells may reuse assigned colors or introduce fresh ones; fresh
     colors are interchangeable, so each cell considers at most one fresh
-    representative.  Cells are filled most-constrained-first.
+    representative.  Cells are filled most-constrained-first, and values
+    succeed-first: an unpinned cell tries the fresh color first, when the
+    target leaves room for one, then the used colors; a pinned cell tries
+    its allowance.  The used colors are ranked once per call, by most
+    cells in the partial, ties to the lower label; a color the search
+    introduces ranks after the partial's, in the order it came in.  A
+    node's subtree depends only on its own colors, used set and masks,
+    and the fresh label only on how many colors are used, so a subtree
+    searched to the end has the same nodes under any candidate order:
+    every refusal's node count and certificate is that of any order, and
+    only first-found completions and where a node budget stops depend on
+    it.
 
     A line is deficient when it has an unassigned cell and its assigned
     cells hold pairwise distinct colors.  Its unassigned cells cannot all
@@ -1046,7 +1058,7 @@ def complete(
     updates only the deficient lines through it, and each child receives
     its own masks.  A pinned cell's candidates are the colors its pinning
     lines share, read by `_allowance` as `find_forced_cell` reads them;
-    any other cell takes every used color plus one fresh color.  The
+    any other cell takes one fresh color and every used color.  The
     certificate of an INFEASIBLE result is the partial's first rainbow
     line, else the cell of `find_forced_cell`, read from the pin masks the
     search starts from; it is None when neither exists.
@@ -1081,7 +1093,8 @@ def _fill(
     # open_bits holds the unassigned cells, line_bits[li] the cells of line
     # li and through[cell] the lines through cell, as bits li.
     open_bits = sum(1 << i for i, c in enumerate(colors) if c == 0)
-    used = {c for c in colors if c != 0}
+    counts = Counter(c for c in colors if c)
+    used = set(counts)
     if len(used) > total_colors or len(used) + open_bits.bit_count() < total_colors:
         return None, None
     if not open_bits:
@@ -1090,6 +1103,10 @@ def _fill(
     # A cell adds a color to `used` only by taking the fresh one, so
     # `fresh_base + len(used)` is one above every color used so far.
     fresh_base = max(used, default=0) + 1 - len(used)
+    # The succeed-first rank of every color the search can try (`complete`).
+    ranked = sorted(counts, key=lambda c: (-counts[c], c))
+    ranked += range(fresh_base + len(used), fresh_base + total_colors)
+    rank = {c: i for i, c in enumerate(ranked)}.__getitem__
     line_bits = _line_bits(shape)
     through = _line_masks_by_point(shape)
     line_colors = _line_getters(shape)
@@ -1140,9 +1157,9 @@ def _fill(
                 cell, allowance, fewest = other, allowed, len(allowed)
                 if fewest <= 1:
                     break
-        candidates = sorted(used if allowance is None else allowance)
+        candidates = sorted(used if allowance is None else allowance, key=rank)
         if allowance is None and fresh_room:
-            candidates.append(fresh_base + len(used))
+            candidates.insert(0, fresh_base + len(used))
 
         # The children's masks.  Only lines through the cell change: those
         # pinning it are done, and a wide one stops being deficient if the

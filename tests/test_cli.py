@@ -418,7 +418,7 @@ GOLDEN_RECORDS = [
         "complete blank.ahj --total-colors 4 --certificate c.ahj",
         0,
         "subcommand=complete\nfile=blank.ahj\ntotal_colors=4\ntime_limit=none\n"
-        "node_limit=none\nstatus=OPTIMAL\nnodes=37\ncertificate=c.ahj\n",
+        "node_limit=none\nstatus=OPTIMAL\nnodes=10\ncertificate=c.ahj\n",
     ),
     (
         "complete blank.ahj --total-colors 5 --certificate c.ahj",

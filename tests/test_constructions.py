@@ -182,3 +182,7 @@ class TestSingletonSet:
     def test_out_of_range_point(self):
         with pytest.raises(ConstructionError):
             singleton_set_coloring(S32, [9])
+
+    def test_repeated_point_rejected(self):
+        with pytest.raises(ConstructionError, match="point 4 is repeated"):
+            singleton_set_coloring(CubeShape(4, 3), [4, 4, 4])

@@ -1422,26 +1422,32 @@ def _assert_completes(partial, target, witness):
 
 class TestCompleteNodeCounts:
     """complete() is deterministic: these counts fix its search tree (cell
-    order, candidate order and pruning), so a faster engine must match them."""
+    order, candidate order and pruning), so a faster engine must match them.
+    The candidate order moves only first-found completions and where a
+    node budget stops: the refusals' counts are those of any order."""
 
     @pytest.mark.parametrize(
         "k, n, target, node_limit, status, nodes, witness",
         [
-            (3, 2, 4, None, Status.OPTIMAL, 37, (1, 1, 2, 1, 1, 2, 3, 3, 4)),
+            (3, 2, 4, None, Status.OPTIMAL, 10, (1, 2, 1, 3, 4, 3, 1, 2, 1)),
             (3, 2, 5, None, Status.INFEASIBLE, 71, None),
             (
-                4, 2, 10, None, Status.OPTIMAL, 3_876,
-                (1, 1, 2, 3, 1, 1, 4, 5, 6, 7, 8, 8, 9, 10, 8, 8),
+                4, 2, 10, None, Status.OPTIMAL, 3_156,
+                (1, 2, 3, 1, 4, 5, 5, 6, 7, 5, 5, 8, 1, 9, 10, 1),
             ),
             (3, 3, 9, 5_000, Status.TIMEOUT, 5_000, None),
             (3, 3, 10, 5_000, Status.TIMEOUT, 5_000, None),
             (4, 2, 11, 5_000, Status.TIMEOUT, 5_000, None),
             # ah(3, 3) = 11 by a second engine, independent of max_rf_colors.
             (
-                3, 3, 10, None, Status.OPTIMAL, 437_770,
-                (1, 1, 2, 1, 3, 1, 4, 1, 1, 1, 5, 1, 6, 1, 1, 1, 1, 7, 8, 1, 1, 1, 1, 9, 1, 10, 1),
+                3, 3, 10, None, Status.OPTIMAL, 92_082,
+                (1, 2, 1, 3, 1, 1, 1, 1, 4, 5, 1, 1, 1, 1, 6, 1, 7, 1, 1, 1, 8, 1, 9, 1, 10, 1, 1),
             ),
             (3, 3, 11, None, Status.INFEASIBLE, 840_836, None),
+            (
+                5, 2, 17, None, Status.OPTIMAL, 204_273,
+                (1, 2, 3, 4, 1, 5, 6, 7, 8, 5, 9, 10, 11, 10, 12, 13, 10, 14, 10, 15, 1, 16, 3, 17, 1),
+            ),
         ],
     )
     def test_blank_cube(self, k, n, target, node_limit, status, nodes, witness):
@@ -1483,21 +1489,23 @@ class TestCompleteNodeCounts:
         # By symbol of the blanked layer (the same along every coordinate)
         # and target: status and nodes at node_limit=1000.
         expected = {
-            (1, 23): (Status.TIMEOUT, 1_000),
+            (1, 23): (Status.OPTIMAL, 29),
             (1, 24): (Status.INFEASIBLE, 114),
-            (2, 23): (Status.OPTIMAL, 161),
+            (2, 23): (Status.OPTIMAL, 28),
             (2, 24): (Status.INFEASIBLE, 8),
-            (3, 23): (Status.OPTIMAL, 145),
+            (3, 23): (Status.OPTIMAL, 28),
             (3, 24): (Status.INFEASIBLE, 21),
         }
 
         # The blanked layer's cells, in index order, of each OPTIMAL refill:
         # one pattern per symbol, with consecutive fresh colors from a base
-        # that depends on the coordinate for symbol 3.
+        # that depends on the coordinate for symbols 1 and 3.
         def fresh_run(spots, base):
             return tuple(base + spots.index(i) if i in spots else 1 for i in range(27))
 
-        refilled = {(t, 2): fresh_run((5, 7, 11, 15, 19, 21, 26), 24) for t in range(1, 5)}
+        refilled = {(t, 2): fresh_run((0, 5, 7, 11, 15, 19, 21), 24) for t in range(1, 5)}
+        for t, base in ((1, 24), (2, 24), (3, 23), (4, 22)):
+            refilled[t, 1] = fresh_run((1, 3, 8, 9, 14, 16, 20, 22, 24), base)
         for t, base in ((1, 18), (2, 23), (3, 24), (4, 24)):
             refilled[t, 3] = fresh_run((2, 4, 6, 10, 12, 18), base)
         total = solved = 0
@@ -1516,7 +1524,44 @@ class TestCompleteNodeCounts:
                         assert cells == refilled[t, symbol]
                     total += out.nodes_explored
                     solved += out.status in (Status.OPTIMAL, Status.INFEASIBLE)
-        assert (total, solved) == (5_796, 20)
+        assert (total, solved) == (912, 24)
+
+    def test_refusals_do_not_depend_on_the_palette(self):
+        """A refusal searches its whole tree, and which subtrees exist does
+        not depend on the candidate order, so renaming the partial's colors
+        leaves every refusal count alone.  Each layer refill to 23 colors
+        stays OPTIMAL within 1,000 nodes under the renamings too."""
+        import random
+
+        from ahj.fixtures import load_fixture
+        from ahj.hypercube import layer
+
+        def renamed(partial, rng):
+            palette = sorted(set(partial.colors) - {0})
+            rename = {0: 0, **dict(zip(palette, rng.sample(palette, len(palette))))}
+            return Coloring(partial.shape, tuple(rename[c] for c in partial.colors))
+
+        fixture = load_fixture("hypercube-rf-23.ahj")
+        refills = []
+        for t in range(1, S34.n + 1):
+            for symbol in range(1, S34.k + 1):
+                blank = layer(S34, t, symbol)
+                refills.append(
+                    Coloring(S34, tuple(0 if i in blank else c for i, c in enumerate(fixture.colors)))
+                )
+        endgames = two_layer_arrangements()
+        refusals = [complete(p, 24).nodes_explored for p in refills]
+        ends = [complete(a, 27).nodes_explored for a in endgames]
+        assert (refusals, ends) == ([114, 8, 21] * 4, [1, 7, 1, 13, 1, 1])
+        rng = random.Random(32)
+        for _ in range(3):
+            images = [renamed(p, rng) for p in refills]
+            for image in images:
+                out = complete(image, 23, SearchConfig(node_limit=1_000))
+                assert out.status is Status.OPTIMAL
+                _assert_completes(image, 23, out.witness)
+            assert [complete(p, 24).nodes_explored for p in images] == refusals
+            assert [complete(renamed(a, rng), 27).nodes_explored for a in endgames] == ends
 
 
 def _reachable_color_counts(partial):
