@@ -786,11 +786,12 @@ class TestUsage:
 class TestClaimBudgets:
     def test_exact_values_stop_at_the_proof_limit(self, capsys, monkeypatch):
         """Claim 1 hands each proof its time limit, so a [3]^3 proof allowed
-        0.05 s stops there and fails the claim instead of running to the end."""
+        0.01 s, under a tenth of what it takes, stops there and fails the
+        claim instead of running to the end."""
         import ahj.repro
 
         rows = [
-            (k, n, value, 0.05 if (k, n) == (3, 3) else limit)
+            (k, n, value, 0.01 if (k, n) == (3, 3) else limit)
             for k, n, value, limit in ahj.repro._EXACT_VALUES
         ]
         monkeypatch.setattr(ahj.repro, "_EXACT_VALUES", tuple(rows))

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ahj.bounds import bounds_table, known_value
 from ahj.coloring import (
     UNASSIGNED,
     Coloring,
@@ -50,6 +51,8 @@ from ahj.search import (
     _bound_reaches,
     _dfs,
     _independent_sets,
+    _layer_cut,
+    _layer_table,
     _orbit_firsts,
     _orbit_leaders,
     _seed_coloring,
@@ -500,11 +503,12 @@ def _reference_settle(state, best):
     merges a forced one's pair.  The fixpoint takes the first live line to
     branch on.
 
-    The bound is not recomputed here: the fixpoint reads it from the
-    state's own maintained packing through `_bound_reaches`, as `_settle`
-    does.  So this reference checks the propagation and the order of its
-    merges, on which the packing's repairs depend; the oracle test in
-    `TestPackingBound` checks the packing's cuts."""
+    The packing bound is not recomputed here: the fixpoint reads it from
+    the state's own maintained packing through `_bound_reaches`, as
+    `_settle` does.  So this reference checks the propagation and the
+    order of its merges, on which the packing's repairs depend; the oracle
+    test in `TestPackingBound` checks the packing's cuts.  The layer cut
+    that follows it is recomputed, by `_reference_layer_cut`."""
     lines = line_index_table(state.shape)
     while True:
         live = [
@@ -524,7 +528,52 @@ def _reference_settle(state, best):
         else:
             if not live:
                 return _SOLVED if state.merge_count < best else _PRUNE
-            return _PRUNE if _bound_reaches(state, best) else live[0]
+            if _bound_reaches(state, best) or _reference_layer_cut(state, best):
+                return _PRUNE
+            return live[0]
+
+
+def _reference_layer_cut(state, best):
+    """The layer cut of `_settle` from its definition, through `same`,
+    `blocked` and the labels of `to_coloring` only.  It is tried for
+    n >= 3 when `known_value` gives ah(k, n-1), with cap = ah(k, n-1) - 1,
+    and the incumbent's point_count - best colors are at least
+    k * cap - (k - 1).  Per coordinate, each class meets the layers of its
+    points' symbols there; r_d counts the classes meeting layer d, and Q
+    takes the classes meeting m >= 2 layers, by (m - 1, root) descending,
+    each one kept apart from all taken before it.  The node is cut when
+    point_count - (sum_d min(cap, r_d) - sum_Q (m - 1)) reaches `best` for
+    some coordinate."""
+    shape = state.shape
+    known = known_value(shape.k, shape.n - 1) if shape.n >= 3 else None
+    if known is None:
+        return False
+    cap = known.upper - 1
+    if shape.point_count - best < shape.k * cap - (shape.k - 1):
+        return False
+    classes = []
+    for x in range(shape.point_count):
+        for points in classes:
+            if state.same(points[0], x):
+                points.append(x)
+                break
+        else:
+            classes.append([x])
+    roots = state.to_coloring().colors
+    for t in range(shape.n):
+        met = [{point_from_index(x, shape).coords[t] for x in points} for points in classes]
+        counts = [sum(d in symbols for symbols in met) for d in range(1, shape.k + 1)]
+        chosen = []
+        for extra, _, points in sorted(
+            ((len(symbols) - 1, roots[points[0]], points) for symbols, points in zip(met, classes)),
+            reverse=True,
+        ):
+            if extra and all(state.blocked(points[0], other[0]) for _, other in chosen):
+                chosen.append((extra, points))
+        most = sum(min(cap, r) for r in counts) - sum(extra for extra, _ in chosen)
+        if shape.point_count - most >= best:
+            return True
+    return False
 
 
 def _blocks(state):
@@ -783,10 +832,10 @@ class TestPackingBound:
             level = now
 
     def test_bound_matches_reference(self, monkeypatch):
-        """Every bound test of a [3]^3 search capped at 20,000 nodes gives
-        the answer of the two-walk reference, run first from the same
-        state, and leaves the same packing: the greedy refill in line
-        order, which a swap found does not change."""
+        """Every bound test of the full [3]^3 proof gives the answer of the
+        two-walk reference, run first from the same state, and leaves the
+        same packing: the greedy refill in line order, which a swap found
+        does not change."""
         checked = []
 
         def against_reference(state, best):
@@ -798,8 +847,9 @@ class TestPackingBound:
             return expected[0]
 
         monkeypatch.setattr("ahj.search._bound_reaches", against_reference)
-        outcome = max_rf_colors(S33, SearchConfig(node_limit=20_000))
-        assert outcome.nodes_explored == 20_000
+        outcome = max_rf_colors(S33)
+        assert (outcome.status, outcome.best_value) == (Status.OPTIMAL, 10)
+        assert outcome.nodes_explored == 6_827
         assert checked
 
     def test_swap_found_leaves_the_refill(self, monkeypatch):
@@ -824,6 +874,139 @@ class TestPackingBound:
         outcome = max_rf_colors(CubeShape(4, 2))
         assert (outcome.best_value, outcome.nodes_explored) == (10, 648)
         assert swaps
+
+
+def _forbidden_pairs(state):
+    """Point pairs whose classes `state` keeps apart, one pair per forbid
+    entry: x with each point of `_incompat[x]`, which covers every
+    kept-apart pair of classes."""
+    return [
+        (x, y)
+        for x, points in enumerate(state._incompat)
+        for y in range(state.shape.point_count)
+        if points >> y & 1
+    ]
+
+
+class TestLayerCut:
+    """The layer-cap cut that `_settle` tries after the packing bound."""
+
+    @given(_settle_runs((S33,)))
+    @settings(max_examples=1000, deadline=None)
+    def test_cut_is_admissible(self, run):
+        """On each settled [3]^3 state of a run, the largest `best` at which
+        the cut fires is checked against the partition oracle when the
+        state is deep enough for the oracle, at most 8 merges short of it:
+        no rainbow-free partition that coarsens the state's classes and
+        keeps its exclusions apart has fewer than `best` merges.  The cut
+        fires at every smaller `best` too, where the oracle's answer
+        follows."""
+        shape, steps = run
+        state = MergeState(shape)
+        for tag, a, b in steps:
+            if tag == "settle":
+                if _settle(state, state.merge_count + a) < 0:
+                    return
+                fires = [
+                    best
+                    for best in range(state.merge_count + 1, shape.point_count)
+                    if _layer_cut(state, best)
+                ]
+                if fires and fires[-1] - state.merge_count <= 8:
+                    labels, forbidden = tuple(state.label), _forbidden_pairs(state)
+                    assert _fewest_merges(shape, labels, forbidden, fires[-1]) is None, steps
+            elif state.same(a, b):
+                continue
+            elif tag == "forbid":
+                state.forbid(a, b)
+            elif not state.blocked(a, b):
+                state.merge(a, b)
+
+    def test_cuts_of_the_proof_are_admissible(self, monkeypatch):
+        """The cuts that the full [3]^3 proof makes, on the states it meets:
+        each one at most 5 merges short of its `best`, and every tenth one 6
+        short, is checked against the partition oracle as above."""
+        fired = []
+
+        def recording(state, best):
+            cut = _layer_cut(state, best)
+            short = best - state.merge_count
+            if cut and short <= 6:
+                fired.append((short, tuple(state.label), _forbidden_pairs(state), best))
+            return cut
+
+        monkeypatch.setattr("ahj.search._layer_cut", recording)
+        assert max_rf_colors(S33).nodes_explored == 6_827
+        near = [run for run in fired if run[0] <= 5]
+        assert near
+        for _, labels, forbidden, best in near + [run for run in fired if run[0] == 6][::10]:
+            assert _fewest_merges(S33, labels, forbidden, best) is None
+
+    def test_one_class_across_three_layers_closes_a_gap_of_two(self):
+        """Fresh, each layer along a coordinate meets 9 classes, capped at
+        4, so a completion has at most 12 classes by this count, 2 more
+        than the 10 an incumbent of 17 merges leaves.  A class across two
+        layers along coordinate 1, 111 and 211, takes off 1; with 311 it
+        meets all three and takes off 2, and the node is cut."""
+        state = MergeState(S33)
+        assert not _layer_cut(state, 17)
+        state.merge(0, 9)
+        assert not _layer_cut(state, 17)
+        state.merge(0, 18)
+        assert _layer_cut(state, 17)
+        assert _settle(state, 17) == _PRUNE
+
+    def test_spanning_classes_count_once_unless_kept_apart(self):
+        """Two classes across two layers along coordinate 1, {111, 211} and
+        {112, 212}, may still merge into one, which then takes off 1 only,
+        so the greedy set Q holds one of them.  Kept apart, they end in
+        two final classes, take off 2, and the node is cut."""
+        state = MergeState(S33)
+        state.merge(0, 9)
+        state.merge(1, 10)
+        assert not _layer_cut(state, 17)
+        assert _settle(state.copy(), 17) >= 0
+        state.forbid(0, 1)
+        assert _layer_cut(state, 17)
+        assert _settle(state, 17) == _PRUNE
+
+    def test_caps_are_values_the_package_proves(self):
+        """Every cap the search reads for k, n <= 8 is ah(k, n-1) - 1 for a
+        value the package proves itself: claim 1 and the oracle of claim 3
+        prove [3]^2 and [3]^3, and the search proves [2]^m.  The only other
+        cap, [3]^5's 26, is the paper's ah(3, 4) <= 27; the cut opens for
+        it only at an incumbent of 3 * 26 - 2 = 76 colors, which the bounds
+        table already makes the most [3]^5 can hold.  So a wrong row of
+        `known_value` fails here before it can shape a proof."""
+        tables = {(k, n): _layer_table(CubeShape(k, n)) for k in range(2, 9) for n in range(1, 9)}
+        assert {kn: table[0] for kn, table in tables.items() if table is not None} == {
+            **{(2, n): 1 for n in range(3, 9)},
+            (3, 3): 4,
+            (3, 4): 10,
+            (3, 5): 26,
+        }
+        assert max_rf_colors(S32).best_value == naive_max_rf_colors(S32) == 4
+        proof = max_rf_colors(S33)
+        assert (proof.status, proof.best_value) == (Status.OPTIMAL, 10)
+        for m in range(2, 8):
+            assert max_rf_colors(CubeShape(2, m)).best_value == 1
+        assert naive_max_rf_colors(CubeShape(2, 2)) == naive_max_rf_colors(CubeShape(2, 3)) == 1
+        assert bounds_table(3, 5).rows[4].upper - 1 == 3 * 26 - 2
+
+    def test_gate_skips_a_wide_gap(self):
+        """Three pairwise kept-apart classes across all three layers along
+        coordinate 1 leave at most 12 - 6 = 6 classes by this count.  That
+        cuts at an incumbent of 17 merges, 10 colors, 2 short of k * cap =
+        12.  At 18 merges the count would cut as well, but 9 colors are 3
+        short of 12, more than k - 1, so the cut is not tried."""
+        state = MergeState(S33)
+        for x in (0, 1, 2):
+            state.merge(x, x + 9)
+            state.merge(x, x + 18)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            state.forbid(a, b)
+        assert _layer_cut(state, 17)
+        assert not _layer_cut(state, 18)
 
 
 class TestMaxRfColors:
