@@ -845,12 +845,14 @@ def _line_cover_masks(shape: CubeShape) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _layer_table(shape: CubeShape) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
-    """The cap of `_layer_cut`, the most colors a layer of `shape` holds:
-    ah(k, n-1) - 1, read from `bounds.known_value`; and, per coordinate,
-    the point masks of its k layers.  None when n < 3 or the value is not
-    known."""
+    """The cap of `_layer_cut` and of `complete`, the most colors a layer
+    of `shape` holds: ah(k, n-1) - 1, read from `bounds.known_value`; and,
+    per coordinate, the point masks of its k layers.  None when n < 3 or
+    the value is not known exactly: every cap is then a value the package
+    proves itself (`[3]^2`, `[3]^3` and `[2]^m`), and the paper's interval
+    for ah(3, 4) gives `[3]^5` none."""
     known = known_value(shape.k, shape.n - 1) if shape.n > 2 else None
-    if known is None:
+    if known is None or known.lower != known.upper:
         return None
     return known.upper - 1, tuple(
         tuple(sum(1 << p for p in layer(shape, t, d)) for d in range(1, shape.k + 1))
@@ -1071,11 +1073,11 @@ def find_forced_cell(partial: Coloring) -> ForcedCell | None:
     return _forced_cell(shape, colors, pin_lines, pinned_bits)
 
 
-def _allowance(colors, lines, cell, pinning, witnesses=None) -> set[int] | None:
+def _allowance(colors, lines, cell, pinning, witnesses) -> set[int] | None:
     """The colors that the lines of the mask `pinning`, which pin `cell`,
     allow it: each line's other colors, intersected in line order until the
     set is empty.  Each line that shrinks the set, the first included, has
-    its index appended to `witnesses` if a list is given."""
+    its index appended to the list `witnesses`."""
     allowance = None
     while pinning:
         li = (pinning & -pinning).bit_length() - 1
@@ -1083,8 +1085,7 @@ def _allowance(colors, lines, cell, pinning, witnesses=None) -> set[int] | None:
         allowed = {colors[i] for i in lines[li] if i != cell}
         if allowance is None or not allowance <= allowed:
             allowance = allowed if allowance is None else allowance & allowed
-            if witnesses is not None:
-                witnesses.append(li)
+            witnesses.append(li)
             if not allowance:
                 break
     return allowance
@@ -1144,11 +1145,35 @@ def complete(
     status is that of the pin-only bound, reached in at most as many
     nodes.
 
+    For n >= 3 a second cut reads the layers.  Each layer of a
+    rainbow-free coloring of [k]^n, the cells with one coordinate fixed,
+    is a rainbow-free coloring of [k]^(n-1), so it holds at most cap =
+    ah(k, n-1) - 1 colors; the cap comes from the exact rows of
+    `bounds.known_value` through `_layer_table`, and the package proves
+    each of them (`[3]^2` by this search with no cap, since n = 2 has
+    none).  Fix a coordinate, and let a_d count the colors assigned in
+    its layer d and o_d the layer's open cells.  Assigned colors never
+    change, so each color a completion adds is new to every layer it
+    lies in, and the colors it adds to layer d number at most
+    min(cap - a_d, o_d).  So no completion has more than
+    `len(used) + sum_d min(cap - a_d, o_d)` colors, and a node is cut when
+    that is below `total_colors` for some coordinate (`_layers_refuse`).
+    A fresh color raises `len(used)` by one and lowers the term of its
+    cell's layer by one along each coordinate, so a child reached by a
+    fresh color has its parent's bound and skips the test.  The cut, too,
+    removes only subtrees without a completion and reads only the node's
+    own state, so it keeps every decided status, witness and certificate,
+    and refusals still do not depend on the candidate order.
+
     The line state is the bitmasks of `_deficient_lines`.  Assigning a cell
     updates only the deficient lines through it, and each child receives
     its own masks.  A pinned cell's candidates are the colors its pinning
-    lines share, read by `_allowance` as `find_forced_cell` reads them;
-    any other cell takes one fresh color and every used color.  The
+    lines share, the set `_allowance` reads for `find_forced_cell`.  The
+    search keeps it per open cell as a mask of color ranks: a node that
+    expands narrows it by the lines that became pin lines in its parent,
+    and restores it when it returns.  Any other cell takes one fresh color
+    and every used color.  Each layer's assigned colors are a mask too,
+    set as a cell is assigned and restored as it is freed.  The
     certificate of an INFEASIBLE result is the partial's first rainbow
     line, else the cell of `find_forced_cell`, read from the pin masks the
     search starts from; it is None when neither exists.
@@ -1184,33 +1209,50 @@ def _fill(
     # li and through[cell] the lines through cell, as bits li.
     open_bits = sum(1 << i for i, c in enumerate(colors) if c == 0)
     counts = Counter(c for c in colors if c)
-    used = set(counts)
-    if len(used) > total_colors or len(used) + open_bits.bit_count() < total_colors:
+    if len(counts) > total_colors or len(counts) + open_bits.bit_count() < total_colors:
         return None, None
     if not open_bits:
         return tuple(colors), None
 
-    # A cell adds a color to `used` only by taking the fresh one, so
-    # `fresh_base + len(used)` is one above every color used so far.
-    fresh_base = max(used, default=0) + 1 - len(used)
-    # The succeed-first rank of every color the search can try (`complete`).
+    # The succeed-first rank of every color the search can try (`complete`):
+    # the partial's colors, then the fresh ones in the order they come in,
+    # so the colors used are always the first `used` of `ranked`.  A set of
+    # colors is a mask of bits 1 << rank; `bit[0]`, an unassigned cell, is 0.
     ranked = sorted(counts, key=lambda c: (-counts[c], c))
-    ranked += range(fresh_base + len(used), fresh_base + total_colors)
-    rank = {c: i for i, c in enumerate(ranked)}.__getitem__
+    top = max(counts, default=0)
+    ranked += range(top + 1, top + 1 + total_colors - len(counts))
+    bit = {0: 0} | {c: 1 << i for i, c in enumerate(ranked)}
     line_bits = _line_bits(shape)
     through = _line_masks_by_point(shape)
     line_colors = _line_getters(shape)
+    # allow[cell], for an open cell, is the mask of the colors that its pin
+    # lines share, all colors (-1) when none pins it (`complete`).
+    allow = [-1] * shape.point_count
+    # present[t][d] is the mask of the colors assigned in layer d along
+    # coordinate t; it is empty, as is the cap, when no cap is known.
+    cap, layer_masks = _layer_table(shape) or (0, ())
+    k, weights = shape.k, shape.weights
+    present = [[0] * k for _ in layer_masks]
+    for cell, c in enumerate(colors):
+        for row, w in zip(present, weights):
+            row[cell // w % k] |= bit[c]
 
-    def dfs(open_bits: int, pin_lines: int, wide_lines: int, pinned_bits: int):
-        """The completion below the node with these masks, or None."""
+    def dfs(open_bits, pin_lines, wide_lines, pinned_bits, new_pins, used, fresh):
+        """The completion below the node with these masks, the first `used`
+        colors of `ranked` used and `fresh` set when its cell took a fresh
+        color, or None.  `new_pins` holds the pin lines not yet in `allow`."""
         if not budget.tick():
             return None
         # Each packed deficient line keeps one unassigned cell from adding
         # a color; the pinned cells are the packed one-cell lines.  The
         # wide lines are then packed greedily in line order.
-        room = len(used) + open_bits.bit_count() - pinned_bits.bit_count() - total_colors
+        room = used + open_bits.bit_count() - pinned_bits.bit_count() - total_colors
         if room < 0:
             return None
+        # The layer cap (`complete`), which a fresh color leaves as it was.
+        if present and not fresh:
+            if _layers_refuse(open_bits, present, cap, layer_masks, total_colors - used):
+                return None
         if wide_lines.bit_count() > room:
             covered = pinned_bits
             rest = wide_lines
@@ -1224,32 +1266,45 @@ def _fill(
                     if room < 0:
                         return None
         if not open_bits:
-            return tuple(colors) if len(used) == total_colors else None
+            return tuple(colors) if used == total_colors else None
+
+        # The pin lines new in the parent narrow their cells' allowances
+        # until this node returns; a node cut above skips that work.
+        narrowed = []
+        while new_pins:
+            li = (new_pins & -new_pins).bit_length() - 1
+            new_pins &= new_pins - 1
+            line = line_colors[li](colors)
+            other = lines[li][line.index(0)]
+            narrowed.append((other, allow[other]))
+            allow[other] &= sum(map(bit.__getitem__, line))
 
         # The most constrained open cell: the first with the fewest
         # candidates.  A pinned cell allows only used colors, any other cell
         # every used color and a fresh one, so only a pinned cell can have
         # fewer than the first open cell.  That one is counted one over when
         # pinned, so that the scan of the pinned cells takes it.  A pinned
-        # cell that allows no color is a dead node.
-        fresh_room = len(used) < total_colors
+        # cell that allows no color is taken with none: the node is dead.
+        fresh_room = used < total_colors
         cell = (open_bits & -open_bits).bit_length() - 1
-        fewest = len(used) + fresh_room + (pinned_bits >> cell & 1)
-        allowance = None
+        fewest = used + fresh_room + (pinned_bits >> cell & 1)
+        allowance = 0
         rest = pinned_bits if fewest > 1 else 0
         while rest:
             other = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            allowed = _allowance(colors, lines, other, pin_lines & through[other])
-            if not allowed:
-                return None
-            if len(allowed) < fewest:
-                cell, allowance, fewest = other, allowed, len(allowed)
+            allowed = allow[other]
+            if allowed.bit_count() < fewest:
+                cell, allowance, fewest = other, allowed, allowed.bit_count()
                 if fewest <= 1:
                     break
-        candidates = sorted(used if allowance is None else allowance, key=rank)
-        if allowance is None and fresh_room:
-            candidates.insert(0, fresh_base + len(used))
+        candidates = []
+        if fewest and not allowance:
+            candidates = ranked[used : used + fresh_room] + ranked[:used]
+        while allowance:
+            low = allowance & -allowance
+            allowance ^= low
+            candidates.append(ranked[low.bit_length() - 1])
 
         # The children's masks.  Only lines through the cell change: those
         # pinning it are done, and a wide one stops being deficient if the
@@ -1257,8 +1312,14 @@ def _fill(
         open_bits ^= 1 << cell
         pinned_bits &= ~(1 << cell)
         pin_lines &= ~through[cell]
+        if present:
+            slots = [(row, d, row[d]) for row, d in zip(present, (cell // w % k for w in weights))]
         for value in candidates:
             colors[cell] = value
+            added = bit[value] >> used
+            if present:
+                for row, d, seen in slots:
+                    row[d] = seen | bit[value]
             wide, pins, pinned = wide_lines, pin_lines, pinned_bits
             rest = wide_lines & through[cell]
             while rest:
@@ -1273,23 +1334,40 @@ def _fill(
                     wide ^= low
                     pins |= low
                     pinned |= cells
-            added = value not in used
-            if added:
-                used.add(value)
-            found = dfs(open_bits, pins, wide, pinned)
+            found = dfs(open_bits, pins, wide, pinned, pins ^ pin_lines, used + added, added)
             if found is not None:
                 return found
-            if added:
-                used.discard(value)
             if budget.exhausted:
                 break
+        if present:
+            for row, d, seen in slots:
+                row[d] = seen
+        for other, mask in reversed(narrowed):
+            allow[other] = mask
         colors[cell] = 0
         return None
 
-    found = dfs(open_bits, pin_lines, wide_lines, pinned_bits)
+    found = dfs(open_bits, pin_lines, wide_lines, pinned_bits, pin_lines, len(counts), 0)
     if found is not None or budget.exhausted:
         return found, None
     return None, _forced_cell(shape, partial.colors, pin_lines, pinned_bits)
+
+
+def _layers_refuse(open_bits: int, present, cap: int, layer_masks, wanted: int) -> bool:
+    """Whether the layer cap of `complete` leaves the open cells of
+    `open_bits` fewer than `wanted` colors to add: for some coordinate t,
+    the sum over its layers d of min(cap - a_d, o_d) is less, with a_d the
+    colors of the mask present[t][d] and o_d the open cells in the mask
+    layer_masks[t][d]."""
+    for masks, row in zip(layer_masks, present):
+        most = 0
+        for mask, seen in zip(masks, row):
+            free = (open_bits & mask).bit_count()
+            left = cap - seen.bit_count()
+            most += free if free < left else left
+        if most < wanted:
+            return True
+    return False
 
 
 def two_layer_arrangements() -> list[Coloring]:

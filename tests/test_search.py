@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ahj.bounds import bounds_table, known_value
+from ahj.bounds import known_value
 from ahj.coloring import (
     UNASSIGNED,
     Coloring,
@@ -19,7 +19,7 @@ from ahj.coloring import (
     is_rainbow_free,
     orbit_canonical_form,
 )
-from ahj.constructions import singleton_set_coloring
+from ahj.constructions import digit_position_coloring, singleton_set_coloring
 from ahj.hypercube import (
     CubeShape,
     automorphism_index_maps,
@@ -53,6 +53,7 @@ from ahj.search import (
     _independent_sets,
     _layer_cut,
     _layer_table,
+    _layers_refuse,
     _orbit_firsts,
     _orbit_leaders,
     _seed_coloring,
@@ -536,17 +537,17 @@ def _reference_settle(state, best):
 def _reference_layer_cut(state, best):
     """The layer cut of `_settle` from its definition, through `same`,
     `blocked` and the labels of `to_coloring` only.  It is tried for
-    n >= 3 when `known_value` gives ah(k, n-1), with cap = ah(k, n-1) - 1,
-    and the incumbent's point_count - best colors are at least
-    k * cap - (k - 1).  Per coordinate, each class meets the layers of its
-    points' symbols there; r_d counts the classes meeting layer d, and Q
-    takes the classes meeting m >= 2 layers, by (m - 1, root) descending,
-    each one kept apart from all taken before it.  The node is cut when
-    point_count - (sum_d min(cap, r_d) - sum_Q (m - 1)) reaches `best` for
-    some coordinate."""
+    n >= 3 when `known_value` gives ah(k, n-1) exactly, with cap =
+    ah(k, n-1) - 1, and the incumbent's point_count - best colors are at
+    least k * cap - (k - 1).  Per coordinate, each class meets the layers
+    of its points' symbols there; r_d counts the classes meeting layer d,
+    and Q takes the classes meeting m >= 2 layers, by (m - 1, root)
+    descending, each one kept apart from all taken before it.  The node is
+    cut when point_count - (sum_d min(cap, r_d) - sum_Q (m - 1)) reaches
+    `best` for some coordinate."""
     shape = state.shape
     known = known_value(shape.k, shape.n - 1) if shape.n >= 3 else None
-    if known is None:
+    if known is None or known.lower != known.upper:
         return False
     cap = known.upper - 1
     if shape.point_count - best < shape.k * cap - (shape.k - 1):
@@ -888,33 +889,78 @@ def _forbidden_pairs(state):
     ]
 
 
+# A rainbow-free 10-coloring of [3]^3, the blank cube's completion: one
+# class of 18 points and nine singletons.
+TEN_COLORS_33 = (1, 2, 1, 3, 1, 1, 1, 1, 4, 5, 1, 1, 1, 1, 6, 1, 7, 1, 1, 1, 8, 1, 9, 1, 10, 1, 1)
+
+
+@st.composite
+def _deep_runs(draw):
+    """Merge, forbid and settle steps on [3]^3 inside a rainbow-free
+    partition P: an automorphism image of `TEN_COLORS_33` with up to four
+    pairs of its colors joined.  A merge joins two points of one class of
+    P and a forbid keeps two classes of P apart, so P stays a completion
+    of every state: a settle at one above P's merges may neither find a
+    state dead nor cut it, and the runs go as deep as P's classes allow.
+    Returns P's merges and the steps, whose pair steps have the form of
+    `_settle_runs`'s and whose settle steps carry nothing."""
+    maps = automorphism_index_maps(S33)
+    image = maps[draw(st.integers(0, len(maps) - 1))]
+    color = list(range(11))
+    for a, b in draw(st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)), max_size=4)):
+        color = [color[b] if c == color[a] else c for c in color]
+    part = [0] * S33.point_count
+    for x, y in enumerate(image):
+        part[y] = color[TEN_COLORS_33[x]]
+    steps = []
+    for kind, a, b in draw(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 26), st.integers(0, 26)),
+            min_size=30,
+            max_size=60,
+        )
+    ):
+        if kind < 2:
+            steps.append(("settle", 0, 0))
+        elif kind < 4:
+            if part[a] != part[b]:
+                steps.append(("forbid", a, b))
+        else:
+            mates = [x for x, c in enumerate(part) if c == part[a]]
+            steps.append(("merge", a, mates[b % len(mates)]))
+    return S33.point_count - len(set(part)), steps + [("settle", 0, 0)]
+
+
 class TestLayerCut:
     """The layer-cap cut that `_settle` tries after the packing bound."""
 
-    @given(_settle_runs((S33,)))
-    @settings(max_examples=1000, deadline=None)
+    @given(_deep_runs())
+    @settings(max_examples=200, deadline=None)
     def test_cut_is_admissible(self, run):
-        """On each settled [3]^3 state of a run, the largest `best` at which
-        the cut fires is checked against the partition oracle when the
-        state is deep enough for the oracle, at most 8 merges short of it:
-        no rainbow-free partition that coarsens the state's classes and
-        keeps its exclusions apart has fewer than `best` merges.  The cut
-        fires at every smaller `best` too, where the oracle's answer
-        follows."""
-        shape, steps = run
-        state = MergeState(shape)
+        """Each settle of a run settles the [3]^3 state at one above the
+        merges of the partition P that the run stays inside, which neither
+        cuts nor kills it.  Then the cut may fire at no `best` above P's
+        merges, and the largest `best` at which it fires is checked against
+        the partition oracle when the state is deep enough for the oracle,
+        at most 4 merges short of it (at 5 to 8 short one state may take
+        it seconds): no rainbow-free partition that coarsens the state's
+        classes and keeps its exclusions apart has fewer than `best`
+        merges.  The cut fires at every smaller `best` too, where the
+        oracle's answer follows."""
+        merges, steps = run
+        state = MergeState(S33)
         for tag, a, b in steps:
             if tag == "settle":
-                if _settle(state, state.merge_count + a) < 0:
-                    return
+                assert _settle(state, merges + 1) >= _SOLVED
                 fires = [
                     best
-                    for best in range(state.merge_count + 1, shape.point_count)
+                    for best in range(state.merge_count + 1, S33.point_count)
                     if _layer_cut(state, best)
                 ]
-                if fires and fires[-1] - state.merge_count <= 8:
+                assert not fires or fires[-1] <= merges
+                if fires and fires[-1] - state.merge_count <= 4:
                     labels, forbidden = tuple(state.label), _forbidden_pairs(state)
-                    assert _fewest_merges(shape, labels, forbidden, fires[-1]) is None, steps
+                    assert _fewest_merges(S33, labels, forbidden, fires[-1]) is None, steps
             elif state.same(a, b):
                 continue
             elif tag == "forbid":
@@ -971,27 +1017,29 @@ class TestLayerCut:
         assert _settle(state, 17) == _PRUNE
 
     def test_caps_are_values_the_package_proves(self):
-        """Every cap the search reads for k, n <= 8 is ah(k, n-1) - 1 for a
+        """Every cap the searches read for k, n <= 8 is ah(k, n-1) - 1 for a
         value the package proves itself: claim 1 and the oracle of claim 3
-        prove [3]^2 and [3]^3, and the search proves [2]^m.  The only other
-        cap, [3]^5's 26, is the paper's ah(3, 4) <= 27; the cut opens for
-        it only at an incumbent of 3 * 26 - 2 = 76 colors, which the bounds
-        table already makes the most [3]^5 can hold.  So a wrong row of
-        `known_value` fails here before it can shape a proof."""
+        prove [3]^2 and [3]^3, and the search proves [2]^m.  `complete()`
+        proves [3]^2 too, with no cap, since n = 2 has none: it refuses the
+        blank [3]^2 at 5 colors, which backs the cap 4 that its own [3]^3
+        trees read.  Only exact rows of `known_value` give a cap, so the
+        paper's 24 <= ah(3, 4) <= 27 gives [3]^5 none, and a wrong row
+        fails here before it can shape a proof."""
         tables = {(k, n): _layer_table(CubeShape(k, n)) for k in range(2, 9) for n in range(1, 9)}
         assert {kn: table[0] for kn, table in tables.items() if table is not None} == {
             **{(2, n): 1 for n in range(3, 9)},
             (3, 3): 4,
             (3, 4): 10,
-            (3, 5): 26,
         }
         assert max_rf_colors(S32).best_value == naive_max_rf_colors(S32) == 4
+        refusal = complete(Coloring(S32, (0,) * 9), 5)
+        assert (refusal.status, refusal.nodes_explored) == (Status.INFEASIBLE, 71)
         proof = max_rf_colors(S33)
         assert (proof.status, proof.best_value) == (Status.OPTIMAL, 10)
         for m in range(2, 8):
             assert max_rf_colors(CubeShape(2, m)).best_value == 1
         assert naive_max_rf_colors(CubeShape(2, 2)) == naive_max_rf_colors(CubeShape(2, 3)) == 1
-        assert bounds_table(3, 5).rows[4].upper - 1 == 3 * 26 - 2
+        assert known_value(3, 4).lower < known_value(3, 4).upper
 
     def test_gate_skips_a_wide_gap(self):
         """Three pairwise kept-apart classes across all three layers along
@@ -1619,14 +1667,20 @@ class TestCompleteNodeCounts:
                 (1, 2, 3, 1, 4, 5, 5, 6, 7, 5, 5, 8, 1, 9, 10, 1),
             ),
             (3, 3, 9, 5_000, Status.TIMEOUT, 5_000, None),
-            (3, 3, 10, 5_000, Status.TIMEOUT, 5_000, None),
-            (4, 2, 11, 5_000, Status.TIMEOUT, 5_000, None),
-            # ah(3, 3) = 11 by a second engine, independent of max_rf_colors.
             (
-                3, 3, 10, None, Status.OPTIMAL, 92_082,
+                3, 3, 10, 5_000, Status.OPTIMAL, 266,
                 (1, 2, 1, 3, 1, 1, 1, 1, 4, 5, 1, 1, 1, 1, 6, 1, 7, 1, 1, 1, 8, 1, 9, 1, 10, 1, 1),
             ),
-            (3, 3, 11, None, Status.INFEASIBLE, 840_836, None),
+            (4, 2, 11, 5_000, Status.TIMEOUT, 5_000, None),
+            # ah(3, 3) = 11 by a second engine, independent of max_rf_colors:
+            # the refusal of the blank [3]^2 at 5 colors above (71 nodes, with
+            # no layer cap at n = 2) proves ah(3, 2) = 5, which backs the cap
+            # of 4 colors a layer that cuts these two trees.
+            (
+                3, 3, 10, None, Status.OPTIMAL, 266,
+                (1, 2, 1, 3, 1, 1, 1, 1, 4, 5, 1, 1, 1, 1, 6, 1, 7, 1, 1, 1, 8, 1, 9, 1, 10, 1, 1),
+            ),
+            (3, 3, 11, None, Status.INFEASIBLE, 81, None),
             (
                 5, 2, 17, None, Status.OPTIMAL, 204_273,
                 (1, 2, 3, 4, 1, 5, 6, 7, 8, 5, 9, 10, 11, 10, 12, 13, 10, 14, 10, 15, 1, 16, 3, 17, 1),
@@ -1673,7 +1727,7 @@ class TestCompleteNodeCounts:
         # and target: status and nodes at node_limit=1000.
         expected = {
             (1, 23): (Status.OPTIMAL, 29),
-            (1, 24): (Status.INFEASIBLE, 114),
+            (1, 24): (Status.INFEASIBLE, 2),
             (2, 23): (Status.OPTIMAL, 28),
             (2, 24): (Status.INFEASIBLE, 8),
             (3, 23): (Status.OPTIMAL, 28),
@@ -1707,7 +1761,7 @@ class TestCompleteNodeCounts:
                         assert cells == refilled[t, symbol]
                     total += out.nodes_explored
                     solved += out.status in (Status.OPTIMAL, Status.INFEASIBLE)
-        assert (total, solved) == (912, 24)
+        assert (total, solved) == (464, 24)
 
     def test_refusals_do_not_depend_on_the_palette(self):
         """A refusal searches its whole tree, and which subtrees exist does
@@ -1735,7 +1789,7 @@ class TestCompleteNodeCounts:
         endgames = two_layer_arrangements()
         refusals = [complete(p, 24).nodes_explored for p in refills]
         ends = [complete(a, 27).nodes_explored for a in endgames]
-        assert (refusals, ends) == ([114, 8, 21] * 4, [1, 7, 1, 13, 1, 1])
+        assert (refusals, ends) == ([2, 8, 21] * 4, [1, 7, 1, 13, 1, 1])
         rng = random.Random(32)
         for _ in range(3):
             images = [renamed(p, rng) for p in refills]
@@ -1787,7 +1841,80 @@ def _reachable_color_counts(partial):
     return reached
 
 
+def _check_against_oracle(partial, monkeypatch):
+    """complete() on `partial` at every target from 1 to one above the
+    most colors the counts allow, against `_reachable_color_counts`, with
+    the layer cut and with `_layer_table` giving no cap.  Both runs have
+    the oracle's status, the same witness and certificate, and the cut
+    never adds a node.  Returns how many times the cut refused a node."""
+    reachable = _reachable_color_counts(partial)
+    top = len(set(partial.colors) - {0}) + partial.colors.count(0)
+    refusals = []
+
+    def recording(*args):
+        refusals.append(_layers_refuse(*args))
+        return refusals[-1]
+
+    for target in range(1, top + 2):
+        with monkeypatch.context() as patch:
+            patch.setattr("ahj.search._layers_refuse", recording)
+            out = complete(partial, target)
+            patch.setattr("ahj.search._layer_table", lambda shape: None)
+            plain = complete(partial, target)
+        status = Status.OPTIMAL if target in reachable else Status.INFEASIBLE
+        assert (out.status, plain.status) == (status, status), (partial.colors, target)
+        assert (out.witness, out.certificate) == (plain.witness, plain.certificate)
+        assert out.nodes_explored <= plain.nodes_explored
+        if out.witness is not None:
+            _assert_completes(partial, target, out.witness)
+    return sum(refusals)
+
+
 class TestCompleteOracle:
+    def test_matches_brute_force_on_cubes_with_the_cut(self, monkeypatch):
+        """Partials of [3]^3, where each layer holds at most 4 colors:
+        automorphism images of three rainbow-free colorings, with up to
+        two pairs of colors joined and 1 to 5 cells blanked.  So few open
+        cells leave the pins little room, and the cut fires at a few nodes
+        only."""
+        import random
+
+        bases = [
+            TEN_COLORS_33,
+            digit_position_coloring(S33).colors,
+            enumerate_minimal_rf(S33, 6)[0].colors,
+        ]
+        rng = random.Random(34)
+        maps = automorphism_index_maps(S33)
+        fired = 0
+        for _ in range(150):
+            base, image = rng.choice(bases), maps[rng.randrange(len(maps))]
+            cells = [0] * S33.point_count
+            for x, y in enumerate(image):
+                cells[y] = base[x]
+            for _ in range(rng.randint(0, 2)):
+                a, b = rng.sample(sorted(set(cells)), 2)
+                cells = [a if c == b else c for c in cells]
+            for i in rng.sample(range(S33.point_count), rng.randint(1, 5)):
+                cells[i] = 0
+            fired += _check_against_oracle(Coloring(S33, tuple(cells)), monkeypatch)
+        assert fired > 0
+
+    def test_matches_brute_force_on_binary_cubes_with_the_cut(self, monkeypatch):
+        """Partials of [2]^3, where each layer holds one color, rainbow
+        lines included."""
+        import random
+
+        shape = CubeShape(2, 3)
+        rng = random.Random(23)
+        fired = 0
+        for _ in range(60):
+            cells = [rng.choice((1, 1, 1, 2)) for _ in range(shape.point_count)]
+            for i in rng.sample(range(shape.point_count), rng.randint(1, 6)):
+                cells[i] = 0
+            fired += _check_against_oracle(Coloring(shape, tuple(cells)), monkeypatch)
+        assert fired > 0
+
     def test_matches_brute_force_on_small_squares(self):
         import random
 
