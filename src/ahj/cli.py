@@ -37,7 +37,7 @@ from .constructions import (
     singleton_set_coloring,
     stack_recursive,
 )
-from .hypercube import CubeShape, ShapeError, enumerate_lines, line_count
+from .hypercube import CubeShape, ShapeError, enumerate_lines, line_count, point_name
 from .search import (
     ForcedCell,
     SearchConfig,
@@ -242,7 +242,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
     # Only an INFEASIBLE outcome carries a certificate.
     cert = outcome.certificate
     if isinstance(cert, ForcedCell):
-        body += [("forced_cell", cert.point)]
+        body += [("forced_cell", point_name(cert.point, partial.shape))]
         body += [("witness_line", witness) for witness in cert.witnesses]
     elif cert is not None:
         body += [("rainbow_line", cert)]

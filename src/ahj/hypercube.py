@@ -1,10 +1,12 @@
 """Combinatorics of the hypercube [k]^n.
 
-Points are n-vectors with entries in 1..k.  A line template is a word over
-{1..k} union {*} with at least one star; substituting i for every star
-simultaneously (i = 1..k) yields the k ordered points of a combinatorial
-line.  Geometric lines (anti-diagonals and friends) are deliberately not
-modelled.
+A point is its index: its n coordinates, each a symbol in 1..k, are the
+base-k digits of the index (symbol c as digit c - 1).  A line template is
+a word over {1..k} union {*} with at least one star; substituting i for
+every star simultaneously (i = 1..k) yields the k ordered points of a
+combinatorial line.  A line is a tuple of point indices, and a point or a
+line is named only when it is printed.  Geometric lines (anti-diagonals
+and friends) are deliberately not modelled.
 
 Conventions, fixed once so every downstream artifact is reproducible:
 
@@ -32,7 +34,7 @@ _MAX_MAP_ENTRIES = 4 * 10**6
 
 
 class ShapeError(ValueError):
-    """Raised for invalid shapes, coordinates, symbols or indices."""
+    """Raised for invalid shapes, coordinates or symbols."""
 
 
 @dataclass(frozen=True)
@@ -77,47 +79,6 @@ def _name(cells: tuple[int, ...], k: int) -> str:
 
 
 @dataclass(frozen=True)
-class Point:
-    """A vertex of [k]^n with its canonical linear index; k sets how its
-    name is written."""
-
-    coords: tuple[int, ...]
-    index: int
-    k: int
-
-    def __str__(self) -> str:
-        return _name(self.coords, self.k)
-
-
-def point_index(coords: tuple[int, ...], shape: CubeShape) -> int:
-    """Linear index of a coordinate vector (coordinate 1 most significant)."""
-    if len(coords) != shape.n:
-        raise ShapeError(f"expected {shape.n} coordinates, got {len(coords)}")
-    idx = 0
-    for c in coords:
-        if not 1 <= c <= shape.k:
-            raise ShapeError(f"coordinate {c} out of range 1..{shape.k}")
-        idx = idx * shape.k + (c - 1)
-    return idx
-
-
-def point_from_index(index: int, shape: CubeShape) -> Point:
-    """Inverse of :func:`point_index`."""
-    if not 0 <= index < shape.point_count:
-        raise ShapeError(f"index {index} out of range 0..{shape.point_count - 1}")
-    coords = []
-    rem = index
-    for w in shape.weights:
-        c, rem = divmod(rem, w)
-        coords.append(c + 1)
-    return Point(tuple(coords), index, shape.k)
-
-
-def point_of(coords: tuple[int, ...], shape: CubeShape) -> Point:
-    return Point(tuple(coords), point_index(tuple(coords), shape), shape.k)
-
-
-@dataclass(frozen=True)
 class LineTemplate:
     """A word over {1..k} union {*} for [k]^n; cells use STAR (= 0) for
     stars."""
@@ -127,24 +88,6 @@ class LineTemplate:
 
     def __str__(self) -> str:
         return _name(self.cells, self.k)
-
-
-def template_from_string(text: str, shape: CubeShape) -> LineTemplate:
-    """Parse a template like "1*2", or "1:*:12" from k = 10 on; the
-    inverse of str()."""
-    parts = text.split(":") if shape.k >= 10 else list(text)
-    if len(parts) != shape.n:
-        raise ShapeError(f"template {text!r} has {len(parts)} cells, expected {shape.n}")
-    symbols = {str(s): s for s in range(1, shape.k + 1)}
-    symbols["*"] = STAR
-    cells = []
-    for part in parts:
-        if part not in symbols:
-            raise ShapeError(f"bad template cell {part!r} for k={shape.k}")
-        cells.append(symbols[part])
-    if STAR not in cells:
-        raise ShapeError(f"template {text!r} has no star")
-    return LineTemplate(tuple(cells), shape.k)
 
 
 def _lines(shape: CubeShape) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -180,20 +123,13 @@ def line_count(shape: CubeShape) -> int:
     return (shape.k + 1) ** shape.n - shape.k**shape.n
 
 
-def expand(template: LineTemplate, shape: CubeShape) -> tuple[Point, ...]:
-    """The ordered points of the line: point i has symbol i at every star."""
-    return tuple(
-        point_of(tuple(i if c == STAR else c for c in template.cells), shape)
-        for i in range(1, shape.k + 1)
-    )
-
-
 @lru_cache(maxsize=None)
 def line_index_table(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     """Point-index tuples of every line, in enumeration order.  Cached.
 
-    Entry i holds the indices of expand()'s points of template i.  This is
-    the one per-shape line table; :func:`line_template` names an entry.
+    Entry i holds the indices of the points of template i, point j (0-based)
+    with symbol j + 1 at every star.  This is the one per-shape line table;
+    :func:`line_template` names an entry.
     """
     k = shape.k
     return tuple(
@@ -210,19 +146,10 @@ def line_template(idxs: tuple[int, ...], shape: CubeShape) -> LineTemplate:
     return LineTemplate(tuple(cells), shape.k)
 
 
-def collinear(u: Point, v: Point, shape: CubeShape) -> bool:
-    """True iff u and v lie on a common combinatorial line.
-
-    Two distinct points determine at most one line: the star set must be
-    exactly the coordinate set D where they differ, and each point must be
-    constant on D.
-    """
-    if u.index == v.index:
-        raise ShapeError("collinear() requires two distinct points")
-    diff = [t for t in range(shape.n) if u.coords[t] != v.coords[t]]
-    u_vals = {u.coords[t] for t in diff}
-    v_vals = {v.coords[t] for t in diff}
-    return len(u_vals) == 1 and len(v_vals) == 1
+def point_name(index: int, shape: CubeShape) -> str:
+    """The name of point `index`: its symbols, read from the index's digits
+    as :func:`line_template` reads them and written as a line's cells are."""
+    return _name(tuple(index // w % shape.k + 1 for w in shape.weights), shape.k)
 
 
 def layer(shape: CubeShape, t: int, i: int) -> frozenset[int]:
@@ -275,8 +202,7 @@ def automorphism_index_maps(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     (inner loop), both in itertools.permutations order, so the identity is
     maps[0] and the first k! maps permute symbols only.  It relabels symbol
     s as sp[s - 1], then moves source coordinate cp[t] to image coordinate
-    t.  Each map is index arithmetic over the digits of the points; no
-    Point is built.
+    t.  Each map is index arithmetic over the digits of the points.
     """
     k, n, weights = shape.k, shape.n, shape.weights
     # The table is refused before any map is built.

@@ -192,15 +192,21 @@ def _check_fixtures() -> tuple[bool, str]:
 def _generator_index_maps(shape: CubeShape) -> list[tuple[int, ...]]:
     """Index maps of the adjacent coordinate transpositions and the adjacent
     symbol transpositions, which together generate the n!*k! group, built
-    from point coordinates rather than the group's index arithmetic."""
-    points = [hypercube.point_from_index(i, shape).coords for i in shape.iter_indices()]
-    images = [
-        [c[:t] + (c[t + 1], c[t]) + c[t + 2 :] for c in points] for t in range(shape.n - 1)
+    from each index's digits rather than the group's index arithmetic.
+
+    Swapping coordinates t and t + 1, of weights w[t] and w[t + 1], moves
+    index i by (d[t + 1] - d[t]) * (w[t] - w[t + 1]), with d its digits;
+    swapping symbols s and s + 1 swaps the digits s - 1 and s."""
+    k, weights = shape.k, shape.weights
+    digits = [[i // w % k for w in weights] for i in shape.iter_indices()]
+    maps = [
+        tuple(i + (d[t + 1] - d[t]) * (weights[t] - weights[t + 1]) for i, d in enumerate(digits))
+        for t in range(shape.n - 1)
     ]
-    for s in range(1, shape.k):
-        swap = {s: s + 1, s + 1: s}
-        images.append([tuple(swap.get(v, v) for v in c) for c in points])
-    return [tuple(hypercube.point_index(c, shape) for c in image) for image in images]
+    for s in range(1, k):
+        swap = {s - 1: s, s: s - 1}
+        maps.append(tuple(sum(swap.get(v, v) * w for v, w in zip(d, weights)) for d in digits))
+    return maps
 
 
 def _lines_invariant(shape: CubeShape, lines) -> bool:

@@ -31,19 +31,29 @@ from .constructions import digit_position_coloring, monochromatic, singleton_set
 from .hypercube import (
     CubeShape,
     LineTemplate,
-    Point,
     automorphism_index_maps,
     automorphism_maps,
-    layer,
+    line_count,
     line_index_table,
     line_template,
-    point_from_index,
     symmetry_table_fits,
 )
 
 
 class SearchError(ValueError):
     """Invalid search input or unsupported shape."""
+
+
+# The most bits the `_line_masks_by_point` table of a search may hold, one
+# per point and line: [2]^12 and [3]^8 fit, [2]^13 and [3]^9 do not.
+_MAX_TABLE_BITS = 2**32
+
+
+def _check_tables_fit(shape: CubeShape) -> None:
+    """Refuse a shape whose line tables would pass `_MAX_TABLE_BITS`,
+    before any table or warm start is built."""
+    if shape.point_count * line_count(shape) > _MAX_TABLE_BITS:
+        raise SearchError(f"search of [{shape.k}]^{shape.n} needs line tables over 2^32 bits")
 
 
 @contextmanager
@@ -102,9 +112,10 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class ForcedCell:
-    """A free cell whose constraining lines admit no color at all."""
+    """A free cell whose constraining lines admit no color at all.  `point`
+    is the cell's index; `hypercube.point_name` names it."""
 
-    point: Point
+    point: int
     witnesses: tuple[LineTemplate, ...]
 
 
@@ -531,6 +542,16 @@ def _layer_cut(state: MergeState, best: int) -> bool:
     cannot beat the incumbent, so the gate changes no value or witness.
     Shapes without a cap, n = 2 among them, are skipped: there a layer
     is one line, which the line rule already caps.
+
+    On every capped shape the gate opens only once the incumbent is
+    optimal.  The layer recursion of `bounds` gives at most k * cap - 2
+    colors, and the gate needs k * cap - k + 1 or more, which no capped
+    shape's best coloring exceeds: `[2]^n` needs 1 color and has 1,
+    `[3]^3` needs 10 and has 10, and `[3]^4` needs 28 and has at most 26.
+    So the cut only ever drops subtrees that cannot beat the incumbent,
+    whatever it counts: a wrong count would change node counts, never a
+    value or witness.  The pinned node counts, 6,827 for the full `[3]^3`
+    proof among them, are the check on the count.
     """
     shape = state.shape
     table = _layer_table(shape)
@@ -760,7 +781,9 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
 
     OPTIMAL on natural exhaustion; FEASIBLE_ONLY with the best witness so
     far when a time or node budget runs out (still a valid lower bound).
+    A shape too large for its line tables is refused first.
     """
+    _check_tables_fit(shape)
     config = config or SearchConfig()
     started = time.monotonic()
     budget = _Incumbent.of(config, started)
@@ -831,33 +854,31 @@ def _collinearity_masks(shape: CubeShape) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _line_cover_masks(shape: CubeShape) -> tuple[tuple[int, int], ...]:
-    """Per coordinate t (k = 3): its weight w and the mask of symbol-1 points.
-
-    The lines varying only coordinate t are {p, p + w, p + 2w} for the
-    points p of the mask, and they partition the cube.
-    """
-    return tuple(
-        (w, sum(1 << p for p in layer(shape, t, 1)))
-        for t, w in enumerate(shape.weights, start=1)
-    )
+def _layer_masks(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
+    """Per coordinate, of weight w, the point masks of its k layers: layer
+    d holds the points whose digit index // w % k is d.  It is a run of w
+    points from d * w on, repeated every k * w points, so its mask is the
+    run's times `repeat`, which has bit j * k * w set for each repeat j."""
+    k, count = shape.k, shape.point_count
+    masks = []
+    for w in shape.weights:
+        repeat = ((1 << count) - 1) // ((1 << k * w) - 1)
+        masks.append(tuple((((1 << w) - 1) << d * w) * repeat for d in range(k)))
+    return tuple(masks)
 
 
 @lru_cache(maxsize=None)
 def _layer_table(shape: CubeShape) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     """The cap of `_layer_cut` and of `complete`, the most colors a layer
-    of `shape` holds: ah(k, n-1) - 1, read from `bounds.known_value`; and,
-    per coordinate, the point masks of its k layers.  None when n < 3 or
-    the value is not known exactly: every cap is then a value the package
-    proves itself (`[3]^2`, `[3]^3` and `[2]^m`), and the paper's interval
-    for ah(3, 4) gives `[3]^5` none."""
+    of `shape` holds: ah(k, n-1) - 1, read from `bounds.known_value`; and
+    the layer masks of `_layer_masks`.  None when n < 3 or the value is
+    not known exactly: every cap is then a value the package proves itself
+    (`[3]^2`, `[3]^3` and `[2]^m`), and the paper's interval for ah(3, 4)
+    gives `[3]^5` none."""
     known = known_value(shape.k, shape.n - 1) if shape.n > 2 else None
     if known is None or known.lower != known.upper:
         return None
-    return known.upper - 1, tuple(
-        tuple(sum(1 << p for p in layer(shape, t, d)) for d in range(1, shape.k + 1))
-        for t in range(1, shape.n + 1)
-    )
+    return known.upper - 1, _layer_masks(shape)
 
 
 @lru_cache(maxsize=None)
@@ -908,7 +929,10 @@ def _independent_sets(
     set and finds none exactly when no set of that size exists.
     """
     masks = _collinearity_masks(shape)
-    covers = _line_cover_masks(shape)
+    # Per coordinate, its weight w and its first layer: the lines varying
+    # only that coordinate are {p, p + w, p + 2w} for the points p of the
+    # layer, and they partition the cube.
+    covers = [(w, layers[0]) for w, layers in zip(shape.weights, _layer_masks(shape))]
     count = shape.point_count
     full = (1 << count) - 1
     chosen: list[int] = []
@@ -1102,7 +1126,7 @@ def _forced_cell(shape: CubeShape, colors, pin_lines, pinned_bits) -> ForcedCell
         witnesses: list[int] = []
         if not _allowance(colors, lines, cell, pin_lines & through[cell], witnesses):
             templates = tuple(line_template(lines[li], shape) for li in witnesses)
-            return ForcedCell(point_from_index(cell, shape), templates)
+            return ForcedCell(cell, templates)
     return None
 
 
@@ -1176,8 +1200,10 @@ def complete(
     set as a cell is assigned and restored as it is freed.  The
     certificate of an INFEASIBLE result is the partial's first rainbow
     line, else the cell of `find_forced_cell`, read from the pin masks the
-    search starts from; it is None when neither exists.
+    search starts from; it is None when neither exists.  A shape too large
+    for its line tables is refused first.
     """
+    _check_tables_fit(partial.shape)
     config = config or SearchConfig()
     started = time.monotonic()
     budget = _Budget.of(config, started)

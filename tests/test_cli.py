@@ -8,8 +8,10 @@ import pytest
 from ahj.bounds import layer_recursion_bounds
 from ahj.cli import main
 from ahj.coloring import Coloring, parse, serialize
-from ahj.hypercube import CubeShape, point_from_index
+from ahj.hypercube import CubeShape
 from ahj.search import two_layer_arrangements
+
+from reference import generator_index_maps, point_from_index, point_index
 
 
 def run(capsys, *argv):
@@ -665,6 +667,20 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err.startswith("error: search of [3]^8 nests too deeply")
 
+    def test_search_too_large_for_its_tables_is_usage_error(self, capsys, monkeypatch):
+        # Not a MemoryError traceback and exit 1.  The warm start and the
+        # line table are replaced by ones that fail, so a search that got
+        # past the refusal would fail here without allocating.
+        def refuse(*_):
+            raise AssertionError("the search got past the refusal")
+
+        monkeypatch.setattr("ahj.search._seed_coloring", refuse)
+        monkeypatch.setattr("ahj.search.line_index_table", refuse)
+        argv = ("search", "max-colors", "--k", "2", "--n", "30", "--node-limit", "5")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search of [2]^30 needs line tables over 2^32 bits")
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -815,6 +831,15 @@ class TestInvariantCheck:
         shape = CubeShape(k, n)
         assert _lines_invariant(shape, line_index_table(shape))
 
+    def test_generators_match_coordinate_reference(self):
+        """The digit-built generator maps equal the coordinate-built ones
+        on every shape claim 9 checks."""
+        from ahj.repro import _generator_index_maps
+
+        shapes = [CubeShape(k, n) for k in (2, 3, 4, 5) for n in (1, 2, 3, 4)]
+        for shape in (s for s in shapes if s.point_count <= 700):
+            assert _generator_index_maps(shape) == generator_index_maps(shape)
+
     def test_badly_permuted_line_table_fails(self):
         from ahj.repro import _lines_invariant
         from ahj.hypercube import line_index_table
@@ -829,7 +854,7 @@ class TestInvariantCheck:
         distinct symbols commutes with every symbol permutation, so only a
         coordinate permutation can expose the mapped table."""
         from ahj.repro import _lines_invariant
-        from ahj.hypercube import automorphism_index_maps, line_index_table, point_index
+        from ahj.hypercube import automorphism_index_maps, line_index_table
 
         shape = CubeShape(4, 3)
 

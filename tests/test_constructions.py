@@ -11,7 +11,9 @@ from ahj.constructions import (
     singleton_set_coloring,
     stack_recursive,
 )
-from ahj.hypercube import CubeShape, layer, point_from_index, point_index
+from ahj.hypercube import CubeShape, layer
+
+from reference import point_from_index, point_index
 
 S32 = CubeShape(3, 2)
 

@@ -14,20 +14,17 @@ from ahj.hypercube import (
     ShapeError,
     automorphism_index_maps,
     automorphism_maps,
-    collinear,
     enumerate_lines,
-    expand,
     layer,
     line_count,
     line_index_table,
     line_template,
-    point_from_index,
-    point_index,
-    point_of,
+    point_name,
     symmetry_table_fits,
-    template_from_string,
 )
-from ahj.search import _line_masks_by_point
+from ahj.search import _layer_masks, _line_masks_by_point
+
+from reference import collinear, expand, point_from_index, point_index, point_of
 
 SMALL_SHAPES = [
     CubeShape(k, n) for k in range(2, 6) for n in range(1, 5) if k**n <= 700
@@ -86,6 +83,13 @@ class TestPointIndexing:
         assert point_index(p.coords, shape) == idx
         assert p.index == idx
 
+    def test_point_name_inverts_point_index(self):
+        """point_name reads back the symbols that point_index packed."""
+        for shape in SMALL_SHAPES:
+            for coords in product(range(1, shape.k + 1), repeat=shape.n):
+                name = point_name(point_index(coords, shape), shape)
+                assert name == str(point_of(coords, shape))
+
 
 class TestLineEnumeration:
     def test_counts(self):
@@ -109,51 +113,43 @@ class TestLineEnumeration:
             assert STAR in t.cells
 
 
-class TestTemplateParsing:
-    @pytest.mark.parametrize("text", ["4*", "0*", "x*", "²*", "12", "1**"])
-    def test_bad_templates_rejected(self, text):
-        with pytest.raises(ShapeError):
-            template_from_string(text, CubeShape(3, 2))
-
-    @given(small_shape)
-    def test_names_parse_back(self, shape):
-        for t in enumerate_lines(shape):
-            assert template_from_string(str(t), shape) == t
-
+class TestNames:
     @pytest.mark.parametrize("k,n", [(11, 2), (10, 3)])
-    def test_wide_alphabet_names_parse_back(self, k, n):
+    def test_wide_alphabet_names_are_distinct(self, k, n):
         """From k = 10 on a symbol can take two digits, so a name joins its
-        cells with ":" and still reads back as the same template."""
+        cells with ":", and the names of the lines, and of the points, stay
+        pairwise distinct."""
         shape = CubeShape(k, n)
         names = [str(t) for t in enumerate_lines(shape)]
         assert len(set(names)) == len(names) == line_count(shape)
-        for name, t in zip(names, enumerate_lines(shape)):
-            assert template_from_string(name, shape) == t
+        points = [point_name(i, shape) for i in shape.iter_indices()]
+        assert len(set(points)) == len(points) == shape.point_count
+        assert all(":" in name for name in names + points)
 
     def test_names_separate_cells_from_k_ten_on(self):
-        assert str(template_from_string("11:1:*", CubeShape(11, 3))) == "11:1:*"
+        assert str(LineTemplate((11, 1, STAR), 11)) == "11:1:*"
         assert str(point_of((1, 11, 1), CubeShape(11, 3))) == "1:11:1"
+        assert point_name(point_index((1, 11, 1), CubeShape(11, 3)), CubeShape(11, 3)) == "1:11:1"
         assert str(point_of((1, 1), CubeShape(10, 2))) == "1:1"
+        assert point_name(0, CubeShape(10, 2)) == "1:1"
         assert str(point_of((1, 9), CubeShape(9, 2))) == "19"
-        for text in ("111*", "1:1:*:", "01:1:*", "1:12:*"):
-            with pytest.raises(ShapeError):
-                template_from_string(text, CubeShape(11, 3))
+        assert point_name(8, CubeShape(9, 2)) == "19"
 
 
 class TestExpand:
     def test_column(self):
         s = CubeShape(3, 2)
-        line = expand(template_from_string("*2", s), s)
+        line = expand(LineTemplate((STAR, 2), 3), s)
         assert [p.coords for p in line] == [(1, 2), (2, 2), (3, 2)]
 
     def test_diagonal(self):
         s = CubeShape(3, 2)
-        line = expand(template_from_string("**", s), s)
+        line = expand(LineTemplate((STAR, STAR), 3), s)
         assert [p.coords for p in line] == [(1, 1), (2, 2), (3, 3)]
 
     def test_two_stars_in_three_dims(self):
         s = CubeShape(3, 3)
-        line = expand(template_from_string("1**", s), s)
+        line = expand(LineTemplate((1, STAR, STAR), 3), s)
         assert [p.coords for p in line] == [(1, 1, 1), (1, 2, 2), (1, 3, 3)]
 
     @given(small_shape, st.data())
@@ -254,6 +250,15 @@ class TestLayers:
             assert not (seen & part)
             seen |= part
         assert seen == set(shape.iter_indices())
+
+    def test_masks_match_layers(self):
+        """The search's layer masks, built by index arithmetic, hold the
+        points of layer()."""
+        for shape in SMALL_SHAPES:
+            assert _layer_masks(shape) == tuple(
+                tuple(sum(1 << p for p in layer(shape, t, i)) for i in range(1, shape.k + 1))
+                for t in range(1, shape.n + 1)
+            )
 
 
 class TestAutomorphisms:

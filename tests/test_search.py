@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ahj.bounds import known_value
+from ahj.bounds import bounds_table, known_value
 from ahj.coloring import (
     UNASSIGNED,
     Coloring,
@@ -23,11 +23,9 @@ from ahj.constructions import digit_position_coloring, singleton_set_coloring
 from ahj.hypercube import (
     CubeShape,
     automorphism_index_maps,
-    collinear,
     enumerate_lines,
-    expand,
     line_index_table,
-    point_from_index,
+    point_name,
 )
 from ahj.search import (
     MergeState,
@@ -49,6 +47,7 @@ from ahj.search import (
     _Budget,
     _Incumbent,
     _bound_reaches,
+    _check_tables_fit,
     _dfs,
     _independent_sets,
     _layer_cut,
@@ -60,6 +59,8 @@ from ahj.search import (
     _settle,
     _stabilizer,
 )
+
+from reference import collinear, expand, point_from_index
 
 S31 = CubeShape(3, 1)
 S32 = CubeShape(3, 2)
@@ -932,7 +933,15 @@ def _deep_runs(draw):
 
 
 class TestLayerCut:
-    """The layer-cap cut that `_settle` tries after the packing bound."""
+    """The layer-cap cut that `_settle` tries after the packing bound.
+
+    On every capped shape the cut's gate opens only once the incumbent is
+    optimal (`test_gate_opens_only_at_an_optimal_incumbent`), so no count
+    it makes can lose a value or witness, and the admissibility tests here
+    can check the count against the oracle but cannot show a search going
+    wrong.  The node pin of the full `[3]^3` proof, 6,827, is the check on
+    the count that the searches see.
+    """
 
     @given(_deep_runs())
     @settings(max_examples=200, deadline=None)
@@ -1040,6 +1049,21 @@ class TestLayerCut:
             assert max_rf_colors(CubeShape(2, m)).best_value == 1
         assert naive_max_rf_colors(CubeShape(2, 2)) == naive_max_rf_colors(CubeShape(2, 3)) == 1
         assert known_value(3, 4).lower < known_value(3, 4).upper
+
+    def test_gate_opens_only_at_an_optimal_incumbent(self):
+        """The gate needs k * cap - k + 1 colors or more, and on every shape
+        with a cap (k <= 6, n <= 8) that is at least the most colors
+        `bounds_table` allows, ah(k, n) - 1: the cut fires only under an
+        optimal incumbent."""
+        capped = []
+        for k in range(2, 7):
+            for n in range(1, 9):
+                table = _layer_table(CubeShape(k, n))
+                if table is not None:
+                    capped.append((k, n))
+                    upper = bounds_table(k, n).rows[-1].upper
+                    assert k * table[0] - k + 1 >= upper - 1, (k, n)
+        assert capped == [(2, n) for n in range(3, 9)] + [(3, 3), (3, 4)]
 
     def test_gate_skips_a_wide_gap(self):
         """Three pairwise kept-apart classes across all three layers along
@@ -1485,14 +1509,14 @@ class TestForcedCell:
             forced = find_forced_cell(arrangement)
             assert forced is not None
             assert len(forced.witnesses) >= 2
-            assert arrangement.colors[forced.point.index] == UNASSIGNED
+            assert arrangement.colors[forced.point] == UNASSIGNED
 
     def test_witness_lines_constrain_the_cell(self):
         arrangement = two_layer_arrangements()[0]
         forced = find_forced_cell(arrangement)
         for template in forced.witnesses:
             line = expand(template, arrangement.shape)
-            assert any(p.index == forced.point.index for p in line)
+            assert any(p.index == forced.point for p in line)
 
     def test_total_coloring_has_no_forced_cell(self):
         c = singleton_set_coloring(S32, [0, 5, 7])
@@ -1515,7 +1539,7 @@ class TestForcedCell:
     )
     def test_arrangement_certificates(self, number, cell, witnesses):
         forced = find_forced_cell(two_layer_arrangements()[number - 1])
-        assert str(forced.point) == cell
+        assert point_name(forced.point, S34) == cell
         assert [str(t) for t in forced.witnesses] == witnesses
 
     def test_witnesses_skip_lines_that_allow_no_less(self):
@@ -1523,7 +1547,7 @@ class TestForcedCell:
         # by **: the second line shrinks nothing, so it is no witness.
         partial = Coloring(S32, (0, 1, 2, 2, 3, 3, 1, 3, 4))
         forced = find_forced_cell(partial)
-        assert str(forced.point) == "11"
+        assert point_name(forced.point, S32) == "11"
         assert [str(t) for t in forced.witnesses] == ["1*", "**"]
 
     @pytest.mark.parametrize("k, palette, blanks", [(3, 6, 3), (4, 10, 4)])
@@ -1567,7 +1591,7 @@ class TestForcedCell:
                 assert forced is None, colors
                 continue
             forced_seen += 1
-            cell = forced.point.index
+            cell = forced.point
             assert cell == expected, colors
             running = None
             for template in forced.witnesses:
@@ -1989,6 +2013,41 @@ class TestDepthGuard:
         finally:
             sys.setrecursionlimit(limit)
         assert complete(blank, 3, SearchConfig(node_limit=5000)).status is Status.OPTIMAL
+
+
+class TestTableGuard:
+    """A shape whose `_line_masks_by_point` table, one bit per point and
+    line, would pass 2^32 bits is refused before anything is built.  The
+    line table and the warm start are replaced by ones that fail, so a
+    refusal that came late would fail here without allocating."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr("ahj.search.line_index_table", refuse)
+        monkeypatch.setattr("ahj.search._seed_coloring", refuse)
+
+    def test_max_rf_colors(self):
+        # 2^30 points and 3^30 - 2^30 lines.
+        with pytest.raises(SearchError, match=r"\[2\]\^30 needs line tables over 2\^32 bits"):
+            max_rf_colors(CubeShape(2, 30), SearchConfig(node_limit=5))
+
+    def test_complete(self):
+        # 16,384 points and 4,766,585 lines: 7.8 * 10^10 bits.
+        blank = Coloring(CubeShape(2, 14), (0,) * 2**14)
+        with pytest.raises(SearchError, match=r"\[2\]\^14 needs line tables over 2\^32 bits"):
+            complete(blank, 2, SearchConfig(node_limit=5))
+
+    @pytest.mark.parametrize("k, n", [(2, 12), (3, 8)])
+    def test_largest_fitting_shapes_pass(self, k, n):
+        _check_tables_fit(CubeShape(k, n))
+
+    @pytest.mark.parametrize("k, n", [(2, 13), (3, 9)])
+    def test_next_shapes_are_refused(self, k, n):
+        with pytest.raises(SearchError, match="needs line tables"):
+            _check_tables_fit(CubeShape(k, n))
 
 
 class TestTwoLayerArrangements:
