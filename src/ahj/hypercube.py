@@ -228,7 +228,10 @@ def automorphism_maps(shape: CubeShape, points, keep) -> Iterator[array]:
     `points` from the point's digits, so an element that fails on its
     first few points costs only those; a whole map is built only for an
     element that passes.  The walk visits all n! * k! elements.  A map is
-    an array of 4-byte entries, so a few hundred of them stay small.
+    an array of k^n 4-byte entries.  A `keep` that every element passes
+    builds all n! * k! maps, as the root of `max_rf_colors` does; that
+    search walks the group only for shapes that
+    :func:`symmetry_table_fits`, so at most 4,000,000 entries.
     """
     k, weights = shape.k, shape.weights
     digits = {x: [x // w % k for w in weights] for x in points}

@@ -595,10 +595,12 @@ def _layer_cut(state: MergeState, best: int) -> bool:
 
 def _stabilizer(state: MergeState, group: list[Sequence[int]] | None) -> list[Sequence[int]]:
     """The elements of `group`, point-index maps, that map the state's
-    partition and its kept-apart relation onto themselves.  None stands
-    for the whole symmetry group: `automorphism_maps` then tests each
-    element on its images of the points the test reads, and builds the
-    maps of only the elements that pass.
+    partition and its kept-apart relation onto themselves: the node's
+    stabilizer.  None stands for the whole symmetry group:
+    `automorphism_maps` then tests each element on its images of the
+    points the test reads, and builds the maps of only the elements that
+    pass.  The root has no merges and no exclusions, so there every
+    element passes and the search walks the group once.
 
     An element fixes the partition iff it maps each class of two or more
     points into one class.  It is a bijection, so the largest classes then
@@ -655,24 +657,31 @@ def _orbit_firsts(
 def _dfs(state: MergeState, budget: _Incumbent, group: list[Sequence[int]] | None) -> None:
     """Search below `state`.  `_dfs` may change the state it is given: a
     caller that needs its state afterwards passes a copy.  So each child
-    before the last runs on a copy, and its pair is then forbidden in
-    `state`; the last child runs on `state` itself.
+    before the last runs on a copy, and the last on `state` itself.
 
     `group` holds automorphisms as point-index maps, None standing for the
-    whole group (see `_stabilizer`).  With one element or none there is
-    nothing to do.  Otherwise a branch node keeps the elements that fix
-    its settled state, and branches only on the pairs of `_orbit_firsts`:
-    a pair is skipped, with no node counted, when a kept element g maps
-    an earlier kept pair's class pair onto its own.  Its children inherit
-    the kept elements, so the work ends once the group is trivial.
+    whole group (see `_stabilizer`); a search without symmetry passes the
+    identity alone.  A branch node with more than one element keeps those
+    that fix its settled state, its stabilizer G, and its children
+    inherit them, so the work ends once G is trivial.  The node branches
+    on the pairs of `_orbit_firsts`: pair j's class pair lies in none of
+    the orbits O_1..O_(j-1) of the earlier kept class pairs under G.
+    After child j it forbids in `state` the image (g[a], g[b]) of child
+    j's pair (a, b) under every g in G, which is the whole orbit O_j, so
+    each later child excludes every earlier orbit.
 
-    This is orbital branching, and it is sound.  Take a coloring below a
-    skipped child, and apply g's inverse, which fixes the node's state as
-    g does.  The image is a coloring below the node with the same number
-    of colors, in which the earlier pair is merged.  So it lies below the
-    first child whose pair it merges; that child was searched before, or
-    was skipped for a pair earlier still, and the same argument applies
-    to it.  The skipped pairs are not forbidden in the later children.
+    This is orbital branching, and it is sound.  A coloring below the
+    node merges a pair of the line, and every class pair of the line lies
+    in some O_j; let O_j be the first orbit that the coloring merges a
+    class pair of.  O_j is invariant under G, so that class pair is child
+    j's class pair moved by some g in G, and g's inverse, which fixes the
+    node's state, maps the coloring to one below the node with the same
+    number of colors.  The image merges child j's pair and, O_1..O_(j-1)
+    being invariant too, no pair of theirs, so it lies below child j.  A
+    skipped pair lies in an earlier orbit, so skipping it is the special
+    case of this argument.  No forbid needs a guard: `forbid` returns on
+    a blocked pair, and g fixes the partition, so it never maps a and b
+    into one class.
     """
     if not budget.tick():
         return
@@ -694,42 +703,9 @@ def _dfs(state: MergeState, budget: _Incumbent, group: list[Sequence[int]] | Non
         _dfs(child, budget, group)
         if budget.exhausted:
             return
-        state.forbid(a, b)
+        for g in group:
+            state.forbid(g[a], g[b])
     state.merge(*last)
-    _dfs(state, budget, group)
-
-
-def _search_from_root(shape: CubeShape, budget: _Incumbent) -> None:
-    """Run the branch and bound over the whole search tree of `shape`.
-
-    For k >= 3 the first line's points split, under the symbol
-    permutations fixing the line's constant cells, into the pair orbit
-    {point 1, other} and the pair orbit within points 2..k, so two
-    branches cover everything.  The first merges the first pair on a copy
-    of the root state; the second keeps point 1 apart from the line's
-    other points on the root state itself and merges the second-third
-    pair.  For k = 2 the root node branches on the first line like any
-    other.
-
-    Each root branch starts from the whole symmetry group, which its first
-    branch node filters (see `_dfs`).  A shape whose index-map table
-    `automorphism_index_maps` would refuse gets no group, so the walk of
-    the group stays as bounded as that table.
-    """
-    state = MergeState(shape)
-    group = None if symmetry_table_fits(shape) else []
-    if shape.k < 3:
-        _dfs(state, budget, group)
-        return
-    p = state.lines[0]
-    first = state.copy()
-    first.merge(p[0], p[1])
-    _dfs(first, budget, group)
-    if budget.exhausted:
-        return
-    for q in p[1:]:
-        state.forbid(p[0], q)
-    state.merge(p[1], p[2])
     _dfs(state, budget, group)
 
 
@@ -781,7 +757,10 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
 
     OPTIMAL on natural exhaustion; FEASIBLE_ONLY with the best witness so
     far when a time or node budget runs out (still a valid lower bound).
-    A shape too large for its line tables is refused first.
+    A shape too large for its line tables is refused first.  The search
+    starts from the whole symmetry group, or from the identity alone for
+    a shape whose `automorphism_index_maps` table would be refused, so
+    the walk of the group stays as bounded as that table.
     """
     _check_tables_fit(shape)
     config = config or SearchConfig()
@@ -790,7 +769,8 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
     with _depth_guard(shape):
         seed = _seed_coloring(shape, budget.deadline)
         budget.offer(shape.point_count - census(seed).distinct_count, seed.colors)
-        _search_from_root(shape, budget)
+        group = None if symmetry_table_fits(shape) else [range(shape.point_count)]
+        _dfs(MergeState(shape), budget, group)
 
     witness = canonical_relabel(Coloring(shape, budget.witness_colors))
     status = Status.FEASIBLE_ONLY if budget.exhausted else Status.OPTIMAL

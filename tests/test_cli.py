@@ -389,13 +389,13 @@ GOLDEN_RECORDS = [
         "search max-colors --k 3 --n 2",
         0,
         "subcommand=search.max-colors\nk=3\nn=2\ntime_limit=none\nnode_limit=none\n"
-        "status=OPTIMAL\nvalue=4\nnodes=38\n",
+        "status=OPTIMAL\nvalue=4\nnodes=21\n",
     ),
     (
         "search max-colors --k 3 --n 2 --time-limit 30 --node-limit 1000 --certificate w.ahj",
         0,
         "subcommand=search.max-colors\nk=3\nn=2\ntime_limit=30.0\nnode_limit=1000\n"
-        "status=OPTIMAL\nvalue=4\nnodes=38\ncertificate=w.ahj\n",
+        "status=OPTIMAL\nvalue=4\nnodes=21\ncertificate=w.ahj\n",
     ),
     (
         "search max-colors --k 3 --n 3 --node-limit 50",

@@ -3,7 +3,7 @@
 import hashlib
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +24,7 @@ from ahj.hypercube import (
     CubeShape,
     automorphism_index_maps,
     enumerate_lines,
+    layer,
     line_index_table,
     point_name,
 )
@@ -45,7 +46,6 @@ from ahj.search import (
     _PRUNE,
     _SOLVED,
     _Budget,
-    _Incumbent,
     _bound_reaches,
     _check_tables_fit,
     _dfs,
@@ -851,7 +851,7 @@ class TestPackingBound:
         monkeypatch.setattr("ahj.search._bound_reaches", against_reference)
         outcome = max_rf_colors(S33)
         assert (outcome.status, outcome.best_value) == (Status.OPTIMAL, 10)
-        assert outcome.nodes_explored == 6_827
+        assert outcome.nodes_explored == 6_119
         assert checked
 
     def test_swap_found_leaves_the_refill(self, monkeypatch):
@@ -874,7 +874,7 @@ class TestPackingBound:
 
         monkeypatch.setattr("ahj.search._bound_reaches", refill_first)
         outcome = max_rf_colors(CubeShape(4, 2))
-        assert (outcome.best_value, outcome.nodes_explored) == (10, 648)
+        assert (outcome.best_value, outcome.nodes_explored) == (10, 286)
         assert swaps
 
 
@@ -991,7 +991,7 @@ class TestLayerCut:
             return cut
 
         monkeypatch.setattr("ahj.search._layer_cut", recording)
-        assert max_rf_colors(S33).nodes_explored == 6_827
+        assert max_rf_colors(S33).nodes_explored == 6_119
         near = [run for run in fired if run[0] <= 5]
         assert near
         for _, labels, forbidden, best in near + [run for run in fired if run[0] == 6][::10]:
@@ -1119,7 +1119,7 @@ class TestMaxRfColors:
         shapes = [CubeShape(2, 2), CubeShape(2, 3), S31, S32]
         assert [naive_max_rf_colors(shape) for shape in shapes] == [1, 1, 2, 4]
 
-    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 38), (4, 10, 648), (5, 17, 30411)])
+    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 21), (4, 10, 286), (5, 17, 10740)])
     def test_single_worker_node_counts_pinned(self, k, value, nodes):
         """The 1-worker search tree is fixed; a kernel change must not move it."""
         out = max_rf_colors(CubeShape(k, 2))
@@ -1210,18 +1210,18 @@ class TestMaxRfColors:
         assert is_rainbow_free(out.witness)
         assert census(out.witness).distinct_count == out.best_value
 
-    def test_no_symmetry_reduction_same_value(self):
-        """The unreduced search, one `_dfs` from the empty state with the
-        same warm start and no automorphism, reaches the value of the
-        two-branch root split with orbital branching."""
-        for shape, value in ((S32, 4), (CubeShape(4, 2), 10), (CubeShape(5, 2), 17)):
-            seed = _seed_coloring(shape)
-            budget = _Incumbent(None, None)
-            budget.offer(shape.point_count - census(seed).distinct_count, seed.colors)
-            _dfs(MergeState(shape), budget, [])
-            assert not budget.exhausted
-            assert shape.point_count - budget.best_merges == value
-            assert max_rf_colors(shape).best_value == value
+    def test_no_symmetry_reduction_same_value(self, monkeypatch):
+        """With `symmetry_table_fits` refusing every shape, each node's group
+        is the identity alone: plain branch and bound, with no skipped pair
+        and no forbid beyond the explored pair.  It reaches the status and
+        value of the shipped search."""
+        shapes = [CubeShape(2, 3), S32, CubeShape(4, 2), S33, CubeShape(5, 2)]
+        shipped = [max_rf_colors(shape) for shape in shapes]
+        monkeypatch.setattr("ahj.search.symmetry_table_fits", lambda shape: False)
+        for shape, out in zip(shapes, shipped):
+            assert out.status is Status.OPTIMAL
+            plain = max_rf_colors(shape)
+            assert (plain.status, plain.best_value) == (out.status, out.best_value)
 
     def test_config_validation(self):
         for workers in (0, 2):
@@ -1274,7 +1274,7 @@ class TestOrbitalBranching:
 
         monkeypatch.setattr("ahj.search._stabilizer", recording)
         max_rf_colors(shape)
-        assert sum(group is None for _, group in recorded) == 2
+        assert sum(group is None for _, group in recorded) == 1
         for state, group in recorded:
             expected = [g for g in maps if _fixes_by_brute_force(state, g)]
             assert [tuple(g) for g in _stabilizer(state, None)] == expected
@@ -1282,6 +1282,49 @@ class TestOrbitalBranching:
             if group is not None:
                 kept = [g for g in group if _fixes_by_brute_force(state, g)]
                 assert _stabilizer(state, group) == kept
+
+    @pytest.mark.parametrize("shape", [CubeShape(4, 2), S33])
+    def test_later_children_exclude_each_explored_orbit(self, shape, monkeypatch):
+        """At every branch node, after child (a, b) each image (g[a], g[b])
+        under the node's stabilizer, the group its children inherit, is
+        blocked in every later child's state."""
+        nodes, done = [], []
+
+        def recording_dfs(state, budget, group):
+            if nodes:
+                nodes[-1]["children"].append((state.copy(), group))
+            nodes.append({"settled": None, "children": []})
+            _dfs(state, budget, group)
+            done.append(nodes.pop())
+
+        def recording_settle(state, best):
+            outcome = _settle(state, best)
+            if outcome >= 0:
+                nodes[-1]["settled"] = state.copy(), outcome
+            return outcome
+
+        monkeypatch.setattr("ahj.search._dfs", recording_dfs)
+        monkeypatch.setattr("ahj.search._settle", recording_settle)
+        max_rf_colors(shape)
+        orbits = 0
+        for node in done:
+            if node["settled"] is None:
+                continue
+            settled, outcome = node["settled"]
+            line = settled.lines[outcome]
+            explored = []
+            for child, group in node["children"]:
+                for a, b in explored:
+                    images = {(g[a], g[b]) for g in group}
+                    assert all(child.blocked(c, d) for c, d in images)
+                    orbits += len(images) > 1
+                (pair,) = [
+                    (a, b)
+                    for a, b in combinations(line, 2)
+                    if child.same(a, b) and not settled.same(a, b)
+                ]
+                explored.append(pair)
+        assert orbits
 
     def test_skipped_pairs_are_images_of_kept_ones(self, monkeypatch):
         """`_orbit_firsts` keeps the first pair of each class-pair orbit
@@ -1308,15 +1351,15 @@ class TestOrbitalBranching:
                 assert ((a, b) in kept) is not is_image
 
     def test_search_never_builds_the_symmetry_table(self, monkeypatch):
-        """The first branch node of each root branch walks the group by
-        digit arithmetic instead of reading `automorphism_index_maps`."""
+        """The root walks the group by digit arithmetic instead of reading
+        `automorphism_index_maps`."""
 
         def refuse(_):
             raise AssertionError("automorphism_index_maps was called")
 
         for module in ("ahj.hypercube", "ahj.search", "ahj.coloring"):
             monkeypatch.setattr(f"{module}.automorphism_index_maps", refuse)
-        assert max_rf_colors(CubeShape(4, 2)).nodes_explored == 648
+        assert max_rf_colors(CubeShape(4, 2)).nodes_explored == 286
         assert max_rf_colors(S33, SearchConfig(node_limit=2_000)).best_value == 10
         assert max_rf_colors(S34, SearchConfig(node_limit=100)).best_value == 23
 
@@ -1923,6 +1966,43 @@ class TestCompleteOracle:
                 cells[i] = 0
             fired += _check_against_oracle(Coloring(S33, tuple(cells)), monkeypatch)
         assert fired > 0
+
+    def test_cut_on_two_blanked_layers(self, monkeypatch):
+        """The same three [3]^3 colorings with two crossing layers blanked,
+        coordinate t at symbol s and another coordinate at symbol 1: 15
+        open cells, where the cut does most of its work.  At every target
+        from the partial's color count to 11, the cut keeps the status,
+        witness and certificate of a run with no cap and adds no node."""
+        bases = [
+            TEN_COLORS_33,
+            digit_position_coloring(S33).colors,
+            enumerate_minimal_rf(S33, 6)[0].colors,
+        ]
+        refusals = []
+
+        def recording(*args):
+            refusals.append(_layers_refuse(*args))
+            return refusals[-1]
+
+        for base in bases:
+            for t, s, u in product((1, 2, 3), repeat=3):
+                if u == t:
+                    continue
+                blank = layer(S33, t, s) | layer(S33, u, 1)
+                cells = tuple(0 if i in blank else c for i, c in enumerate(base))
+                partial = Coloring(S33, cells)
+                for target in range(len(set(cells) - {0}), 12):
+                    with monkeypatch.context() as patch:
+                        patch.setattr("ahj.search._layers_refuse", recording)
+                        out = complete(partial, target)
+                        patch.setattr("ahj.search._layer_table", lambda shape: None)
+                        plain = complete(partial, target)
+                    assert out.status is plain.status, (t, s, u, target)
+                    assert (out.witness, out.certificate) == (plain.witness, plain.certificate)
+                    assert out.nodes_explored <= plain.nodes_explored
+                    if out.witness is not None:
+                        _assert_completes(partial, target, out.witness)
+        assert sum(refusals) > 0
 
     def test_matches_brute_force_on_binary_cubes_with_the_cut(self, monkeypatch):
         """Partials of [2]^3, where each layer holds one color, rainbow
