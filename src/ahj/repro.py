@@ -34,7 +34,7 @@ _EXACT_VALUES = (
 # pins its node count.  The tree is cut by the layer cap ah(3, 2) - 1 = 4
 # that `bounds.known_value` gives, and claim 1 proves that value on [3]^2
 # before it runs [3]^3; claim 3 checks it against the naive oracle.
-_CUBE_PROOF_NODES = 6_119
+_CUBE_PROOF_NODES = 336
 
 # (n, size, seconds): independent sets of the given size in [3]^n and the
 # time one enumeration may take.

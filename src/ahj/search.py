@@ -152,7 +152,13 @@ class MergeState:
       packing that the bound of `_settle` counts.  `_bound_reaches` adds
       lines to it; a fresh state packs none;
     - `reach[li]`, for each packed line li, holds its reach: the lines
-      through its classes.  Entries of other lines are stale.
+      through its classes.  Entries of other lines are stale;
+    - `tight` holds lines that `_settle` has seen live with a blocked
+      pair.  A blocked pair stays blocked and a line that gains one is
+      made dirty, so once a settle has reached its fixpoint,
+      `tight & live` is exactly the live lines with a blocked pair;
+    - `touched` holds the lines through a class of two or more points:
+      each merge ORs in the merged class's lines.
 
     A merge takes the lines through both classes out of `live` and ORs the
     two halves' exclusion masks.  A class kept apart from one half only is
@@ -172,7 +178,7 @@ class MergeState:
     packing and the reaches as they are.
 
     The search branches on copies: `copy()` gives an independent state
-    with its own five lists, which hold only ints, and shares the
+    with its own five lists and masks, all of ints, and shares the
     per-shape tables, which nothing changes.
     """
 
@@ -188,6 +194,8 @@ class MergeState:
         "dirty",
         "packed",
         "reach",
+        "tight",
+        "touched",
         "_incompat",
     )
 
@@ -201,7 +209,7 @@ class MergeState:
         self.class_points = [1 << x for x in range(count)]
         self.class_lines = list(_line_masks_by_point(shape))
         self.live = self.dirty = (1 << len(self.lines)) - 1
-        self.packed = 0
+        self.packed = self.tight = self.touched = 0
         self.reach = [0] * len(self.lines)
         self._incompat = [0] * count
 
@@ -261,6 +269,7 @@ class MergeState:
             label[low.bit_length() - 1] = ra
         self.merge_count += 1
         merged = class_lines[ra] = lines_a | lines_b
+        self.touched |= merged
         incompat[ra] = inc_a | inc_b
         live = self.live & ~(lines_a & lines_b)
         self.live = live
@@ -285,6 +294,7 @@ class MergeState:
         twin.reach = self.reach[:]
         twin.merge_count, twin.live = self.merge_count, self.live
         twin.dirty, twin.packed = self.dirty, self.packed
+        twin.tight, twin.touched = self.tight, self.touched
         return twin
 
     @property
@@ -443,16 +453,31 @@ def _settle(state: MergeState, best: int) -> int:
 
     Returns `_DEAD` when a line can no longer be satisfied, `_PRUNE` when
     the state cannot beat `best` merges, `_SOLVED` when every line is
-    satisfied, and otherwise the index of the branch line: the lowest
-    live line.
+    satisfied, and otherwise the index of the branch line.
 
     Propagation reads only the dirty live lines, lowest first.  A line
     with no unblocked pair is dead; one with exactly one is forced, and
-    its pair is merged, which may make more lines dirty.  The scan only
-    needs to know whether a line has zero, one or more unblocked pairs, so
-    it counts them over the position-pair table and stops at the second
-    one.  Propagation ends when no live line is dirty, so every live line
-    has at least two unblocked pairs.
+    its pair is merged, which may make more lines dirty.  The scan needs
+    to know whether a line has zero, one or more unblocked pairs, and
+    whether it has a blocked one, so it reads the position-pair table
+    until it has seen two unblocked pairs and a blocked one, or the table
+    ends; a line already in `tight` needs only the two unblocked pairs.  A
+    line seen with a blocked pair goes into `tight`.  Propagation ends
+    when no live line is dirty, so every live line has at least two
+    unblocked pairs, and `tight & live` is the live lines with a blocked
+    pair.
+
+    The branch line is chosen fail-first, as DSATUR colors the most
+    saturated vertex (Brelaz 1979; Haralick and Elliott 1980).  The
+    candidates are the live lines with a blocked pair, which have the
+    fewest children and are nearest to being forced; if there are none,
+    the live lines through a class of two or more points (`touched`); if
+    there are none either, every live line.  Among them it takes the line
+    whose k classes lie on the most lines in all, the sum of their
+    `class_lines` counts, so that its merges reach the most other lines;
+    ties go to the lowest index.  Any live line is a sound branch: each
+    completion merges a pair of it.  So the rule shapes the tree and
+    never a value or status.
 
     The bound adds to the merges made so far the lines of the packing
     the state keeps: live lines with pairwise disjoint class sets (see
@@ -481,19 +506,27 @@ def _settle(state: MergeState, best: int) -> int:
     class_points = state.class_points
     lines = state.lines
     pairs = state.pairs
+    tight = state.tight
     work = state.dirty & state.live
     while work:
         low = work & -work
         work ^= low
         idxs = lines[low.bit_length() - 1]
         roots = [label[x] for x in idxs]
-        only = None
+        only, many, seen = None, False, tight & low
         for i, j in pairs:
-            if not incompat[roots[i]] & class_points[roots[j]]:
-                if only is not None:
+            if incompat[roots[i]] & class_points[roots[j]]:
+                seen = low
+                if many:
                     break
+            elif only is None:
                 only = (i, j)
-        else:
+            else:
+                many = True
+                if seen:
+                    break
+        tight |= seen
+        if not many:
             # At most one unblocked pair: the line is dead or forced.
             if only is None:
                 state.dirty = work | low
@@ -503,7 +536,7 @@ def _settle(state: MergeState, best: int) -> int:
             if state.merge_count >= best:
                 return _PRUNE
             work = state.dirty & state.live
-    state.dirty = 0
+    state.dirty, state.tight = 0, tight
     live = state.live
     if not live:
         return _SOLVED if state.merge_count < best else _PRUNE
@@ -511,7 +544,19 @@ def _settle(state: MergeState, best: int) -> int:
     # `[k]^2` searches its table lookup at every node.
     if _bound_reaches(state, best) or state.shape.n > 2 and _layer_cut(state, best):
         return _PRUNE
-    return (live & -live).bit_length() - 1
+    rest = tight & live or state.touched & live or live
+    class_lines = state.class_lines
+    branch = most = -1
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        li = low.bit_length() - 1
+        degree = 0
+        for x in lines[li]:
+            degree += class_lines[label[x]].bit_count()
+        if degree > most:
+            branch, most = li, degree
+    return branch
 
 
 def _layer_cut(state: MergeState, best: int) -> bool:
@@ -537,8 +582,9 @@ def _layer_cut(state: MergeState, best: int) -> bool:
     The cut is tried only when the incumbent's colors are within k - 1 of
     k * cap, the most the layers can hold.  With a wider gap it seldom
     pays: on `[3]^4`, whose warm start's 23 colors are 7 short of 30, an
-    ungated cut fired at none of 100,000 nodes and made the search about
-    3.8 times slower.  Skipping a valid cut only keeps subtrees that
+    ungated cut fires at 230 of the first 100,000 nodes of the fail-first
+    tree that `_settle` branches on, and the search takes about 2.5 times
+    as long.  Skipping a valid cut only keeps subtrees that
     cannot beat the incumbent, so the gate changes no value or witness.
     Shapes without a cap, n = 2 among them, are skipped: there a layer
     is one line, which the line rule already caps.
@@ -550,7 +596,7 @@ def _layer_cut(state: MergeState, best: int) -> bool:
     `[3]^3` needs 10 and has 10, and `[3]^4` needs 28 and has at most 26.
     So the cut only ever drops subtrees that cannot beat the incumbent,
     whatever it counts: a wrong count would change node counts, never a
-    value or witness.  The pinned node counts, 6,827 for the full `[3]^3`
+    value or witness.  The pinned node counts, 336 for the full `[3]^3`
     proof among them, are the check on the count.
     """
     shape = state.shape

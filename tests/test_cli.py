@@ -239,15 +239,15 @@ class TestSearch:
         assert record(out)["status"] == "FEASIBLE_ONLY"
 
     def test_capped_four_cube_value(self, capsys):
-        """[4]^3 under a 100,000-node cap reports the digit-position 27
-        colors and exits 3."""
+        """[4]^3 under a 100,000-node cap reports 28 colors, one above the
+        digit-position 27, and exits 3."""
         code, out, _ = run(
             capsys, "search", "max-colors", "--k", "4", "--n", "3",
             "--node-limit", "100000",
         )
         assert code == 3
         rec = record(out)
-        assert (rec["value"], rec["nodes"]) == ("27", "100000")
+        assert (rec["value"], rec["nodes"]) == ("28", "100000")
 
     def test_records_byte_identical_modulo_wall_time(self, capsys):
         outs = []
@@ -389,13 +389,13 @@ GOLDEN_RECORDS = [
         "search max-colors --k 3 --n 2",
         0,
         "subcommand=search.max-colors\nk=3\nn=2\ntime_limit=none\nnode_limit=none\n"
-        "status=OPTIMAL\nvalue=4\nnodes=21\n",
+        "status=OPTIMAL\nvalue=4\nnodes=19\n",
     ),
     (
         "search max-colors --k 3 --n 2 --time-limit 30 --node-limit 1000 --certificate w.ahj",
         0,
         "subcommand=search.max-colors\nk=3\nn=2\ntime_limit=30.0\nnode_limit=1000\n"
-        "status=OPTIMAL\nvalue=4\nnodes=21\ncertificate=w.ahj\n",
+        "status=OPTIMAL\nvalue=4\nnodes=19\ncertificate=w.ahj\n",
     ),
     (
         "search max-colors --k 3 --n 3 --node-limit 50",
@@ -802,12 +802,12 @@ class TestUsage:
 class TestClaimBudgets:
     def test_exact_values_stop_at_the_proof_limit(self, capsys, monkeypatch):
         """Claim 1 hands each proof its time limit, so a [3]^3 proof allowed
-        0.01 s, under a tenth of what it takes, stops there and fails the
+        0.001 s, about a tenth of what it takes, stops there and fails the
         claim instead of running to the end."""
         import ahj.repro
 
         rows = [
-            (k, n, value, 0.01 if (k, n) == (3, 3) else limit)
+            (k, n, value, 0.001 if (k, n) == (3, 3) else limit)
             for k, n, value, limit in ahj.repro._EXACT_VALUES
         ]
         monkeypatch.setattr(ahj.repro, "_EXACT_VALUES", tuple(rows))

@@ -177,7 +177,8 @@ def _assert_bookkeeping(state, model):
     """The class, line and exclusion masks of `state` match a
     recomputation from its labels, the line table and the model's
     exclusions, every live line with fewer than two unblocked pairs is
-    dirty, and the packing is valid.
+    dirty, `touched` is the lines through the classes of two or more
+    points, and the packing is valid.
 
     The exclusion masks hold points: `_incompat[r]` meets the points of
     another root q iff the model keeps r and q apart, and every point in
@@ -190,10 +191,13 @@ def _assert_bookkeeping(state, model):
     points = {r: 0 for r in roots}
     for x, r in enumerate(state.label):
         points[r] |= 1 << x
+    touched = 0
     for r in roots:
         assert state.class_points[r] == points[r], r
         through = [li for li, idxs in enumerate(lines) if any(state.label[x] == r for x in idxs)]
         assert state.class_lines[r] == sum(1 << li for li in through), r
+        if points[r].bit_count() > 1:
+            touched |= state.class_lines[r]
         apart = 0
         for q in roots:
             if q != r:
@@ -206,6 +210,7 @@ def _assert_bookkeeping(state, model):
         li for li, idxs in enumerate(lines) if len({state.label[x] for x in idxs}) == shape.k
     ]
     assert state.live == sum(1 << li for li in live)
+    assert state.touched == touched
     for li in live:
         if len(_unblocked_pairs(state, lines[li])) < 2:
             assert state.dirty >> li & 1, li
@@ -240,6 +245,8 @@ def _fields(state):
         state.live,
         state.dirty,
         state.packed,
+        state.tight,
+        state.touched,
     )
 
 
@@ -502,8 +509,8 @@ def _reference_settle(state, best):
     """The lowest-first full-scan settle: through `same`, `blocked` and
     `merge` only, it repeatedly takes the first live line, in table order,
     that has fewer than two unblocked pairs, and stops on a dead one or
-    merges a forced one's pair.  The fixpoint takes the first live line to
-    branch on.
+    merges a forced one's pair.  The fixpoint's branch line is that of
+    `_reference_branch_line`.
 
     The packing bound is not recomputed here: the fixpoint reads it from
     the state's own maintained packing through `_bound_reaches`, as
@@ -532,7 +539,32 @@ def _reference_settle(state, best):
                 return _SOLVED if state.merge_count < best else _PRUNE
             if _bound_reaches(state, best) or _reference_layer_cut(state, best):
                 return _PRUNE
-            return live[0]
+            return _reference_branch_line(state, live)
+
+
+def _tight_lines(state, live):
+    """The lines of `live` that have a blocked pair, by `blocked` alone."""
+    lines = line_index_table(state.shape)
+    return [
+        li for li in live if any(state.blocked(a, b) for a, b in combinations(lines[li], 2))
+    ]
+
+
+def _reference_branch_line(state, live):
+    """The branch line of `_settle` from its definition, through the line
+    table, `same` and `blocked` only.  The candidates are the live lines
+    with a blocked pair; if there are none, the live lines through a class
+    of two or more points; if there are none either, every live line.  The
+    degree of a point is the number of lines that meet its class, and the
+    branch line is the first candidate, in table order, whose points have
+    the largest sum of degrees."""
+    lines = line_index_table(state.shape)
+    points = range(state.shape.point_count)
+    classes = [frozenset(y for y in points if state.same(x, y)) for x in points]
+    degree = [sum(not members.isdisjoint(idxs) for idxs in lines) for members in classes]
+    touched = [li for li in live if any(len(classes[x]) > 1 for x in lines[li])]
+    candidates = _tight_lines(state, live) or touched or live
+    return max(candidates, key=lambda li: sum(degree[x] for x in lines[li]))
 
 
 def _reference_layer_cut(state, best):
@@ -614,9 +646,11 @@ def _settle_runs(draw, shapes=(S32, CubeShape(4, 2), S33)):
 def _play(shape, steps):
     """Run `steps` on a `_settle` state and on a full-scan reference state,
     asserting after each settle that both return the same outcome on the
-    same partition.  Steps after a branch go on from the settled states,
-    so later settles read the bookkeeping left by the merges and forbids
-    made since the last one."""
+    same partition, and after one that returns a branch line that the
+    state's `tight & live` is exactly its live lines with a blocked pair.
+    Steps after a branch go on from the settled states, so later settles
+    read the bookkeeping left by the merges and forbids made since the
+    last one."""
     mine, ref = MergeState(shape), MergeState(shape)
     for tag, a, b in steps:
         if tag == "settle":
@@ -628,6 +662,8 @@ def _play(shape, steps):
             if outcome < 0:
                 return outcome
             assert mine.dirty == 0
+            live = [li for li in range(len(mine.lines)) if mine.live >> li & 1]
+            assert mine.tight & mine.live == sum(1 << li for li in _tight_lines(ref, live))
         elif mine.same(a, b):
             continue
         elif tag == "forbid":
@@ -837,7 +873,8 @@ class TestPackingBound:
         """Every bound test of the full [3]^3 proof gives the answer of the
         two-walk reference, run first from the same state, and leaves the
         same packing: the greedy refill in line order, which a swap found
-        does not change."""
+        does not change.  Both answers occur: the walk checks cuts as well
+        as refusals."""
         checked = []
 
         def against_reference(state, best):
@@ -851,8 +888,8 @@ class TestPackingBound:
         monkeypatch.setattr("ahj.search._bound_reaches", against_reference)
         outcome = max_rf_colors(S33)
         assert (outcome.status, outcome.best_value) == (Status.OPTIMAL, 10)
-        assert outcome.nodes_explored == 6_119
-        assert checked
+        assert outcome.nodes_explored == 336
+        assert any(checked) and not all(checked)
 
     def test_swap_found_leaves_the_refill(self, monkeypatch):
         """A bound test that answers yes through a 1-for-2 swap leaves
@@ -874,7 +911,7 @@ class TestPackingBound:
 
         monkeypatch.setattr("ahj.search._bound_reaches", refill_first)
         outcome = max_rf_colors(CubeShape(4, 2))
-        assert (outcome.best_value, outcome.nodes_explored) == (10, 286)
+        assert (outcome.best_value, outcome.nodes_explored) == (10, 151)
         assert swaps
 
 
@@ -939,7 +976,7 @@ class TestLayerCut:
     optimal (`test_gate_opens_only_at_an_optimal_incumbent`), so no count
     it makes can lose a value or witness, and the admissibility tests here
     can check the count against the oracle but cannot show a search going
-    wrong.  The node pin of the full `[3]^3` proof, 6,827, is the check on
+    wrong.  The node pin of the full `[3]^3` proof, 336, is the check on
     the count that the searches see.
     """
 
@@ -991,7 +1028,7 @@ class TestLayerCut:
             return cut
 
         monkeypatch.setattr("ahj.search._layer_cut", recording)
-        assert max_rf_colors(S33).nodes_explored == 6_119
+        assert max_rf_colors(S33).nodes_explored == 336
         near = [run for run in fired if run[0] <= 5]
         assert near
         for _, labels, forbidden, best in near + [run for run in fired if run[0] == 6][::10]:
@@ -1119,7 +1156,7 @@ class TestMaxRfColors:
         shapes = [CubeShape(2, 2), CubeShape(2, 3), S31, S32]
         assert [naive_max_rf_colors(shape) for shape in shapes] == [1, 1, 2, 4]
 
-    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 21), (4, 10, 286), (5, 17, 10740)])
+    @pytest.mark.parametrize("k,value,nodes", [(3, 4, 19), (4, 10, 151), (5, 17, 5935)])
     def test_single_worker_node_counts_pinned(self, k, value, nodes):
         """The 1-worker search tree is fixed; a kernel change must not move it."""
         out = max_rf_colors(CubeShape(k, 2))
@@ -1359,7 +1396,7 @@ class TestOrbitalBranching:
 
         for module in ("ahj.hypercube", "ahj.search", "ahj.coloring"):
             monkeypatch.setattr(f"{module}.automorphism_index_maps", refuse)
-        assert max_rf_colors(CubeShape(4, 2)).nodes_explored == 286
+        assert max_rf_colors(CubeShape(4, 2)).nodes_explored == 151
         assert max_rf_colors(S33, SearchConfig(node_limit=2_000)).best_value == 10
         assert max_rf_colors(S34, SearchConfig(node_limit=100)).best_value == 23
 
