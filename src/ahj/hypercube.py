@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
+from operator import itemgetter
 from typing import Iterator
 
 #: Sentinel for a starred template cell.  Rendered as "*".
@@ -175,26 +176,8 @@ def symmetry_table_fits(shape: CubeShape) -> bool:
     return True
 
 
-def _digit_columns(symbols, placed) -> list[list[int]]:
-    """The digit arithmetic of every automorphism: column s, entry d, is
-    what digit d of source coordinate s adds to the image index when digit
-    d becomes digit symbols[d] at weight placed[s]."""
-    return [[v * w for v in symbols] for w in placed]
-
-
-def _placed(cp: tuple[int, ...], weights: tuple[int, ...]) -> list[int]:
-    """Per source coordinate s, the weight of its image coordinate: source
-    coordinate cp[t] lands at image coordinate t."""
-    return [w for _, w in sorted(zip(cp, weights))]
-
-
-def _index_map(columns: list[list[int]]) -> tuple[int, ...]:
-    """Image of every point, in index order, under the columns' element."""
-    return tuple(map(sum, product(*columns)))
-
-
 @lru_cache(maxsize=None)
-def automorphism_index_maps(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
+def automorphism_index_maps(shape: CubeShape) -> tuple[array, ...]:
     """The symmetry group as permutations of the point indices.  Cached.
 
     maps[g][old_index] = new_index.  Element g pairs a coordinate
@@ -202,7 +185,8 @@ def automorphism_index_maps(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
     (inner loop), both in itertools.permutations order, so the identity is
     maps[0] and the first k! maps permute symbols only.  It relabels symbol
     s as sp[s - 1], then moves source coordinate cp[t] to image coordinate
-    t.  Each map is index arithmetic over the digits of the points.
+    t.  Each map is an array of k^n 4-byte entries, built by index
+    arithmetic over the digits of the points.
     """
     k, n, weights = shape.k, shape.n, shape.weights
     # The table is refused before any map is built.
@@ -211,35 +195,19 @@ def automorphism_index_maps(shape: CubeShape) -> tuple[tuple[int, ...], ...]:
             f"symmetry group of [{k}]^{n} needs more than {_MAX_MAP_ENTRIES} "
             "index-map entries"
         )
-    # An element's map is its coordinate map applied after its symbol map.
-    symbol_maps = [_index_map(_digit_columns(sp, weights)) for sp in permutations(range(k))]
+
+    def index_map(symbols, placed) -> tuple[int, ...]:
+        """Image of every point, in index order, when digit d of source
+        coordinate s becomes digit symbols[d] at weight placed[s]."""
+        return tuple(map(sum, product(*([v * w for v in symbols] for w in placed))))
+
+    # The symbol and coordinate maps commute, so an element's map reads
+    # its symbol map at its coordinate map's images.
+    symbol_maps = [index_map(sp, weights) for sp in permutations(range(k))]
     maps = []
     for cp in permutations(range(n)):
-        coord_map = _index_map(_digit_columns(range(k), _placed(cp, weights)))
-        maps += (tuple(map(coord_map.__getitem__, m)) for m in symbol_maps)
+        # Source coordinate cp[t] lands at the weight of image coordinate t.
+        coord_map = index_map(range(k), [w for _, w in sorted(zip(cp, weights))])
+        at_images = itemgetter(*coord_map)
+        maps += (array("I", at_images(m)) for m in symbol_maps)
     return tuple(maps)
-
-
-def automorphism_maps(shape: CubeShape, points, keep) -> Iterator[array]:
-    """The index maps of the group elements, in the order of
-    :func:`automorphism_index_maps`, that pass `keep`.
-
-    `keep` is given a function that reads an element's image of any of
-    `points` from the point's digits, so an element that fails on its
-    first few points costs only those; a whole map is built only for an
-    element that passes.  The walk visits all n! * k! elements.  A map is
-    an array of k^n 4-byte entries.  A `keep` that every element passes
-    builds all n! * k! maps, as the root of `max_rf_colors` does; that
-    search walks the group only for shapes that
-    :func:`symmetry_table_fits`, so at most 4,000,000 entries.
-    """
-    k, weights = shape.k, shape.weights
-    digits = {x: [x // w % k for w in weights] for x in points}
-    # Per symbol permutation, its column at each weight.
-    scaled = [dict(zip(weights, _digit_columns(sp, weights))) for sp in permutations(range(k))]
-    for cp in permutations(range(shape.n)):
-        placed = _placed(cp, weights)
-        for by_weight in scaled:
-            columns = list(map(by_weight.__getitem__, placed))
-            if keep(lambda x: sum(map(list.__getitem__, columns, digits[x]))):
-                yield array("I", _index_map(columns))

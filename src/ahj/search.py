@@ -32,7 +32,6 @@ from .hypercube import (
     CubeShape,
     LineTemplate,
     automorphism_index_maps,
-    automorphism_maps,
     line_count,
     line_index_table,
     line_template,
@@ -642,11 +641,10 @@ def _layer_cut(state: MergeState, best: int) -> bool:
 def _stabilizer(state: MergeState, group: list[Sequence[int]] | None) -> list[Sequence[int]]:
     """The elements of `group`, point-index maps, that map the state's
     partition and its kept-apart relation onto themselves: the node's
-    stabilizer.  None stands for the whole symmetry group:
-    `automorphism_maps` then tests each element on its images of the
-    points the test reads, and builds the maps of only the elements that
-    pass.  The root has no merges and no exclusions, so there every
-    element passes and the search walks the group once.
+    stabilizer.  None stands for the whole symmetry group, the cached
+    `automorphism_index_maps` table, which is read only when the root
+    branches.  The root has no merges and no exclusions, so there every
+    element passes.
 
     An element fixes the partition iff it maps each class of two or more
     points into one class.  It is a bijection, so the largest classes then
@@ -673,15 +671,14 @@ def _stabilizer(state: MergeState, group: list[Sequence[int]] | None) -> list[Se
             if r < q:
                 apart.append((r, q))
 
-    def fixes(image) -> bool:
+    def fixes(g) -> bool:
         return all(
-            len({label[image(x)] for x in points}) == 1 for points in classes.values()
-        ) and all(incompat[label[image(a)]] & class_points[label[image(b)]] for a, b in apart)
+            len({label[g[x]] for x in points}) == 1 for points in classes.values()
+        ) and all(incompat[label[g[a]]] & class_points[label[g[b]]] for a, b in apart)
 
     if group is None:
-        moved = {x for points in classes.values() for x in points}.union(*apart)
-        return list(automorphism_maps(state.shape, moved, fixes))
-    return [g for g in group if fixes(g.__getitem__)]
+        group = automorphism_index_maps(state.shape)
+    return [g for g in group if fixes(g)]
 
 
 def _orbit_firsts(
@@ -706,10 +703,11 @@ def _dfs(state: MergeState, budget: _Incumbent, group: list[Sequence[int]] | Non
     before the last runs on a copy, and the last on `state` itself.
 
     `group` holds automorphisms as point-index maps, None standing for the
-    whole group (see `_stabilizer`); a search without symmetry passes the
-    identity alone.  A branch node with more than one element keeps those
-    that fix its settled state, its stabilizer G, and its children
-    inherit them, so the work ends once G is trivial.  The node branches
+    whole `automorphism_index_maps` table (see `_stabilizer`); a search
+    without symmetry passes the identity alone.  A branch node with more
+    than one element keeps those that fix its settled state, its
+    stabilizer G, and its children inherit them, so the work ends once G
+    is trivial.  The node branches
     on the pairs of `_orbit_firsts`: pair j's class pair lies in none of
     the orbits O_1..O_(j-1) of the earlier kept class pairs under G.
     After child j it forbids in `state` the image (g[a], g[b]) of child
@@ -804,9 +802,10 @@ def max_rf_colors(shape: CubeShape, config: SearchConfig | None = None) -> Searc
     OPTIMAL on natural exhaustion; FEASIBLE_ONLY with the best witness so
     far when a time or node budget runs out (still a valid lower bound).
     A shape too large for its line tables is refused first.  The search
-    starts from the whole symmetry group, or from the identity alone for
-    a shape whose `automorphism_index_maps` table would be refused, so
-    the walk of the group stays as bounded as that table.
+    starts from the whole symmetry group, its `automorphism_index_maps`
+    table, or from the identity alone for a shape whose table would be
+    refused.  The table is read only if the root branches, so a search
+    that the root settles ([2]^n) builds none.
     """
     _check_tables_fit(shape)
     config = config or SearchConfig()

@@ -1298,7 +1298,7 @@ class TestOrbitalBranching:
     @pytest.mark.parametrize("k", [4, 5])
     def test_stabilizer_matches_brute_force(self, k, monkeypatch):
         """On every state whose stabilizer the [k]^2 search computes, the
-        walk of the whole group (None), the filter of the whole table and
+        filter of the whole group (None), the filter of the whole table and
         the filter of the inherited group each keep exactly the elements
         that fix the state."""
         shape = CubeShape(k, 2)
@@ -1313,12 +1313,12 @@ class TestOrbitalBranching:
         max_rf_colors(shape)
         assert sum(group is None for _, group in recorded) == 1
         for state, group in recorded:
-            expected = [g for g in maps if _fixes_by_brute_force(state, g)]
+            expected = [tuple(g) for g in maps if _fixes_by_brute_force(state, g)]
             assert [tuple(g) for g in _stabilizer(state, None)] == expected
-            assert _stabilizer(state, list(maps)) == expected
+            assert [tuple(g) for g in _stabilizer(state, list(maps))] == expected
             if group is not None:
-                kept = [g for g in group if _fixes_by_brute_force(state, g)]
-                assert _stabilizer(state, group) == kept
+                kept = [tuple(g) for g in group if _fixes_by_brute_force(state, g)]
+                assert [tuple(g) for g in _stabilizer(state, group)] == kept
 
     @pytest.mark.parametrize("shape", [CubeShape(4, 2), S33])
     def test_later_children_exclude_each_explored_orbit(self, shape, monkeypatch):
@@ -1387,18 +1387,35 @@ class TestOrbitalBranching:
                 )
                 assert ((a, b) in kept) is not is_image
 
-    def test_search_never_builds_the_symmetry_table(self, monkeypatch):
-        """The root walks the group by digit arithmetic instead of reading
-        `automorphism_index_maps`."""
+    def test_search_reads_the_table_once_and_only_to_branch(self, monkeypatch):
+        """The root's group is the cached `automorphism_index_maps` table,
+        read once when the root branches.  A [2]^n search, settled at the
+        root, reads none, and neither does a shape whose table would be
+        refused."""
+        calls = []
 
-        def refuse(_):
-            raise AssertionError("automorphism_index_maps was called")
+        def counting(shape):
+            calls.append(shape)
+            return automorphism_index_maps(shape)
 
-        for module in ("ahj.hypercube", "ahj.search", "ahj.coloring"):
-            monkeypatch.setattr(f"{module}.automorphism_index_maps", refuse)
-        assert max_rf_colors(CubeShape(4, 2)).nodes_explored == 151
-        assert max_rf_colors(S33, SearchConfig(node_limit=2_000)).best_value == 10
-        assert max_rf_colors(S34, SearchConfig(node_limit=100)).best_value == 23
+        monkeypatch.setattr("ahj.search.automorphism_index_maps", counting)
+
+        def reads(shape, **limits):
+            calls.clear()
+            outcome = max_rf_colors(shape, SearchConfig(**limits))
+            return outcome, len(calls)
+
+        outcome, count = reads(CubeShape(4, 2))
+        assert (outcome.nodes_explored, count) == (151, 1)
+        outcome, count = reads(S33, node_limit=2_000)
+        assert (outcome.best_value, count) == (10, 1)
+        outcome, count = reads(S34, node_limit=100)
+        assert (outcome.best_value, count) == (23, 1)
+        outcome, count = reads(CubeShape(2, 3))
+        assert (outcome.best_value, count) == (1, 0)
+        monkeypatch.setattr("ahj.search.symmetry_table_fits", lambda _: False)
+        outcome, count = reads(CubeShape(4, 2))
+        assert (outcome.best_value, count) == (10, 0)
 
 
 class TestIndependentSets:
